@@ -456,15 +456,22 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
 # Ancestral sampling
 
 
-def sample(
+def _reverse_diffuse(
     net: DenoiserNetwork,
-    unseen: Coordinate,
+    locs,
     schedule: NoiseSchedule,
     n: int,
-    seed,
-    detect_floor: float = 0.1,
-) -> list[Fingerprint]:
-    """Generate n fingerprints at `unseen` by reverse diffusion from pure noise.
+    seeds,
+    detect_floor: float,
+) -> np.ndarray:
+    """Reverse diffusion for all of `locs` at once; returns `(U, n, A)` fingerprints.
+
+    Location u draws its start noise and every step's noise from its own
+    `default_rng(seeds[u])`, in the order a one-location run draws them. Each
+    step runs one denoiser call on a stacked `(U, n, input_dim)` input, which
+    computes one `n`-row product per location (see
+    `DenoiserNetwork.forward_cached`). Together these make location u's
+    output independent of which other locations share the batch.
 
     Each step clamps the predicted clean vector to [0, 1] and moves to the
     standard posterior mean given (M_t, M0_hat), adding posterior-variance
@@ -473,29 +480,50 @@ def sample(
     """
     if n < 1:
         raise SizeError(f"n must be >= 1, got {n}")
-    a = net.arch.ap_count
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, a))
-    cond = embed_condition(unseen, net.arch.bounds, net.arch.cond_freqs)
-    cond_tiled = np.tile(cond, (n, 1))
-    time_table = embed_time_table(schedule.T, net.arch.time_dim)
+    arch = net.arch
+    a, c = arch.ap_count, arch.ap_count + arch.cond_dim
+    rngs = [np.random.default_rng(s) for s in seeds]
+    inp = np.empty((len(rngs), n, arch.input_dim))
+    noise = np.empty((len(rngs), n, a))
+    x = inp[:, :, :a]  # the current M_t lives in the input buffer
+    for u, (loc, rng) in enumerate(zip(locs, rngs)):
+        rng.standard_normal((n, a), out=noise[u])
+        inp[u, :, a:c] = embed_condition(loc, arch.bounds, arch.cond_freqs)
+    x[...] = noise
+    time_table = embed_time_table(schedule.T, arch.time_dim)
     for t in range(schedule.T, 0, -1):
-        inp = _assemble_input(x, cond_tiled, np.tile(time_table[t - 1], (n, 1)))
-        x0 = np.clip(net.forward(inp), 0.0, 1.0)
+        inp[:, :, c:] = time_table[t - 1]
+        x0 = net.forward(inp)
+        np.clip(x0, 0.0, 1.0, out=x0)
         ab_t = schedule.alpha_bars[t - 1]
         ab_prev = schedule.alpha_bars[t - 2] if t > 1 else 1.0
         beta = schedule.betas[t - 1]
         alpha = schedule.alphas[t - 1]
         c0 = math.sqrt(ab_prev) * beta / (1.0 - ab_t)
         ct = math.sqrt(alpha) * (1.0 - ab_prev) / (1.0 - ab_t)
-        mean = c0 * x0 + ct * x
+        x0 *= c0
+        x *= ct
+        x += x0  # posterior mean c0 * x0 + ct * x
         if t > 1:
             var = (1.0 - ab_prev) / (1.0 - ab_t) * beta
-            x = mean + math.sqrt(var) * rng.standard_normal((n, a))
-        else:
-            x = mean
-    final = np.where(x < detect_floor, 0.0, np.clip(x, detect_floor, 1.0))
-    return [Fingerprint(final[i], unseen) for i in range(n)]
+            for u, rng in enumerate(rngs):
+                rng.standard_normal((n, a), out=noise[u])
+            noise *= math.sqrt(var)
+            x += noise
+    return np.where(x < detect_floor, 0.0, np.clip(x, detect_floor, 1.0))
+
+
+def sample(
+    net: DenoiserNetwork,
+    unseen: Coordinate,
+    schedule: NoiseSchedule,
+    n: int,
+    seed,
+    detect_floor: float = 0.1,
+) -> list[Fingerprint]:
+    """Generate n fingerprints at `unseen` by reverse diffusion from pure noise."""
+    final = _reverse_diffuse(net, [unseen], schedule, n, [seed], detect_floor)[0]
+    return [Fingerprint(row, unseen) for row in final]
 
 
 def generate_unseen_map(
@@ -506,15 +534,18 @@ def generate_unseen_map(
     seed,
     norm_params: NormalizationParams = NormalizationParams(),
 ) -> FingerprintDataset:
-    """Sample every unseen location with per-location derived seeds."""
+    """Sample every unseen location with per-location derived seeds.
+
+    Location u's fingerprints equal `sample(net, loc_u, schedule, n, child_u)`
+    with `child_u` the u-th of `SeedSequence(seed).spawn(U)`.
+    """
     if not split.unseen:
         raise SizeError("split has no unseen locations to generate")
     children = np.random.SeedSequence(seed).spawn(len(split.unseen))
-    samples: list[Fingerprint] = []
-    for loc, child in zip(split.unseen, children):
-        samples.extend(
-            sample(net, loc, schedule, samples_per_unseen, child, norm_params.detect_floor)
-        )
+    final = _reverse_diffuse(
+        net, split.unseen, schedule, samples_per_unseen, children, norm_params.detect_floor
+    )
+    samples = [Fingerprint(row, loc) for loc, rows in zip(split.unseen, final) for row in rows]
     return FingerprintDataset(
         tuple(samples), net.arch.ap_count, norm_params, tuple(split.unseen)
     )
@@ -550,18 +581,44 @@ def save_checkpoint(net: DenoiserNetwork, schedule: NoiseSchedule, path) -> None
 
 
 def load_checkpoint(path) -> tuple[DenoiserNetwork, NoiseSchedule]:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    Every malformed file (truncated anywhere, a bad header, a parameter count
+    that disagrees with the architecture, or trailing bytes) raises
+    ConsistencyError.
+    """
     raw = Path(path).read_bytes()
     if not raw.startswith(_CKPT_MAGIC):
         raise ConsistencyError(f"{path}: not a checkpoint file (bad magic)")
     off = len(_CKPT_MAGIC)
+    if len(raw) < off + 4:
+        raise ConsistencyError(f"{path}: truncated before the header length")
     (hlen,) = struct.unpack_from("<I", raw, off)
     off += 4
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
+    if len(raw) < off + hlen:
+        raise ConsistencyError(
+            f"{path}: header needs {hlen} bytes, only {len(raw) - off} present"
+        )
+    try:
+        header = json.loads(raw[off : off + hlen].decode("utf-8"))
+        arch = DenoiserArch.from_dict(header["arch"])
+        sched = header["schedule"]
+        schedule = build_schedule(int(sched["T"]), sched["beta_start"], sched["beta_end"])
+        count = header["param_count"]
+    except (ValueError, KeyError, TypeError, ConfigError) as e:
+        # ValueError covers bad UTF-8 and bad JSON
+        raise ConsistencyError(f"{path}: malformed checkpoint header ({e!r})") from e
     off += hlen
-    arch = DenoiserArch.from_dict(header["arch"])
-    theta = np.frombuffer(raw, dtype="<f8", offset=off, count=header["param_count"]).copy()
-    sched = header["schedule"]
-    schedule = build_schedule(int(sched["T"]), sched["beta_start"], sched["beta_end"])
+    if type(count) is not int or count != arch.param_count:
+        raise ConsistencyError(
+            f"{path}: param_count {count!r} does not match the architecture's "
+            f"{arch.param_count}"
+        )
+    if len(raw) - off != 8 * count:
+        raise ConsistencyError(
+            f"{path}: expected {8 * count} parameter bytes, found {len(raw) - off}"
+        )
+    theta = np.frombuffer(raw, dtype="<f8", offset=off, count=count).copy()
     return DenoiserNetwork(arch, theta), schedule
 
 

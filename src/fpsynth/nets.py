@@ -15,12 +15,10 @@ from .errors import ConfigError, ShapeError
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows. Per entry this computes 1/(1+exp(-x)) for
+    # x >= 0 and exp(x)/(1+exp(x)) otherwise, without boolean indexing.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _silu_forward(z):
@@ -155,6 +153,7 @@ class DenoiserNetwork:
         self.theta = theta
         layout, total = _layout(arch.layer_shapes)
         assert total == arch.param_count
+        self._layout = layout
         self._views = [
             (theta[w].reshape(shape), theta[b]) for w, b, shape in layout
         ]
@@ -187,20 +186,25 @@ class DenoiserNetwork:
     def copy(self) -> "DenoiserNetwork":
         return DenoiserNetwork(self.arch, self.theta.copy())
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
-            raise ShapeError(
-                f"input must be (batch, {self.arch.input_dim}), got {x.shape}"
-            )
-        return x
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, _ = self.forward_cached(x)
         return out
 
     def forward_cached(self, x: np.ndarray):
-        x = self._check_input(x)
+        """Output and backward cache for a `(..., batch, input_dim)` input.
+
+        A stacked input such as `(U, n, input_dim)` runs one `n`-row product
+        per leading index, so each stack entry gets exactly the bits that a
+        separate `(n, input_dim)` call gives. Flattening the stack to
+        `(U*n, input_dim)` would not: OpenBLAS picks its kernel by row count,
+        and a row's result then depends on how many rows share the product.
+        `backward` takes the cache of a 2-D call only.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim < 2 or x.shape[-1] != self.arch.input_dim:
+            raise ShapeError(
+                f"input must be (..., batch, {self.arch.input_dim}), got {x.shape}"
+            )
         act, _ = ACTIVATIONS[self.arch.activation]
         (w1, b1), (w2, b2), (w3, b3), (w4, b4) = self._views
         z1 = x @ w1.T + b1
@@ -216,10 +220,12 @@ class DenoiserNetwork:
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout * out) w.r.t. the flat parameter vector."""
         x, z1, s1, a1, z2, s2, a2, z3, s3, a3 = cache
+        if x.ndim != 2:
+            raise ShapeError(f"backward needs the cache of a 2-D input, got {x.shape}")
         _, dact = ACTIVATIONS[self.arch.activation]
         (w1, _), (w2, _), (w3, _), (w4, _) = self._views
-        grad = np.zeros_like(self.theta)
-        layout, _ = _layout(self.arch.layer_shapes)
+        # every entry is written below: the layout tiles theta exactly
+        grad = np.empty_like(self.theta)
 
         dW4 = dout.T @ a3
         db4 = dout.sum(axis=0)
@@ -236,7 +242,8 @@ class DenoiserNetwork:
         dW1 = dz1.T @ x
         db1 = dz1.sum(axis=0)
 
-        for (wsl, bsl, _), dW, db in zip(layout, (dW1, dW2, dW3, dW4), (db1, db2, db3, db4)):
+        grads = zip(self._layout, (dW1, dW2, dW3, dW4), (db1, db2, db3, db4))
+        for (wsl, bsl, _), dW, db in grads:
             grad[wsl] = dW.ravel()
             grad[bsl] = db
         return grad
@@ -312,7 +319,13 @@ class Mlp:
 
 
 class AdamOptimizer:
-    """Standard Adam on a flat parameter vector, updated in place."""
+    """Standard Adam on a flat parameter vector, updated in place.
+
+    The moments and theta are updated in place through two scratch buffers.
+    Each element sees the same operations in the same order as
+    `theta -= lr * mhat / (sqrt(vhat) + eps)` with `v` accumulating
+    `(1 - beta2) * g * g`, so results are bit-identical to that textbook form.
+    """
 
     def __init__(self, n_params: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -322,14 +335,26 @@ class AdamOptimizer:
         self.t = 0
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
+        self._num = np.empty(n_params)
+        self._den = np.empty(n_params)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1**self.t)
-        vhat = self.v / (1.0 - self.beta2**self.t)
-        theta -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        num, den = self._num, self._den
+        self.m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        self.m += num
+        self.v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=num)
+        num *= grad
+        self.v += num
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=num)  # mhat
+        num *= self.lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=den)  # vhat
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        theta -= num
 
 
 class SgdOptimizer:

@@ -1,10 +1,14 @@
-"""Independent brute-force reference implementations used to pin expected values.
+"""Independent reference implementations used to pin expected values.
 
-Deliberately written in plain Python (no numpy) with a different code
-structure from the library so they can serve as oracles.
+The brute-force split oracles are deliberately written in plain Python (no
+numpy) with a different code structure from the library. The numpy kernels
+at the end are the straightforward forms of the library's optimized kernels,
+which must reproduce them bit for bit.
 """
 
 import math
+
+import numpy as np
 
 
 def brute_knn_densities(points, k):
@@ -35,3 +39,22 @@ def brute_density_split(points, n_unseen, k, batch=1):
         chosen_set = set(chosen)
         remaining = [p for p in remaining if p not in chosen_set]
     return remaining, unseen
+
+
+def masked_sigmoid(x):
+    """Logistic function evaluated separately on the x >= 0 and x < 0 entries."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def adam_step(theta, m, v, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One out-of-place Adam update at step t (1-based); returns (theta, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    mhat = m / (1.0 - beta1**t)
+    vhat = v / (1.0 - beta2**t)
+    return theta - lr * mhat / (np.sqrt(vhat) + eps), m, v

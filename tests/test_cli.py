@@ -92,6 +92,21 @@ class TestFailureModes:
         assert code != 0
         assert "[split]" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_is_a_stage_tagged_error(self, tiny_config_file, tmp_path, capsys):
+        c = tiny_config_file
+        split, model = tmp_path / "split.csv", tmp_path / "model.ckpt"
+        run_ok(["split", "-c", c, "-o", str(split)])
+        run_ok(["augment", "-c", c, "--split", str(split), "-o", str(tmp_path / "aug.csv")])
+        run_ok(["train-diffusion", "-c", c, "--data", str(tmp_path / "aug.csv"), "--split",
+                str(split), "-o", str(model), "--trace", str(tmp_path / "trace.csv")])
+        model.write_bytes(model.read_bytes()[:-5])
+        capsys.readouterr()
+        code = main(["generate", "-c", c, "--model", str(model), "--split", str(split),
+                     "-o", str(tmp_path / "gen.csv")])
+        assert code == 2
+        assert "error [generate]" in capsys.readouterr().err
+        assert not (tmp_path / "gen.csv").exists()
+
 
 class TestSeedFlag:
     def test_seed_changes_stochastic_outputs(self, tiny_config_file, tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,20 @@ class TestGenerateUnseenMap:
         b = generate_unseen_map(res.network, split, res.schedule, 5, seed=4, norm_params=p)
         assert np.array_equal(a.rss_matrix(), b.rss_matrix())
 
+    def test_equals_per_location_sample_calls(self):
+        # all locations are sampled in one batch, yet each one's output is
+        # exactly what a one-location run with its derived seed gives
+        res, split, p = self._trained()
+        ds = generate_unseen_map(res.network, split, res.schedule, 6, seed=9, norm_params=p)
+        children = np.random.SeedSequence(9).spawn(len(split.unseen))
+        expected = [
+            fp
+            for loc, child in zip(split.unseen, children)
+            for fp in sample(res.network, loc, res.schedule, 6, child, p.detect_floor)
+        ]
+        assert [s.location for s in ds.samples] == [fp.location for fp in expected]
+        assert ds.rss_matrix().tobytes() == np.stack([fp.rss for fp in expected]).tobytes()
+
 
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
@@ -185,6 +201,52 @@ class TestCheckpoint:
         save_checkpoint(net, s, p1)
         save_checkpoint(net, s, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def _saved(tmp_path):
+        arch = DenoiserArch(ap_count=4, cond_freqs=1, time_dim=4, hidden=(8, 4, 8))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(DenoiserNetwork.create(arch, seed=1), build_schedule(10, 1e-3, 0.02), path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "cut", [0, 7, 15, 17, 19, 40, -300, -9, -1], ids=lambda c: f"cut{c}"
+    )
+    def test_truncated_file_is_a_typed_error(self, tmp_path, cut):
+        # cuts land in the magic, the header length, the JSON header and the payload
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ConsistencyError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("junk", [b"\0", b"\0" * 8, b"trailing"])
+    def test_trailing_bytes_are_a_typed_error(self, tmp_path, junk):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw + junk)
+        with pytest.raises(ConsistencyError, match="parameter bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: b"{not json" + h[9:],
+            lambda h: b"\xff" + h[1:],
+            lambda h: h.replace(b'"arch"', b'"arck"'),
+            lambda h: h.replace(b'"schedule": {"T": 10', b'"schedule": {"T": [10]'),
+            lambda h: h.replace(b'"param_count": ', b'"param_count": 1'),
+            lambda h: h.replace(b'"T": 10', b'"T": 0'),
+        ],
+        ids=["json", "utf8", "arch-key", "schedule-type", "param-count", "schedule-value"],
+    )
+    def test_bad_header_is_a_typed_error(self, tmp_path, edit):
+        path, raw = self._saved(tmp_path)
+        off = len(b"FPSYNTH-CKPT-1\n")
+        (hlen,) = struct.unpack_from("<I", raw, off)
+        header = edit(raw[off + 4 : off + 4 + hlen])
+        payload = raw[off + 4 + hlen :]
+        path.write_bytes(raw[:off] + struct.pack("<I", len(header)) + header + payload)
+        with pytest.raises(ConsistencyError):
+            load_checkpoint(path)
 
     def test_loss_trace_file(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import adam_step, masked_sigmoid
+
 from fpsynth.errors import ConfigError, ShapeError
-from fpsynth.nets import AdamOptimizer, DenoiserArch, DenoiserNetwork, Mlp, SgdOptimizer
+from fpsynth.nets import AdamOptimizer, DenoiserArch, DenoiserNetwork, Mlp, SgdOptimizer, _sigmoid
 
 
 class TestDenoiserArch:
@@ -61,6 +63,24 @@ class TestDenoiserNetwork:
         rel = np.max(np.abs(grad - fd)) / (np.max(np.abs(fd)) + 1e-12)
         assert rel < 1e-6
 
+    def test_stacked_forward_equals_per_slice_calls(self):
+        # a stacked input must run one n-row product per slice; flattening it
+        # to (U*n, input) changes the bits of the result
+        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128))
+        net = DenoiserNetwork.create(arch, 4)
+        x = np.random.default_rng(5).standard_normal((50, 8, arch.input_dim))
+        stacked = net.forward(x)
+        assert stacked.shape == (50, 8, arch.ap_count)
+        per_slice = np.stack([net.forward(xi) for xi in x])
+        assert np.array_equal(stacked.view(np.uint64), per_slice.view(np.uint64))
+
+    def test_backward_rejects_stacked_cache(self):
+        arch = DenoiserArch(ap_count=3, cond_freqs=1, time_dim=4, hidden=(4, 2, 4))
+        net = DenoiserNetwork.create(arch, 0)
+        out, cache = net.forward_cached(np.ones((2, 3, arch.input_dim)))
+        with pytest.raises(ShapeError):
+            net.backward(cache, out)
+
     def test_tanh_activation_supported(self):
         arch = DenoiserArch(ap_count=3, cond_freqs=1, time_dim=4, hidden=(4, 2, 4),
                             activation="tanh")
@@ -109,7 +129,31 @@ class TestOptimizers:
             opt.step(theta, 2.0 * theta)
         assert np.all(np.abs(theta) < 1e-2)
 
+    def test_adam_bits_match_reference(self):
+        rng = np.random.default_rng(8)
+        theta = rng.standard_normal(300)
+        ref_theta, ref_m, ref_v = theta.copy(), np.zeros(300), np.zeros(300)
+        opt = AdamOptimizer(300, lr=2e-3)
+        for t in range(1, 6):
+            grad = rng.standard_normal(300) * 10.0 ** rng.integers(-6, 3, 300)
+            ref_theta, ref_m, ref_v = adam_step(ref_theta, ref_m, ref_v, grad, t, opt.lr)
+            opt.step(theta, grad)
+            opt.lr *= 0.98
+        for got, want in ((theta, ref_theta), (opt.m, ref_m), (opt.v, ref_v)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_sgd_step(self):
         theta = np.array([1.0])
         SgdOptimizer(1, lr=0.5).step(theta, np.array([1.0]))
         assert theta[0] == 0.5
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0])
+    def test_bits_match_masked_reference_on_random_inputs(self, scale):
+        x = np.random.default_rng(1).standard_normal((64, 128)) * scale
+        assert np.array_equal(_sigmoid(x).view(np.uint64), masked_sigmoid(x).view(np.uint64))
+
+    def test_bits_match_masked_reference_at_edges(self):
+        x = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300])
+        assert np.array_equal(_sigmoid(x).view(np.uint64), masked_sigmoid(x).view(np.uint64))
