@@ -6,7 +6,6 @@ import numpy as np
 
 from .dataset import Coordinate, Fingerprint, FingerprintDataset
 from .errors import SizeError
-from .initializer import LocationSplit
 
 
 def knn_spatial_interpolate(
@@ -42,7 +41,3 @@ def knn_spatial_interpolate(
     out = np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))
     return Fingerprint(out, target)
 
-
-def no_augmentation(data: FingerprintDataset, split: LocationSplit) -> FingerprintDataset:
-    """Seen-location samples only, untouched."""
-    return data.subset_at(split.seen)

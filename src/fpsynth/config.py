@@ -158,7 +158,6 @@ _SCHEMA: dict[str, tuple] = {
     "diffusion.activation": (_parse_str, "diffusion.activation"),
     "diffusion.cond_freqs": (_parse_int, "diffusion.cond_freqs"),
     "diffusion.time_dim": (_parse_int, "diffusion.time_dim"),
-    "diffusion.optimizer": (_parse_str, "diffusion.optimizer"),
     "localizer.variant": (_parse_str, "localizer_variant"),
     "localizer.k": (_parse_int, "localizer.k"),
     "localizer.hidden": (_parse_int_tuple, "localizer.hidden"),

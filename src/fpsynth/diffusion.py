@@ -35,7 +35,7 @@ from .errors import (
     SizeError,
 )
 from .initializer import LocationSplit
-from .nets import AdamOptimizer, DenoiserArch, DenoiserNetwork, SgdOptimizer
+from .nets import AdamOptimizer, DenoiserArch, DenoiserNetwork
 
 
 # ---------------------------------------------------------------------------
@@ -228,41 +228,44 @@ class LossBatch:
                 raise ShapeError(f"{name} must have shape {shape}, got {np.asarray(arr).shape}")
 
 
-def _loss_terms(net, batch, kernel, schedule, weights=None):
+def _loss_terms(net, batch, kernel, schedule):
     t_arr = np.asarray(batch.t, dtype=np.int64)
     if t_arr.min() < 1 or t_arr.max() > schedule.T:
         raise RangeError(f"batch steps outside [1, {schedule.T}]")
-    if weights is None:
-        d = _pair_distances(np.asarray(batch.cond_locs), np.asarray(batch.seen_locs))
-        weights = kernel.weight(d)
+    d = _pair_distances(np.asarray(batch.cond_locs), np.asarray(batch.seen_locs))
     mt = _forward_diffuse_batch(np.asarray(batch.m0), t_arr, np.asarray(batch.eps), schedule)
     cond = embed_condition_batch(batch.cond_locs, net.arch.bounds, net.arch.cond_freqs)
     temb = embed_time_table(schedule.T, net.arch.time_dim)[t_arr - 1]
     x = _assemble_input(mt, cond, temb)
-    return x, weights
+    return x, kernel.weight(d)
+
+
+def _weighted_sq_error(w: np.ndarray, r: np.ndarray) -> float:
+    return float(np.mean(w * np.sum(r * r, axis=1)))
+
+
+def _weighted_loss_and_grad(net: DenoiserNetwork, x: np.ndarray, m0: np.ndarray, w: np.ndarray):
+    """mean_b(w_b * ||net(x_b) - m0_b||^2) and its gradient w.r.t. net.theta.
+
+    The one loss that training minimizes (with the importance weights) and
+    that `spatial_loss_and_grad` exposes (with the kernel weights).
+    """
+    out, cache = net.forward_cached(x)
+    r = out - m0
+    dout = (2.0 / r.shape[0]) * w[:, None] * r
+    return _weighted_sq_error(w, r), net.backward(cache, dout)
 
 
 def spatial_loss(net, batch: LossBatch, kernel: VicinityKernel, schedule: NoiseSchedule) -> float:
     """Mean over the batch of w(unseen, seen) * ||predicted M0 - M0||^2."""
     x, w = _loss_terms(net, batch, kernel, schedule)
-    r = net.forward(x) - batch.m0
-    return float(np.mean(w * np.sum(r * r, axis=1)))
+    return _weighted_sq_error(w, net.forward(x) - batch.m0)
 
 
-def spatial_loss_and_grad(
-    net, batch: LossBatch, kernel: VicinityKernel, schedule: NoiseSchedule, weights=None
-):
-    """Loss plus its analytic gradient w.r.t. the flat parameter vector.
-
-    `weights` overrides the kernel weights (used by training's importance
-    sampling correction); otherwise weights come from the kernel.
-    """
-    x, w = _loss_terms(net, batch, kernel, schedule, weights)
-    out, cache = net.forward_cached(x)
-    r = out - batch.m0
-    loss = float(np.mean(w * np.sum(r * r, axis=1)))
-    dout = (2.0 / r.shape[0]) * w[:, None] * r
-    return loss, net.backward(cache, dout)
+def spatial_loss_and_grad(net, batch: LossBatch, kernel: VicinityKernel, schedule: NoiseSchedule):
+    """Loss plus its analytic gradient w.r.t. the flat parameter vector."""
+    x, w = _loss_terms(net, batch, kernel, schedule)
+    return _weighted_loss_and_grad(net, x, batch.m0, w)
 
 
 def pair_batch(
@@ -310,7 +313,6 @@ class DiffusionTrainConfig:
     activation: str = "silu"
     cond_freqs: int = 4
     time_dim: int = 16
-    optimizer: str = "adam"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
@@ -322,8 +324,6 @@ class DiffusionTrainConfig:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.sigma_w is not None and self.sigma_w <= 0:
             raise ConfigError(f"sigma_w must be > 0, got {self.sigma_w}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
 
 @dataclass
@@ -419,10 +419,7 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
     )
     rng = np.random.default_rng(cfg.seed)
     net = DenoiserNetwork.create(arch, rng)
-    if cfg.optimizer == "adam":
-        opt = AdamOptimizer(arch.param_count, cfg.learning_rate)
-    else:
-        opt = SgdOptimizer(arch.param_count, cfg.learning_rate)
+    opt = AdamOptimizer(arch.param_count, cfg.learning_rate)
 
     cond_table = embed_condition_batch(unseen_xy, bounds, cfg.cond_freqs)
     time_table = embed_time_table(schedule.T, cfg.time_dim)
@@ -437,14 +434,10 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
             eps = rng.standard_normal((b, a))
             draws = rng.random(b)
             i_idx = np.minimum((cdf[j] < draws[:, None]).sum(axis=1), u - 1)
-            mt = _forward_diffuse_batch(m0[j], t_arr, eps, schedule)
+            m0_j = m0[j]
+            mt = _forward_diffuse_batch(m0_j, t_arr, eps, schedule)
             x = _assemble_input(mt, cond_table[i_idx], time_table[t_arr - 1])
-            out, cache = net.forward_cached(x)
-            r = out - m0[j]
-            omega = mass[j]
-            loss = float(np.mean(omega * np.sum(r * r, axis=1)))
-            dout = (2.0 / b) * omega[:, None] * r
-            grad = net.backward(cache, dout)
+            loss, grad = _weighted_loss_and_grad(net, x, m0_j, mass[j])
             opt.step(net.theta, grad)
             step += 1
             trace.append((step, loss))

@@ -2,7 +2,10 @@
 
 Everything runs in float64 on a single flat parameter vector so that
 checkpoints are trivially bit-exact and analytic gradients can be checked
-against central finite differences.
+against central finite differences. One forward and one backward (`_FlatMlp`)
+serve both networks: the diffusion denoiser (`DenoiserNetwork`, with a skip
+from hidden layer 1 to hidden layer 3) and the feedforward localizer (`Mlp`,
+no skip).
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ def _tanh_backward(z, a):
 
 
 ACTIVATIONS = {"silu": (_silu_forward, _silu_backward), "tanh": (_tanh_forward, _tanh_backward)}
-
-
-def _xavier_limit(fan_in: int, fan_out: int) -> float:
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,95 @@ def _layout(layer_shapes):
     return out, off
 
 
-class DenoiserNetwork:
+def _xavier_theta(layer_shapes, seed) -> np.ndarray:
+    """Xavier-uniform weights, zero biases, deterministic given seed."""
+    layout, total = _layout(layer_shapes)
+    rng = np.random.default_rng(seed)
+    theta = np.zeros(total)
+    for w, _b, (o, i) in layout:
+        lim = float(np.sqrt(6.0 / (i + o)))
+        theta[w] = rng.uniform(-lim, lim, size=o * i)
+    return theta
+
+
+class _FlatMlp:
+    """Fully connected network over one flat float64 parameter vector.
+
+        z_l = a_{l-1} W_l^T + b_l,  a_0 = x
+        a_l = act(z_l) on hidden layers; the last layer is linear
+
+    With `skip`, the output of hidden layer 1 is added to the pre-activation
+    of hidden layer 3 (their widths must match). `DenoiserNetwork` and `Mlp`
+    both compute through `_forward` and `_backward`; each keeps its own
+    `forward_cached` and `backward` as its public entry points.
+    """
+
+    def __init__(self, layer_shapes, activation: str, skip: bool, theta: np.ndarray):
+        theta = np.ascontiguousarray(theta, dtype=np.float64)
+        layout, total = _layout(layer_shapes)
+        if theta.shape != (total,):
+            raise ShapeError(f"theta has shape {theta.shape}, the layers need ({total},)")
+        self.theta = theta
+        self._act = ACTIVATIONS[activation]
+        self._skip = skip
+        self._layout = layout
+        self._views = [(theta[w].reshape(shape), theta[b]) for w, b, shape in layout]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        out, _ = self.forward_cached(x)
+        return out
+
+    def _forward(self, x):
+        """Output and backward cache for a `(..., batch, in)` input.
+
+        A stacked input such as `(U, n, in)` runs one `n`-row product per
+        leading index, so each stack entry gets exactly the bits that a
+        separate `(n, in)` call gives. Flattening the stack to `(U*n, in)`
+        would not: OpenBLAS picks its kernel by row count, and a row's result
+        then depends on how many rows share the product.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        in_dim = self._layout[0][2][1]
+        if x.ndim < 2 or x.shape[-1] != in_dim:
+            raise ShapeError(f"input must be (..., batch, {in_dim}), got {x.shape}")
+        act, _ = self._act
+        last = len(self._views) - 1
+        zs, ss, acts = [], [], [x]
+        for li, (w, b) in enumerate(self._views):
+            z = acts[-1] @ w.T + b
+            if self._skip and li == 2:
+                z += acts[1]
+            a, s = act(z) if li < last else (z, None)
+            zs.append(z)
+            ss.append(s)
+            acts.append(a)
+        return acts[-1], (zs, ss, acts)
+
+    def _backward(self, cache, dout):
+        """Gradient of sum(dout * out) w.r.t. theta, from the cache of a 2-D input."""
+        zs, ss, acts = cache
+        if acts[0].ndim != 2:
+            raise ShapeError(f"backward needs the cache of a 2-D input, got {acts[0].shape}")
+        _, dact = self._act
+        # every entry is written below: the layout tiles theta exactly
+        grad = np.empty_like(self.theta)
+        d = dout  # gradient w.r.t. the current layer's pre-activation
+        for li in range(len(self._views) - 1, -1, -1):
+            wsl, bsl, _ = self._layout[li]
+            grad[wsl] = (d.T @ acts[li]).ravel()
+            grad[bsl] = d.sum(axis=0)
+            if li == 0:
+                break
+            if self._skip and li == 2:
+                dskip = d
+            da = d @ self._views[li][0]
+            if self._skip and li == 1:
+                da += dskip
+            d = da * dact(zs[li - 1], ss[li - 1])
+        return grad
+
+
+class DenoiserNetwork(_FlatMlp):
     """Skip-connected MLP predicting the clean RSS vector from a noisy one.
 
         h1 = act(W1 x + b1)
@@ -143,31 +230,13 @@ class DenoiserNetwork:
     """
 
     def __init__(self, arch: DenoiserArch, theta: np.ndarray):
-        theta = np.ascontiguousarray(theta, dtype=np.float64)
-        if theta.shape != (arch.param_count,):
-            raise ShapeError(
-                f"theta has {theta.shape[0] if theta.ndim == 1 else theta.shape} entries, "
-                f"architecture needs {arch.param_count}"
-            )
         self.arch = arch
-        self.theta = theta
-        layout, total = _layout(arch.layer_shapes)
-        assert total == arch.param_count
-        self._layout = layout
-        self._views = [
-            (theta[w].reshape(shape), theta[b]) for w, b, shape in layout
-        ]
+        super().__init__(arch.layer_shapes, arch.activation, True, theta)
 
     @classmethod
     def create(cls, arch: DenoiserArch, seed) -> "DenoiserNetwork":
         """Xavier-uniform weights, zero biases, deterministic given seed."""
-        rng = np.random.default_rng(seed)
-        theta = np.zeros(arch.param_count)
-        layout, _ = _layout(arch.layer_shapes)
-        for w, _b, (o, i) in layout:
-            lim = _xavier_limit(i, o)
-            theta[w] = rng.uniform(-lim, lim, size=o * i)
-        return cls(arch, theta)
+        return cls(arch, _xavier_theta(arch.layer_shapes, seed))
 
     @classmethod
     def zeros(cls, arch: DenoiserArch) -> "DenoiserNetwork":
@@ -183,73 +252,20 @@ class DenoiserNetwork:
         net._views[3][1][:] = value
         return net
 
-    def copy(self) -> "DenoiserNetwork":
-        return DenoiserNetwork(self.arch, self.theta.copy())
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_cached(x)
-        return out
-
     def forward_cached(self, x: np.ndarray):
-        """Output and backward cache for a `(..., batch, input_dim)` input.
-
-        A stacked input such as `(U, n, input_dim)` runs one `n`-row product
-        per leading index, so each stack entry gets exactly the bits that a
-        separate `(n, input_dim)` call gives. Flattening the stack to
-        `(U*n, input_dim)` would not: OpenBLAS picks its kernel by row count,
-        and a row's result then depends on how many rows share the product.
-        `backward` takes the cache of a 2-D call only.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 2 or x.shape[-1] != self.arch.input_dim:
-            raise ShapeError(
-                f"input must be (..., batch, {self.arch.input_dim}), got {x.shape}"
-            )
-        act, _ = ACTIVATIONS[self.arch.activation]
-        (w1, b1), (w2, b2), (w3, b3), (w4, b4) = self._views
-        z1 = x @ w1.T + b1
-        a1, s1 = act(z1)
-        z2 = a1 @ w2.T + b2
-        a2, s2 = act(z2)
-        z3 = a2 @ w3.T + b3 + a1
-        a3, s3 = act(z3)
-        out = a3 @ w4.T + b4
-        cache = (x, z1, s1, a1, z2, s2, a2, z3, s3, a3)
-        return out, cache
+        """Output and backward cache for a `(..., batch, input_dim)` input."""
+        return self._forward(x)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        """Gradient of sum(dout * out) w.r.t. the flat parameter vector."""
-        x, z1, s1, a1, z2, s2, a2, z3, s3, a3 = cache
-        if x.ndim != 2:
-            raise ShapeError(f"backward needs the cache of a 2-D input, got {x.shape}")
-        _, dact = ACTIVATIONS[self.arch.activation]
-        (w1, _), (w2, _), (w3, _), (w4, _) = self._views
-        # every entry is written below: the layout tiles theta exactly
-        grad = np.empty_like(self.theta)
-
-        dW4 = dout.T @ a3
-        db4 = dout.sum(axis=0)
-        da3 = dout @ w4
-        dz3 = da3 * dact(z3, s3)
-        dW3 = dz3.T @ a2
-        db3 = dz3.sum(axis=0)
-        da2 = dz3 @ w3
-        dz2 = da2 * dact(z2, s2)
-        dW2 = dz2.T @ a1
-        db2 = dz2.sum(axis=0)
-        da1 = dz2 @ w2 + dz3  # skip path
-        dz1 = da1 * dact(z1, s1)
-        dW1 = dz1.T @ x
-        db1 = dz1.sum(axis=0)
-
-        grads = zip(self._layout, (dW1, dW2, dW3, dW4), (db1, db2, db3, db4))
-        for (wsl, bsl, _), dW, db in grads:
-            grad[wsl] = dW.ravel()
-            grad[bsl] = db
-        return grad
+        """Gradient of sum(dout * out) w.r.t. the flat parameter vector (2-D cache only)."""
+        return self._backward(cache, dout)
 
 
-class Mlp:
+def _dims_shapes(dims) -> tuple[tuple[int, int], ...]:
+    return tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
+
+
+class Mlp(_FlatMlp):
     """Plain sequential MLP (activation on hidden layers, linear output)."""
 
     def __init__(self, dims: tuple[int, ...], activation: str, theta: np.ndarray):
@@ -259,63 +275,20 @@ class Mlp:
             raise ConfigError(f"unknown activation {activation!r}")
         self.dims = tuple(int(d) for d in dims)
         self.activation = activation
-        shapes = tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
-        layout, total = _layout(shapes)
-        theta = np.ascontiguousarray(theta, dtype=np.float64)
-        if theta.shape != (total,):
-            raise ShapeError(f"theta has wrong size {theta.shape}, expected ({total},)")
-        self.theta = theta
-        self._shapes = shapes
-        self._layout = layout
-        self._views = [(theta[w].reshape(shape), theta[b]) for w, b, shape in layout]
+        super().__init__(_dims_shapes(self.dims), activation, False, theta)
 
     @classmethod
     def create(cls, dims, activation: str, seed) -> "Mlp":
         dims = tuple(int(d) for d in dims)
-        shapes = tuple((dims[i + 1], dims[i]) for i in range(len(dims) - 1))
-        layout, total = _layout(shapes)
-        rng = np.random.default_rng(seed)
-        theta = np.zeros(total)
-        for w, _b, (o, i) in layout:
-            lim = _xavier_limit(i, o)
-            theta[w] = rng.uniform(-lim, lim, size=o * i)
-        return cls(dims, activation, theta)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.forward_cached(x)
-        return out
+        return cls(dims, activation, _xavier_theta(_dims_shapes(dims), seed))
 
     def forward_cached(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.dims[0]:
-            raise ShapeError(f"input must be (batch, {self.dims[0]}), got {x.shape}")
-        act, _ = ACTIVATIONS[self.activation]
-        a = x
-        zs, ss, acts = [], [], [a]
-        for li, (w, b) in enumerate(self._views):
-            z = a @ w.T + b
-            if li < len(self._views) - 1:
-                a, s = act(z)
-            else:
-                a, s = z, None
-            zs.append(z)
-            ss.append(s)
-            acts.append(a)
-        return a, (zs, ss, acts)
+        """Output and backward cache for a `(..., batch, dims[0])` input."""
+        return self._forward(x)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
-        zs, ss, acts = cache
-        _, dact = ACTIVATIONS[self.activation]
-        grad = np.zeros_like(self.theta)
-        d = dout
-        for li in range(len(self._views) - 1, -1, -1):
-            wsl, bsl, _ = self._layout[li]
-            w, _b = self._views[li]
-            grad[wsl] = (d.T @ acts[li]).ravel()
-            grad[bsl] = d.sum(axis=0)
-            if li > 0:
-                d = (d @ w) * dact(zs[li - 1], ss[li - 1])
-        return grad
+        """Gradient of sum(dout * out) w.r.t. the flat parameter vector (2-D cache only)."""
+        return self._backward(cache, dout)
 
 
 class AdamOptimizer:
@@ -356,12 +329,3 @@ class AdamOptimizer:
         num /= den
         theta -= num
 
-
-class SgdOptimizer:
-    """Plain stochastic gradient descent, updated in place."""
-
-    def __init__(self, n_params: int, lr: float):
-        self.lr = lr
-
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        theta -= self.lr * grad

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from fpsynth.baselines import knn_spatial_interpolate, no_augmentation
+from fpsynth.baselines import knn_spatial_interpolate
 from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
 from fpsynth.errors import SizeError
-from fpsynth.initializer import LocationSplit
 
 
 def seen_ds(entries, ap_count=1):
@@ -60,18 +59,3 @@ class TestInterpolator:
         with pytest.raises(SizeError):
             knn_spatial_interpolate(ds, Coordinate(1.0, 1.0), k=2)
 
-
-class TestNoAugmentation:
-    def test_passthrough_of_seen_only(self, tiny_dataset):
-        locs = list(tiny_dataset.locations)
-        split = LocationSplit(seen=tuple(locs[:2]), unseen=tuple(locs[2:]))
-        out = no_augmentation(tiny_dataset, split)
-        assert len(out) == 4
-        assert {s.location for s in out.samples} == set(locs[:2])
-
-    def test_idempotent(self, tiny_dataset):
-        locs = list(tiny_dataset.locations)
-        split = LocationSplit(seen=tuple(locs[:2]), unseen=tuple(locs[2:]))
-        once = no_augmentation(tiny_dataset, split)
-        twice = no_augmentation(once, split)
-        assert np.array_equal(once.rss_matrix(), twice.rss_matrix())

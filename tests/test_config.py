@@ -31,9 +31,11 @@ class TestSchema:
         assert cfg.diffusion.T == 200
         assert cfg.localizer.k == 5
 
-    def test_unknown_key_named(self):
-        with pytest.raises(ConfigError, match="frobnicate.level"):
-            build_experiment_config({"frobnicate.level": "11"})
+    # diffusion.optimizer is no longer a key: Adam is the only optimizer
+    @pytest.mark.parametrize("key", ["frobnicate.level", "diffusion.optimizer"])
+    def test_unknown_key_named(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_experiment_config({key: "adam"})
 
     def test_bad_value_named(self):
         with pytest.raises(ConfigError, match="diffusion.T"):

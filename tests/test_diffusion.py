@@ -9,6 +9,7 @@ from fpsynth.dataset import Coordinate
 from fpsynth.diffusion import (
     LossBatch,
     VicinityKernel,
+    _weighted_loss_and_grad,
     build_schedule,
     denoiser_forward,
     embed_condition,
@@ -328,24 +329,36 @@ class TestGradient:
             assert self._rel_err(grad, fd) < 1e-4
 
     def test_gradient_with_weight_override(self):
+        # importance weights in place of kernel weights: the path train() runs
         arch = small_arch()
         s = build_schedule(25, 1e-3, 0.05)
-        kernel = VicinityKernel(2.5)
         rng = np.random.default_rng(3)
         net = DenoiserNetwork.create(arch, 9)
+        net.theta += rng.normal(0, 0.3, arch.param_count)
         batch = random_batch(rng, arch, s.T, b=3)
         w = np.array([2.0, 0.5, 1.5])
-        loss, grad = spatial_loss_and_grad(net, batch, kernel, s, weights=w)
-        out = net.forward(
-            np.concatenate(
-                [
-                    np.sqrt(s.alpha_bars[batch.t - 1])[:, None] * batch.m0
-                    + np.sqrt(1 - s.alpha_bars[batch.t - 1])[:, None] * batch.eps,
-                    np.stack([embed_condition(Coordinate(*c), arch.bounds, 1) for c in batch.cond_locs]),
-                    np.stack([embed_time(int(t), s.T, 4) for t in batch.t]),
-                ],
-                axis=1,
-            )
+        x = np.concatenate(
+            [
+                np.sqrt(s.alpha_bars[batch.t - 1])[:, None] * batch.m0
+                + np.sqrt(1 - s.alpha_bars[batch.t - 1])[:, None] * batch.eps,
+                np.stack([embed_condition(Coordinate(*c), arch.bounds, 1) for c in batch.cond_locs]),
+                np.stack([embed_time(int(t), s.T, 4) for t in batch.t]),
+            ],
+            axis=1,
         )
-        manual = float(np.mean(w * np.sum((out - batch.m0) ** 2, axis=1)))
-        assert loss == pytest.approx(manual, rel=1e-12)
+
+        def manual():
+            return float(np.mean(w * np.sum((net.forward(x) - batch.m0) ** 2, axis=1)))
+
+        loss, grad = _weighted_loss_and_grad(net, x, batch.m0, w)
+        assert loss == pytest.approx(manual(), rel=1e-12)
+        h = 1e-6
+        fd = np.zeros_like(grad)
+        for i in range(arch.param_count):
+            net.theta[i] += h
+            up = manual()
+            net.theta[i] -= 2 * h
+            dn = manual()
+            net.theta[i] += h
+            fd[i] = (up - dn) / (2 * h)
+        assert self._rel_err(grad, fd) < 1e-4

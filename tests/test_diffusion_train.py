@@ -3,9 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+import fpsynth.diffusion as diffusion
 from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
 from fpsynth.diffusion import (
     DiffusionTrainConfig,
+    VicinityKernel,
     build_schedule,
     generate_unseen_map,
     load_checkpoint,
@@ -106,6 +108,38 @@ class TestTrain:
         split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(1.0, 0.5),))
         res = train(data, split, quick_cfg(epochs=1, sigma_w=None))
         assert res.sigma_w == pytest.approx(0.6 * 2.0)
+
+
+    def test_runs_the_checked_loss(self, monkeypatch):
+        # every step's loss and gradient come from the function that the
+        # gradient check (criterion 03) verifies, with the importance weights
+        rng = np.random.default_rng(21)
+        seen = [Coordinate(float(x), float(y)) for x in range(3) for y in range(2)]
+        samples = [Fingerprint(rng.uniform(0.2, 1.0, len(CONST)), c) for c in seen for _ in range(6)]
+        data = make_dataset(samples, len(CONST), NormalizationParams())
+        split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 1.5)))
+        m0, locs, unseen_xy = data.rss_matrix(), data.coords_matrix(), split.unseen_coords()
+        dx = unseen_xy[:, 0][None, :] - locs[:, 0][:, None]
+        dy = unseen_xy[:, 1][None, :] - locs[:, 1][:, None]
+        mass = VicinityKernel(1.0).weight(np.sqrt(dx * dx + dy * dy)).sum(axis=1)
+        row_of = {row.tobytes(): i for i, row in enumerate(m0)}
+        assert len(row_of) == len(data)
+
+        calls = []
+        checked = diffusion._weighted_loss_and_grad
+
+        def spy(net, x, m0_b, w):
+            loss, grad = checked(net, x, m0_b, w)
+            calls.append((m0_b.copy(), w.copy(), loss))
+            return loss, grad
+
+        monkeypatch.setattr(diffusion, "_weighted_loss_and_grad", spy)
+        res = train(data, split, quick_cfg(epochs=1, sigma_w=1.0))
+        assert len(calls) == len(res.trace) == -(-len(data) // 16)
+        for (_step, loss), (m0_b, w, returned) in zip(res.trace, calls):
+            j = [row_of[row.tobytes()] for row in m0_b]
+            assert np.array_equal(w, mass[j])
+            assert loss == returned
 
 
 class TestSample:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import adam_step, masked_sigmoid
+from oracles import adam_step, masked_sigmoid, skip_mlp_backward, skip_mlp_forward
 
 from fpsynth.errors import ConfigError, ShapeError
-from fpsynth.nets import AdamOptimizer, DenoiserArch, DenoiserNetwork, Mlp, SgdOptimizer, _sigmoid
+from fpsynth.nets import ACTIVATIONS, AdamOptimizer, DenoiserArch, DenoiserNetwork, Mlp, _sigmoid
 
 
 class TestDenoiserArch:
@@ -90,6 +90,43 @@ class TestDenoiserNetwork:
         assert np.all(np.isfinite(out))
 
 
+def bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSkipKernelBits:
+    """The shared kernel against the explicit 4-layer skip network in `oracles`."""
+
+    def _net(self, activation="silu"):
+        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128),
+                            activation=activation)
+        net = DenoiserNetwork.create(arch, 11)
+        net.theta += np.random.default_rng(12).normal(0, 0.05, arch.param_count)
+        return net
+
+    @pytest.mark.parametrize("activation", ["silu", "tanh"])
+    def test_2d_forward_and_backward(self, activation):
+        net = self._net(activation)
+        act, dact = ACTIVATIONS[activation]
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((64, net.arch.input_dim))
+        dout = rng.standard_normal((64, net.arch.ap_count))
+        out, cache = net.forward_cached(x)
+        ref_out, ref_cache = skip_mlp_forward(net._views, act, x)
+        assert bits_equal(out, ref_out)
+        grad = net.backward(cache, dout)
+        ref = skip_mlp_backward(net._views, dact, ref_cache, dout)
+        for (wsl, bsl, _), (dW, db) in zip(net._layout, ref):
+            assert bits_equal(grad[wsl], dW.ravel())
+            assert bits_equal(grad[bsl], db)
+
+    def test_stacked_forward(self):
+        net = self._net()
+        x = np.random.default_rng(14).standard_normal((50, 8, net.arch.input_dim))
+        ref_out, _ = skip_mlp_forward(net._views, ACTIVATIONS["silu"][0], x)
+        assert bits_equal(net.forward(x), ref_out)
+
+
 class TestMlp:
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -141,11 +178,6 @@ class TestOptimizers:
             opt.lr *= 0.98
         for got, want in ((theta, ref_theta), (opt.m, ref_m), (opt.v, ref_v)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_sgd_step(self):
-        theta = np.array([1.0])
-        SgdOptimizer(1, lr=0.5).step(theta, np.array([1.0]))
-        assert theta[0] == 0.5
 
 
 class TestSigmoid:
