@@ -16,28 +16,40 @@ def knn_spatial_interpolate(
     A target coinciding with a seen location returns that location's mean.
     Entries that land below detect_floor snap to 0.
     """
+    return interpolate_locations(seen_data, [target], k)[0]
+
+
+def interpolate_locations(
+    seen_data: FingerprintDataset, targets, k: int = 3
+) -> list[Fingerprint]:
+    """`knn_spatial_interpolate` at every target, computing the location means once."""
     locs = seen_data.locations
     if len(locs) < k:
         raise SizeError(f"need at least k={k} distinct seen locations, got {len(locs)}")
     loc_index = {c: i for i, c in enumerate(locs)}
+    rows = np.array([loc_index[s.location] for s in seen_data.samples], dtype=np.intp)
     sums = np.zeros((len(locs), seen_data.ap_count))
-    counts = np.zeros(len(locs))
-    for s in seen_data.samples:
-        i = loc_index[s.location]
-        sums[i] += s.rss
-        counts[i] += 1
+    # unbuffered, in sample order: each sum accumulates as a per-sample loop would
+    np.add.at(sums, rows, seen_data.rss_matrix())
+    counts = np.bincount(rows, minlength=len(locs)).astype(np.float64)
     means = sums / counts[:, None]
 
     order = sorted(range(len(locs)), key=lambda i: (locs[i].x, locs[i].y))
-    d = np.array([locs[i].distance_to(target) for i in order])
-    nearest = np.argsort(d, kind="stable")[:k]
-    if d[nearest[0]] == 0.0:
-        blended = means[order[int(nearest[0])]]
-    else:
-        w = 1.0 / d[nearest]
-        rows = np.array([means[order[int(i)]] for i in nearest])
-        blended = (w[:, None] * rows).sum(axis=0) / w.sum()
+    means = means[order]
+    xy = seen_data.location_coords()[order]
     floor = seen_data.norm_params.detect_floor
-    out = np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))
-    return Fingerprint(out, target)
-
+    out = []
+    for target in targets:
+        # the same float operations as Coordinate.distance_to
+        dx = xy[:, 0] - target.x
+        dy = xy[:, 1] - target.y
+        d = np.sqrt(dx * dx + dy * dy)
+        nearest = np.argsort(d, kind="stable")[:k]
+        if d[nearest[0]] == 0.0:
+            blended = means[nearest[0]]
+        else:
+            w = 1.0 / d[nearest]
+            blended = (w[:, None] * means[nearest]).sum(axis=0) / w.sum()
+        rss = np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))
+        out.append(Fingerprint(rss, target))
+    return out

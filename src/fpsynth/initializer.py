@@ -72,13 +72,11 @@ def _distance_matrix(xy: np.ndarray) -> np.ndarray:
 
 
 def _mean_knn_distances(dist: np.ndarray, k: int) -> list[float]:
-    # Rows include the self-distance 0; sorted ascending, entries 1..k are the
-    # k nearest peers. fsum keeps tie values exact regardless of float order.
-    out = []
-    for row in dist:
-        nearest = np.sort(row)[1 : k + 1]
-        out.append(math.fsum(nearest) / k)
-    return out
+    # Rows include the self-distance 0; the k + 1 smallest of a row, sorted
+    # ascending, are 0 then the k nearest peers. fsum keeps tie values exact
+    # regardless of float order.
+    smallest = np.sort(np.partition(dist, k, axis=1)[:, : k + 1], axis=1)
+    return [math.fsum(row[1:]) / k for row in smallest]
 
 
 def neighbor_density(points, k: int) -> list[float]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Coordinate, FingerprintDataset
-from .errors import ConfigError, ParseError, ShapeError, SizeError
+from .errors import ConfigError, ParseError, RangeError, ShapeError, SizeError
 from .nets import AdamOptimizer, Mlp
 
 
@@ -34,6 +34,22 @@ class LocalizerHyperparams:
             raise ConfigError("learning_rate, epochs, batch_size must be positive")
 
 
+# Queries per prefilter GEMM. A block's approximate distance matrix is
+# _QUERY_BLOCK x N float64: 4.9 MB for the 9,600-row survey map.
+_QUERY_BLOCK = 64
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _query_matrix(queries, dim: int) -> np.ndarray:
+    """`queries` as a finite (Q, dim) float64 matrix, or a typed error."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != dim:
+        raise ShapeError(f"queries must have shape (Q, {dim}), got {q.shape}")
+    if not np.isfinite(q).all():
+        raise RangeError("queries must be finite")
+    return q
+
+
 class KnnLocalizer:
     """Stores the training fingerprints verbatim; variant tag 'knn'."""
 
@@ -43,21 +59,69 @@ class KnnLocalizer:
         self.rss = rss
         self.coords = coords
         self.k = k
+        self._sq_norms = np.sum(rss * rss, axis=1)
+        self._max_sq_norm = float(self._sq_norms.max(initial=0.0))
 
     def predict(self, rss: np.ndarray) -> Coordinate:
         rss = np.asarray(rss, dtype=np.float64)
         if rss.shape != (self.rss.shape[1],):
             raise ShapeError(f"query must have shape ({self.rss.shape[1]},), got {rss.shape}")
-        diff = self.rss - rss
-        d = np.sqrt(np.sum(diff * diff, axis=1))
-        order = np.argsort(d, kind="stable")[: self.k]
-        dk = d[order]
-        if dk[0] == 0.0:
-            i = int(order[0])
-            return Coordinate(float(self.coords[i, 0]), float(self.coords[i, 1]))
-        w = 1.0 / dk
-        xy = (w[:, None] * self.coords[order]).sum(axis=0) / w.sum()
-        return Coordinate(float(xy[0]), float(xy[1]))
+        return self.predict_batch(rss[None, :])[0]
+
+    def predict_batch(self, queries) -> list[Coordinate]:
+        """IDW blend of the k nearest stored rows for each row of a (Q, A) matrix.
+
+        Equal, bit for bit, to computing every exact distance
+        `sqrt(sum((x - q)**2))` and a stable argsort per query.
+        """
+        q = _query_matrix(queries, self.rss.shape[1])
+        preds: list[Coordinate] = []
+        for lo in range(0, q.shape[0], _QUERY_BLOCK):
+            preds.extend(self._predict_block(q[lo : lo + _QUERY_BLOCK]))
+        return preds
+
+    def _predict_block(self, qb: np.ndarray) -> list[Coordinate]:
+        # Prefilter. Let D = |x - q|^2 (real), e = fl(sum(fl(x - q)^2)) the
+        # exact formula's value, s = |x|^2 - 2 q.x + |q|^2 from the GEMM, u the
+        # unit roundoff and M = |x|^2 + |q|^2, so D <= 2M and |q.x| <= M/2.
+        # Error bounds for sums and dot products that hold in any summation
+        # order (and with FMA), as in any classical BLAS product, give, to
+        # first order, |e - D| <= (A + 2) u D <= 2(A + 2) u M and
+        # |s - D| <= A u M (norms) + A u M (2 q.x) + 4 u M (two additions),
+        # so |s - e| <= 4(A + 2) u M. delta doubles that, with the largest
+        # stored norm in M, to absorb second-order terms.
+        # Let t be a query's k-th smallest s. Its k rows with s <= t have
+        # e <= t + delta. sqrt merges e values within a factor 1 + 5u, so every
+        # row of the exact stable top k (ties included) has
+        # e <= (t + delta)(1 + 5u), hence s <= t + 2 delta + 5u(t + delta),
+        # which is below t + 3 delta since t <= 2M + delta and delta >= 24 u M.
+        # Whatever bits BLAS returns, the candidates are a superset of the
+        # exact top k, so the result does not depend on BLAS or _QUERY_BLOCK.
+        qq = np.sum(qb * qb, axis=1)
+        approx = qb @ self.rss.T
+        approx *= -2.0
+        approx += self._sq_norms
+        approx += qq[:, None]
+        kth = np.partition(approx, self.k - 1, axis=1)[:, self.k - 1]
+        delta = (8 * (qb.shape[1] + 2) * _UNIT_ROUNDOFF) * (self._max_sq_norm + qq)
+        keep = approx <= (kth + 3.0 * delta)[:, None]
+        preds = []
+        for query, mask in zip(qb, keep):
+            # ascending indices, so the stable argsort breaks ties as a full scan does
+            cand = np.flatnonzero(mask)
+            diff = self.rss[cand] - query
+            d = np.sqrt(np.sum(diff * diff, axis=1))
+            order = np.argsort(d, kind="stable")[: self.k]
+            dk = d[order]
+            nearest = cand[order]
+            if dk[0] == 0.0:
+                i = int(nearest[0])
+                preds.append(Coordinate(float(self.coords[i, 0]), float(self.coords[i, 1])))
+                continue
+            w = 1.0 / dk
+            xy = (w[:, None] * self.coords[nearest]).sum(axis=0) / w.sum()
+            preds.append(Coordinate(float(xy[0]), float(xy[1])))
+        return preds
 
 
 class FeedforwardLocalizer:
@@ -74,6 +138,10 @@ class FeedforwardLocalizer:
             raise ShapeError(f"query must have shape ({self.mlp.dims[0]},), got {rss.shape}")
         xy = self.mlp.forward(rss[None, :])[0]
         return Coordinate(float(xy[0]), float(xy[1]))
+
+    def predict_batch(self, queries) -> list[Coordinate]:
+        # One forward per row: a multi-row BLAS product may give a row other bits.
+        return [self.predict(row) for row in _query_matrix(queries, self.mlp.dims[0])]
 
 
 LocalizationModel = KnnLocalizer | FeedforwardLocalizer
@@ -130,10 +198,8 @@ def evaluate(model: LocalizationModel, test: FingerprintDataset) -> Localization
     """Per-sample Euclidean error in meters with mean, median and empirical CDF."""
     if len(test) == 0:
         raise SizeError("test dataset is empty")
-    errors = []
-    for s in test.samples:
-        pred = model.predict(s.rss)
-        errors.append(pred.distance_to(s.location))
+    preds = model.predict_batch(test.rss_matrix())
+    errors = [pred.distance_to(s.location) for pred, s in zip(preds, test.samples)]
     arr = np.array(errors)
     values, counts = np.unique(arr, return_counts=True)
     fractions = np.cumsum(counts) / arr.shape[0]

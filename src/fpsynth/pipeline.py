@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import knn_spatial_interpolate
+from .baselines import interpolate_locations
 from .config import ExperimentConfig
 from .dataset import (
     Coordinate,
@@ -165,8 +165,7 @@ def compute_split(cfg: ExperimentConfig, locations) -> LocationSplit:
 
 def _interpolated_map(aug, split, cfg) -> FingerprintDataset:
     samples: list[Fingerprint] = []
-    for loc in split.unseen:
-        fp = knn_spatial_interpolate(aug, loc, cfg.interpolator_k)
+    for fp in interpolate_locations(aug, split.unseen, cfg.interpolator_k):
         samples.extend([fp] * cfg.samples_per_unseen)
     return FingerprintDataset(tuple(samples), aug.ap_count, aug.norm_params, tuple(split.unseen))
 

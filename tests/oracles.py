@@ -96,3 +96,41 @@ def skip_mlp_backward(views, dact, cache, dout):
     dW1 = dz1.T @ x
     db1 = dz1.sum(axis=0)
     return [(dW1, db1), (dW2, db2), (dW3, db3), (dW4, db4)]
+
+
+def knn_predict(stored, coords, k, query):
+    """One kNN query with every exact distance and a full stable argsort; returns (x, y)."""
+    diff = stored - query
+    d = np.sqrt(np.sum(diff * diff, axis=1))
+    order = np.argsort(d, kind="stable")[:k]
+    dk = d[order]
+    if dk[0] == 0.0:
+        i = int(order[0])
+        return float(coords[i, 0]), float(coords[i, 1])
+    w = 1.0 / dk
+    xy = (w[:, None] * coords[order]).sum(axis=0) / w.sum()
+    return float(xy[0]), float(xy[1])
+
+
+def spatial_interpolate(seen_data, target, k):
+    """The IDW blend of the k nearest location means, the means summed per sample."""
+    locs = seen_data.locations
+    loc_index = {c: i for i, c in enumerate(locs)}
+    sums = np.zeros((len(locs), seen_data.ap_count))
+    counts = np.zeros(len(locs))
+    for s in seen_data.samples:
+        i = loc_index[s.location]
+        sums[i] += s.rss
+        counts[i] += 1
+    means = sums / counts[:, None]
+    order = sorted(range(len(locs)), key=lambda i: (locs[i].x, locs[i].y))
+    d = np.array([locs[i].distance_to(target) for i in order])
+    nearest = np.argsort(d, kind="stable")[:k]
+    if d[nearest[0]] == 0.0:
+        blended = means[order[int(nearest[0])]]
+    else:
+        w = 1.0 / d[nearest]
+        rows = np.array([means[order[int(i)]] for i in nearest])
+        blended = (w[:, None] * rows).sum(axis=0) / w.sum()
+    floor = seen_data.norm_params.detect_floor
+    return np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))

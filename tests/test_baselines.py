@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fpsynth.baselines import knn_spatial_interpolate
+from fpsynth.baselines import interpolate_locations, knn_spatial_interpolate
 from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
 from fpsynth.errors import SizeError
+from oracles import spatial_interpolate
 
 
 def seen_ds(entries, ap_count=1):
@@ -59,3 +60,23 @@ class TestInterpolator:
         with pytest.raises(SizeError):
             knn_spatial_interpolate(ds, Coordinate(1.0, 1.0), k=2)
 
+
+
+class TestInterpolateLocations:
+    def test_equals_per_sample_oracle(self):
+        # samples of a location are scattered through the dataset, some
+        # entries are 0, and two targets coincide with seen locations
+        rng = np.random.default_rng(7)
+        locs = [(float(x), float(y)) for x in range(4) for y in range(3)]
+        entries = []
+        for i in rng.integers(0, len(locs), 60):
+            rss = np.where(rng.random(5) < 0.3, 0.0, rng.uniform(0.1, 1.0, 5))
+            entries.append((rss.tolist(), locs[i]))
+        ds = seen_ds(entries, ap_count=5)
+        targets = [Coordinate(*(rng.random(2) * 3)) for _ in range(15)]
+        targets += [Coordinate(2.0, 1.0), Coordinate(0.0, 0.0)]
+        got = interpolate_locations(ds, targets, k=3)
+        assert [fp.location for fp in got] == targets
+        for fp, target in zip(got, targets):
+            assert np.array_equal(fp.rss, spatial_interpolate(ds, target, 3))
+            assert np.array_equal(fp.rss, knn_spatial_interpolate(ds, target, 3).rss)

@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fpsynth.baselines import knn_spatial_interpolate
 from fpsynth.config import ExperimentConfig, SyntheticSpec
 from fpsynth.dataset import save_dataset
 from fpsynth.diffusion import DiffusionTrainConfig
 from fpsynth.errors import SizeError, StageError
 from fpsynth.localizer import LocalizerHyperparams
 from fpsynth.pipeline import (
+    _interpolated_map,
     build_data,
     collection_overhead,
     compute_split,
@@ -126,6 +128,21 @@ class TestRunExperiment:
         for augmenter in ("interpolator", "none"):
             r = run_experiment(tiny_cfg(augmenter=augmenter))
             assert r.report.mean_error_m >= 0.0
+
+    def test_interpolated_map_equals_per_target_calls(self):
+        cfg = tiny_cfg(augmenter="interpolator", samples_per_unseen=3)
+        train_pool, _ = build_data(cfg)
+        split = compute_split(cfg, train_pool.locations)
+        seen = train_pool.subset_at(split.seen)
+        got = _interpolated_map(seen, split, cfg)
+        expected = [
+            knn_spatial_interpolate(seen, loc, cfg.interpolator_k)
+            for loc in split.unseen
+            for _ in range(3)
+        ]
+        assert got.locations == split.unseen
+        assert [fp.location for fp in got.samples] == [fp.location for fp in expected]
+        assert np.array_equal(got.rss_matrix(), np.stack([fp.rss for fp in expected]))
 
     def test_feedforward_variant_runs(self):
         cfg = tiny_cfg(
