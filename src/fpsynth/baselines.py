@@ -26,8 +26,7 @@ def interpolate_locations(
     locs = seen_data.locations
     if len(locs) < k:
         raise SizeError(f"need at least k={k} distinct seen locations, got {len(locs)}")
-    loc_index = {c: i for i, c in enumerate(locs)}
-    rows = np.array([loc_index[s.location] for s in seen_data.samples], dtype=np.intp)
+    rows = seen_data.loc_index
     sums = np.zeros((len(locs), seen_data.ap_count))
     # unbuffered, in sample order: each sum accumulates as a per-sample loop would
     np.add.at(sums, rows, seen_data.rss_matrix())

@@ -14,7 +14,7 @@ directly after trivial column selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,94 +75,151 @@ class Fingerprint:
 
 def normalize_rss(raw: float, params: NormalizationParams) -> float:
     """Map a raw dBm-or-sentinel reading onto {0} ∪ [detect_floor, 1]."""
-    if raw == params.sentinel_raw:
-        return 0.0
-    if not params.rss_min <= raw <= params.rss_max:
+    if raw != params.sentinel_raw and not params.rss_min <= raw <= params.rss_max:
         raise RangeError(
             f"raw RSS {raw} outside [{params.rss_min}, {params.rss_max}] and not the sentinel"
         )
-    f = params.detect_floor
-    v = f + (raw - params.rss_min) / (params.rss_max - params.rss_min) * (1.0 - f)
-    return min(max(v, f), 1.0)
+    return float(_normalize_array(np.array([raw], dtype=np.float64), params)[0])
 
 
 def denormalize_rss(v: float, params: NormalizationParams) -> float:
     """Inverse of normalize_rss; values in (0, detect_floor) clamp to the sentinel."""
     if not 0.0 <= v <= 1.0:
         raise RangeError(f"normalized value {v} outside [0, 1]")
-    f = params.detect_floor
-    if v < f:
-        return params.sentinel_raw
-    raw = params.rss_min + (v - f) / (1.0 - f) * (params.rss_max - params.rss_min)
-    return min(max(raw, params.rss_min), params.rss_max)
+    return float(_denormalize_array(np.array([v], dtype=np.float64), params)[0])
 
 
-def _normalize_array(raw: np.ndarray, params: NormalizationParams) -> np.ndarray:
+# The two codec kernels work elementwise in one output buffer. Each step is
+# one correctly rounded IEEE operation in the order of the formula, so any
+# array shape gives every element the bits a scalar evaluation would.
+
+
+def _normalize_array(raw: np.ndarray, params: NormalizationParams, out=None) -> np.ndarray:
+    """f + (raw - rss_min) / span * (1 - f), clamped to [f, 1]; 0 for the sentinel.
+
+    `out` may be `raw` itself.
+    """
     f = params.detect_floor
-    detected = raw != params.sentinel_raw
-    span = params.rss_max - params.rss_min
-    v = f + (raw - params.rss_min) / span * (1.0 - f)
-    v = np.clip(v, f, 1.0)
-    return np.where(detected, v, 0.0)
+    sentinel = raw == params.sentinel_raw
+    v = np.subtract(raw, params.rss_min, out=out)
+    v /= params.rss_max - params.rss_min
+    v *= 1.0 - f
+    v += f
+    np.clip(v, f, 1.0, out=v)
+    np.copyto(v, 0.0, where=sentinel)
+    return v
 
 
 def _denormalize_array(v: np.ndarray, params: NormalizationParams) -> np.ndarray:
+    """rss_min + (v - f) / (1 - f) * span, clamped to the raw range; the sentinel below f."""
     f = params.detect_floor
-    detected = v >= f
-    raw = params.rss_min + (v - f) / (1.0 - f) * (params.rss_max - params.rss_min)
-    raw = np.clip(raw, params.rss_min, params.rss_max)
-    return np.where(detected, raw, params.sentinel_raw)
+    raw = v - f
+    raw /= 1.0 - f
+    raw *= params.rss_max - params.rss_min
+    raw += params.rss_min
+    np.clip(raw, params.rss_min, params.rss_max, out=raw)
+    np.copyto(raw, params.sentinel_raw, where=~(v >= f))
+    return raw
 
 
-@dataclass(frozen=True)
+def _in_codomain(v: np.ndarray, detect_floor: float) -> np.ndarray:
+    return (v == 0.0) | ((v >= detect_floor) & (v <= 1.0))
+
+
+def _index_of(keys) -> tuple[list, np.ndarray]:
+    """The distinct `keys` in order of first appearance, and each key's position among them.
+
+    Of equal keys the first one seen is kept, so Coordinate(-0.0, y) stands for
+    Coordinate(0.0, y) when it comes first.
+    """
+    ids: dict = {}
+    index = np.fromiter((ids.setdefault(k, len(ids)) for k in keys), dtype=np.intp)
+    return list(ids), index
+
+
+@dataclass(frozen=True, eq=False)
 class FingerprintDataset:
-    """A collection of fingerprints sharing one AP universe and normalization.
+    """Fingerprints sharing one AP universe and normalization, stored by column.
 
-    `locations` lists the distinct survey coordinates in first-appearance
-    order; every sample's location is one of them.
+    `rss` is a read-only (N, A) float64 matrix, one row per sample;
+    `loc_index[i]` is the position of sample i's coordinate in `locations`, the
+    distinct survey coordinates; `collector_ids` holds each sample's collector
+    id or None. Every construction validates the whole matrix, then marks the
+    arrays it stores read-only in place (a float64 C-contiguous `rss` or an
+    intp `loc_index` passed in is stored, not copied).
     """
 
-    samples: tuple[Fingerprint, ...]
-    ap_count: int
-    norm_params: NormalizationParams
+    rss: np.ndarray
+    loc_index: np.ndarray
     locations: tuple[Coordinate, ...]
+    norm_params: NormalizationParams
+    collector_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        object.__setattr__(self, "locations", tuple(self.locations))
-        if self.ap_count < 1:
-            raise ConfigError(f"ap_count must be positive, got {self.ap_count}")
-        if len(set(self.locations)) != len(self.locations):
+        rss = np.ascontiguousarray(self.rss, dtype=np.float64)
+        if rss.ndim != 2:
+            raise ConsistencyError(f"rss must be an (N, A) matrix, got shape {rss.shape}")
+        n, a = rss.shape
+        if a < 1:
+            raise ConfigError(f"ap_count must be positive, got {a}")
+        locations = tuple(self.locations)
+        if len(set(locations)) != len(locations):
             raise ConsistencyError("dataset locations must be distinct")
-        loc_set = set(self.locations)
+        index = np.asarray(self.loc_index)
+        if index.shape != (n,) or (n and index.dtype.kind not in "iu"):
+            raise ConsistencyError(
+                f"loc_index must hold {n} integers, got {index.dtype} of shape {index.shape}"
+            )
+        index = index.astype(np.intp, copy=False)
+        collectors = (
+            np.full(n, None, dtype=object)
+            if self.collector_ids is None
+            else np.asarray(self.collector_ids, dtype=object)
+        )
+        if collectors.shape != (n,):
+            raise ConsistencyError(f"collector_ids must have shape ({n},), got {collectors.shape}")
+
         f = self.norm_params.detect_floor
-        for i, s in enumerate(self.samples):
-            if s.rss.shape != (self.ap_count,):
-                raise ConsistencyError(
-                    f"sample {i} has {s.rss.shape[0]} RSS entries, expected {self.ap_count}"
-                )
-            v = s.rss
-            ok = (v == 0.0) | ((v >= f) & (v <= 1.0))
-            if not ok.all():
-                bad = float(v[~ok][0])
-                raise RangeError(
-                    f"sample {i} has RSS entry {bad} outside {{0}} ∪ [{f}, 1]"
-                )
-            if s.location not in loc_set:
-                raise ConsistencyError(f"sample {i} located at {s.location} which is not in locations")
+        bad_value = np.flatnonzero(~_in_codomain(rss, f).all(axis=1))
+        bad_index = np.flatnonzero((index < 0) | (index >= len(locations)))
+        first_value = bad_value[0] if bad_value.size else n
+        first_index = bad_index[0] if bad_index.size else n
+        if first_value < n and first_value <= first_index:
+            v = rss[first_value]
+            bad = float(v[~_in_codomain(v, f)][0])
+            raise RangeError(f"sample {first_value} has RSS entry {bad} outside {{0}} ∪ [{f}, 1]")
+        if first_index < n:
+            raise ConsistencyError(
+                f"sample {first_index} has location index {index[first_index]}, "
+                f"outside the {len(locations)} locations"
+            )
+        for name, value in (("rss", rss), ("loc_index", index), ("collector_ids", collectors)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "locations", locations)
+
+    @property
+    def ap_count(self) -> int:
+        return self.rss.shape[1]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.rss.shape[0]
+
+    @property
+    def samples(self) -> tuple[Fingerprint, ...]:
+        """Per-sample Fingerprint view, built on each access (for tests and single-item APIs)."""
+        return tuple(
+            Fingerprint(row, self.locations[j], c)
+            for row, j, c in zip(self.rss, self.loc_index.tolist(), self.collector_ids)
+        )
 
     def rss_matrix(self) -> np.ndarray:
-        """All sample RSS vectors stacked into an (N, A) array."""
-        if not self.samples:
-            return np.zeros((0, self.ap_count))
-        return np.stack([s.rss for s in self.samples])
+        """All sample RSS vectors as the read-only (N, A) matrix."""
+        return self.rss
 
     def coords_matrix(self) -> np.ndarray:
         """Per-sample (x, y) positions as an (N, 2) array."""
-        return np.array([[s.location.x, s.location.y] for s in self.samples], dtype=np.float64).reshape(-1, 2)
+        return self.location_coords()[self.loc_index]
 
     def location_coords(self) -> np.ndarray:
         return np.array([[c.x, c.y] for c in self.locations], dtype=np.float64).reshape(-1, 2)
@@ -176,30 +233,49 @@ class FingerprintDataset:
             float(xy[:, 1].max()),
         )
 
+    def take(self, rows) -> "FingerprintDataset":
+        """The samples at integer positions `rows`, in that order, with their
+        locations renumbered in first-appearance order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        used, index = _index_of(self.loc_index[rows].tolist())
+        return FingerprintDataset(
+            self.rss[rows],
+            index,
+            tuple(self.locations[j] for j in used),
+            self.norm_params,
+            self.collector_ids[rows],
+        )
+
+    def located_in(self, locations) -> np.ndarray:
+        """(N,) mask of the samples whose location is in `locations`."""
+        keep = set(locations)
+        return np.array([c in keep for c in self.locations], dtype=bool)[self.loc_index]
+
     def subset_at(self, locations) -> "FingerprintDataset":
         """Samples whose location is in `locations` (dataset order preserved)."""
-        keep = set(locations)
-        samples = tuple(s for s in self.samples if s.location in keep)
-        locs = _distinct_locations(samples)
-        return FingerprintDataset(samples, self.ap_count, self.norm_params, locs)
-
-
-def _distinct_locations(samples) -> tuple[Coordinate, ...]:
-    seen: dict[Coordinate, None] = {}
-    for s in samples:
-        seen.setdefault(s.location, None)
-    return tuple(seen)
+        return self.take(np.flatnonzero(self.located_in(locations)))
 
 
 def make_dataset(samples, ap_count: int, params: NormalizationParams) -> FingerprintDataset:
-    """Build a dataset, collecting distinct sample locations in first-appearance order."""
+    """Build a dataset from Fingerprints, collecting distinct sample locations in
+    first-appearance order."""
     samples = tuple(samples)
-    return FingerprintDataset(samples, ap_count, params, _distinct_locations(samples))
+    rss = np.zeros((len(samples), max(ap_count, 0)))
+    for i, s in enumerate(samples):
+        if s.rss.shape != (ap_count,):
+            make_dataset(samples[:i], ap_count, params)  # a fault in an earlier sample comes first
+            raise ConsistencyError(
+                f"sample {i} has {s.rss.shape[0]} RSS entries, expected {ap_count}"
+            )
+        rss[i] = s.rss
+    locations, index = _index_of(s.location for s in samples)
+    collectors = [s.collector_id for s in samples]
+    return FingerprintDataset(rss, index, tuple(locations), params, collectors)
 
 
 def merge_datasets(first: FingerprintDataset, *rest: FingerprintDataset) -> FingerprintDataset:
     """Concatenate datasets sharing ap_count and normalization (order preserved)."""
-    samples = list(first.samples)
+    parts = (first, *rest)
     for ds in rest:
         if ds.ap_count != first.ap_count:
             raise ConsistencyError(
@@ -207,8 +283,20 @@ def merge_datasets(first: FingerprintDataset, *rest: FingerprintDataset) -> Fing
             )
         if ds.norm_params != first.norm_params:
             raise ConsistencyError("cannot merge datasets with different normalization params")
-        samples.extend(ds.samples)
-    return make_dataset(samples, first.ap_count, first.norm_params)
+    ids: dict[Coordinate, int] = {}
+    index = []
+    for ds in parts:
+        # each part's locations in first-appearance order, numbered across parts
+        used, local = _index_of(ds.loc_index.tolist())
+        numbering = [ids.setdefault(ds.locations[j], len(ids)) for j in used]
+        index.append(np.array(numbering, dtype=np.intp)[local])
+    return FingerprintDataset(
+        np.concatenate([ds.rss for ds in parts]),
+        np.concatenate(index),
+        tuple(ids),
+        first.norm_params,
+        np.concatenate([ds.collector_ids for ds in parts]),
+    )
 
 
 def canonicalize_dataset(ds: FingerprintDataset) -> FingerprintDataset:
@@ -218,11 +306,8 @@ def canonicalize_dataset(ds: FingerprintDataset) -> FingerprintDataset:
     this at stage boundaries so a monolithic run and a staged run (which passes
     through files) operate on bit-identical data.
     """
-    samples = []
-    for s in ds.samples:
-        rss = _normalize_array(_denormalize_array(s.rss, ds.norm_params), ds.norm_params)
-        samples.append(Fingerprint(rss, s.location, s.collector_id))
-    return FingerprintDataset(tuple(samples), ds.ap_count, ds.norm_params, ds.locations)
+    raw = _denormalize_array(ds.rss, ds.norm_params)
+    return replace(ds, rss=_normalize_array(raw, ds.norm_params, out=raw))
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +376,12 @@ def generate_synthetic(
     raw = np.clip(raw, params.rss_min, params.rss_max)
     raw = np.where(detected, raw, params.sentinel_raw)
     norm = _normalize_array(raw, params)
-    samples = []
-    for li, loc in enumerate(grid):
-        for si in range(samples_per_location):
-            samples.append(Fingerprint(norm[li, si], loc))
-    return FingerprintDataset(tuple(samples), len(env.ap_positions), params, grid)
+    index = np.repeat(np.arange(len(grid)), samples_per_location)
+    return FingerprintDataset(norm.reshape(index.shape[0], -1), index, grid, params)
 
 
 # ---------------------------------------------------------------------------
 # File format: AP001..AP{A},X,Y[,COLLECTOR] with raw dBm values
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _ap_header(ap_count: int) -> list[str]:
@@ -314,21 +392,19 @@ def _ap_header(ap_count: int) -> list[str]:
 def save_dataset(ds: FingerprintDataset, path) -> None:
     """Write the dataset in the raw-dBm wide format (UTF-8, '.' decimals).
 
-    Floats are written at full round-trip precision so that load(save(ds))
-    reproduces the normalized values up to one normalization round trip.
+    Floats are written at full round-trip precision (`repr`) so that
+    load(save(ds)) reproduces the normalized values up to one normalization
+    round trip.
     """
-    has_collector = any(s.collector_id is not None for s in ds.samples)
+    has_collector = any(c is not None for c in ds.collector_ids)
     header = _ap_header(ds.ap_count) + ["X", "Y"] + (["COLLECTOR"] if has_collector else [])
-    lines = [",".join(header)]
-    for s in ds.samples:
-        raw = _denormalize_array(s.rss, ds.norm_params)
-        fields = [_fmt(v) for v in raw]
-        fields.append(_fmt(s.location.x))
-        fields.append(_fmt(s.location.y))
-        if has_collector:
-            fields.append("" if s.collector_id is None else str(s.collector_id))
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    raw = _denormalize_array(ds.rss, ds.norm_params)
+    xy = ds.coords_matrix().tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row, (x, y), collector in zip(raw, xy, ds.collector_ids):
+            tail = "" if not has_collector else "," if collector is None else f",{collector}"
+            fh.write(f"{','.join(map(repr, row.tolist()))},{x!r},{y!r}{tail}\n")
 
 
 def load_dataset(path, params: NormalizationParams = NormalizationParams()) -> FingerprintDataset:
@@ -337,8 +413,15 @@ def load_dataset(path, params: NormalizationParams = NormalizationParams()) -> F
     Raises ParseError (naming the line) on malformed rows and RangeError on
     raw values outside [rss_min, rss_max] that are not the sentinel.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    raw, xy, collectors = _read_rows(path, params)
+    keys, index = _index_of(map(tuple, xy.tolist()))
+    locations = tuple(Coordinate(x, y) for x, y in keys)
+    return FingerprintDataset(_normalize_array(raw, params), index, locations, params, collectors)
+
+
+def _read_rows(path, params: NormalizationParams):
+    """(raw (N, A), xy (N, 2), collector ids or None) of a wide-format file."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file, expected a header row")
     header = [h.strip() for h in lines[0].split(",")]
@@ -353,8 +436,50 @@ def load_dataset(path, params: NormalizationParams = NormalizationParams()) -> F
             f"{path}: expected columns X,Y[,COLLECTOR] after the AP block, got {tail}"
         )
     has_collector = len(tail) == 3
-    n_fields = len(header)
-    samples = []
+    parsed = _parse_block(lines, ap_count, has_collector, params)
+    return parsed or _parse_lines(path, lines, ap_count, has_collector, params)
+
+
+def _raw_in_range(raw: np.ndarray, params: NormalizationParams) -> np.ndarray:
+    return (raw == params.sentinel_raw) | ((raw >= params.rss_min) & (raw <= params.rss_max))
+
+
+def _parse_block(lines, ap_count: int, has_collector: bool, params: NormalizationParams):
+    """(raw, xy, collectors) of all data rows, parsed by one np.loadtxt call.
+
+    Returns None for an empty body and for any row that is not plainly valid;
+    the per-line parser then finds the error, or parses tokens such as
+    "1_000" that float() accepts and np.loadtxt does not.
+    """
+    rows = [line for line in lines[1:] if line.strip()]
+    # np.loadtxt strips U+001F around a number where float() rejects it
+    # (str.splitlines already ends lines at U+001C..U+001E)
+    if not rows or any("\x1f" in row for row in rows):
+        return None
+    collectors = None
+    if has_collector:
+        rows, _, fields = zip(*(row.rpartition(",") for row in rows))
+        try:
+            collectors = [int(c) if c else None for c in map(str.strip, fields)]
+        except ValueError:
+            return None
+    try:
+        block = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (len(rows), ap_count + 2):
+        return None
+    raw, xy = block[:, :ap_count], block[:, ap_count:]
+    if not (np.isfinite(xy).all() and _raw_in_range(raw, params).all()):
+        return None
+    return raw, xy, collectors
+
+
+def _parse_lines(path, lines, ap_count: int, has_collector: bool, params: NormalizationParams):
+    """(raw, xy, collectors) parsed line by line; raises ParseError or RangeError
+    naming the first bad line."""
+    n_fields = ap_count + 2 + has_collector
+    raws, xys, collectors = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -369,9 +494,7 @@ def load_dataset(path, params: NormalizationParams = NormalizationParams()) -> F
             raise ParseError(f"{path}: line {lineno}: non-numeric field ({e})") from e
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(f"{path}: line {lineno}: non-finite coordinate ({x}, {y})")
-        bad = ~(
-            (raw == params.sentinel_raw) | ((raw >= params.rss_min) & (raw <= params.rss_max))
-        )
+        bad = ~_raw_in_range(raw, params)
         if bad.any():
             raise RangeError(
                 f"{path}: line {lineno}: raw RSS {raw[bad][0]} outside "
@@ -385,5 +508,11 @@ def load_dataset(path, params: NormalizationParams = NormalizationParams()) -> F
                     collector = int(field)
                 except ValueError as e:
                     raise ParseError(f"{path}: line {lineno}: bad collector id {field!r}") from e
-        samples.append(Fingerprint(_normalize_array(raw, params), Coordinate(x, y), collector))
-    return make_dataset(samples, ap_count, params)
+        raws.append(raw)
+        xys.append((x, y))
+        collectors.append(collector)
+    return (
+        np.array(raws).reshape(-1, ap_count),
+        np.array(xys, dtype=np.float64).reshape(-1, 2),
+        collectors if has_collector else None,
+    )

@@ -376,12 +376,10 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
         raise SizeError("training data is empty")
     if not split.unseen:
         raise SizeError("split.unseen is empty: nothing to condition generation on")
-    seen_set = set(split.seen)
-    for s in data.samples:
-        if s.location not in seen_set:
-            raise ConsistencyError(
-                f"training sample at {s.location} is not at a seen location"
-            )
+    outside = np.flatnonzero(~data.located_in(split.seen))
+    if outside.size:
+        location = data.locations[data.loc_index[outside[0]]]
+        raise ConsistencyError(f"training sample at {location} is not at a seen location")
 
     schedule = build_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
     m0 = data.rss_matrix()
@@ -538,9 +536,9 @@ def generate_unseen_map(
     final = _reverse_diffuse(
         net, split.unseen, schedule, samples_per_unseen, children, norm_params.detect_floor
     )
-    samples = [Fingerprint(row, loc) for loc, rows in zip(split.unseen, final) for row in rows]
+    index = np.repeat(np.arange(len(split.unseen)), samples_per_unseen)
     return FingerprintDataset(
-        tuple(samples), net.arch.ap_count, norm_params, tuple(split.unseen)
+        final.reshape(index.shape[0], -1), index, tuple(split.unseen), norm_params
     )
 
 

@@ -199,8 +199,12 @@ def evaluate(model: LocalizationModel, test: FingerprintDataset) -> Localization
     if len(test) == 0:
         raise SizeError("test dataset is empty")
     preds = model.predict_batch(test.rss_matrix())
-    errors = [pred.distance_to(s.location) for pred, s in zip(preds, test.samples)]
-    arr = np.array(errors)
+    pred_xy = np.array([(p.x, p.y) for p in preds], dtype=np.float64).reshape(-1, 2)
+    true_xy = test.coords_matrix()
+    # the float operations of Coordinate.distance_to
+    dx = pred_xy[:, 0] - true_xy[:, 0]
+    dy = pred_xy[:, 1] - true_xy[:, 1]
+    arr = np.sqrt(dx * dx + dy * dy)
     values, counts = np.unique(arr, return_counts=True)
     fractions = np.cumsum(counts) / arr.shape[0]
     cdf = tuple((float(v), float(f)) for v, f in zip(values, fractions))
@@ -208,7 +212,7 @@ def evaluate(model: LocalizationModel, test: FingerprintDataset) -> Localization
         mean_error_m=float(arr.mean()),
         median_error_m=float(np.median(arr)),
         error_cdf=cdf,
-        per_sample_errors=tuple(float(e) for e in errors),
+        per_sample_errors=tuple(arr.tolist()),
     )
 
 

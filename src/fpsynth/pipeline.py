@@ -27,13 +27,11 @@ from .baselines import interpolate_locations
 from .config import ExperimentConfig
 from .dataset import (
     Coordinate,
-    Fingerprint,
     FingerprintDataset,
     SyntheticEnvironment,
     canonicalize_dataset,
     generate_synthetic,
     load_dataset,
-    make_dataset,
     merge_datasets,
 )
 from .diffusion import TrainResult, generate_unseen_map, train
@@ -126,24 +124,17 @@ def build_data(cfg: ExperimentConfig) -> tuple[FingerprintDataset, FingerprintDa
 
 def _holdout_split(full, test_fraction, seed):
     rng = np.random.default_rng(seed)
-    by_loc: dict[Coordinate, list[int]] = {}
-    for i, s in enumerate(full.samples):
-        by_loc.setdefault(s.location, []).append(i)
-    test_idx: set[int] = set()
-    for loc in full.locations:
-        idx = by_loc[loc]
+    by_location = np.argsort(full.loc_index, kind="stable")  # rows grouped, dataset order kept
+    ends = np.cumsum(np.bincount(full.loc_index, minlength=len(full.locations)))
+    is_test = np.zeros(len(full), dtype=bool)
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        idx = by_location[lo:hi]
         n_test = int(len(idx) * test_fraction)
         if n_test:
-            chosen = rng.choice(len(idx), size=n_test, replace=False)
-            test_idx.update(idx[int(c)] for c in chosen)
-    train_samples = [s for i, s in enumerate(full.samples) if i not in test_idx]
-    test_samples = [s for i, s in enumerate(full.samples) if i in test_idx]
-    if not train_samples or not test_samples:
+            is_test[idx[rng.choice(len(idx), size=n_test, replace=False)]] = True
+    if is_test.all() or not is_test.any():
         raise SizeError("file holdout produced an empty train or test set")
-    return (
-        make_dataset(train_samples, full.ap_count, full.norm_params),
-        make_dataset(test_samples, full.ap_count, full.norm_params),
-    )
+    return full.take(np.flatnonzero(~is_test)), full.take(np.flatnonzero(is_test))
 
 
 def compute_split(cfg: ExperimentConfig, locations) -> LocationSplit:
@@ -164,10 +155,11 @@ def compute_split(cfg: ExperimentConfig, locations) -> LocationSplit:
 
 
 def _interpolated_map(aug, split, cfg) -> FingerprintDataset:
-    samples: list[Fingerprint] = []
-    for fp in interpolate_locations(aug, split.unseen, cfg.interpolator_k):
-        samples.extend([fp] * cfg.samples_per_unseen)
-    return FingerprintDataset(tuple(samples), aug.ap_count, aug.norm_params, tuple(split.unseen))
+    targets = interpolate_locations(aug, split.unseen, cfg.interpolator_k)
+    n = cfg.samples_per_unseen
+    rss = np.repeat(np.stack([fp.rss for fp in targets]), n, axis=0)
+    index = np.repeat(np.arange(len(targets)), n)
+    return FingerprintDataset(rss, index, tuple(split.unseen), aug.norm_params)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -202,6 +194,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # augmenter == "none" (or no unseen locations): the map is the seen data alone
     with _stage("evaluate"):
         fingerprint_map = merge_datasets(aug, generated) if generated is not None else aug
+        del aug, generated  # the merged map holds its own copy; free the parts before fitting
         model = fit_localizer(
             fingerprint_map, cfg.localizer_variant, cfg.localizer, stage_seed(cfg.seed, "fit")
         )

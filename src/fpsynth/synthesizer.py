@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Fingerprint, FingerprintDataset, make_dataset
+from .dataset import Fingerprint, FingerprintDataset
 from .errors import ConfigError, ConsistencyError
 from .initializer import LocationSplit
 
@@ -37,6 +37,20 @@ class AugmentationConfig:
             )
 
 
+def _jitter(rss: np.ndarray, noise: np.ndarray, sigma: float, detect_floor: float) -> None:
+    """In place: `noise` becomes rss + noise * sigma clamped to [detect_floor, 1],
+    and exactly 0 where rss is not positive. `rss` broadcasts against `noise`."""
+    noise *= sigma
+    noise += rss
+    np.clip(noise, detect_floor, 1.0, out=noise)
+    np.copyto(noise, 0.0, where=~(rss > 0.0))
+
+
+def _drop_weak(rss: np.ndarray, threshold: float) -> None:
+    """In place: zero the detected entries strictly below `threshold`."""
+    np.copyto(rss, 0.0, where=(rss > 0.0) & (rss < threshold))
+
+
 def inject_gaussian_noise(
     fp: Fingerprint, sigma: float, rng: np.random.Generator, detect_floor: float = 0.1
 ) -> Fingerprint:
@@ -46,10 +60,8 @@ def inject_gaussian_noise(
     """
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
-    rss = np.array(fp.rss)
-    detected = rss > 0.0
-    noisy = np.clip(rss + rng.standard_normal(rss.shape) * sigma, detect_floor, 1.0)
-    rss = np.where(detected, noisy, 0.0)
+    rss = rng.standard_normal(fp.rss.shape)
+    _jitter(fp.rss, rss, sigma, detect_floor)
     return Fingerprint(rss, fp.location, fp.collector_id)
 
 
@@ -58,7 +70,7 @@ def drop_weak_transmitters(fp: Fingerprint, threshold: float) -> Fingerprint:
     if not 0.0 <= threshold < 1.0:
         raise ConfigError(f"threshold must be in [0, 1), got {threshold}")
     rss = np.array(fp.rss)
-    rss = np.where((rss > 0.0) & (rss < threshold), 0.0, rss)
+    _drop_weak(rss, threshold)
     return Fingerprint(rss, fp.location, fp.collector_id)
 
 
@@ -69,8 +81,9 @@ def augment_seen(
 
     Replicas go through noise injection first, then weak-transmitter dropout,
     so that jitter can push a borderline reading under the threshold. Samples
-    at unseen locations are excluded entirely. Replica RNG streams are derived
-    per source sample, so output is independent of any parallel scheduling.
+    at unseen locations are excluded entirely. Each source sample's replicas
+    draw one (replicas, A) noise block from the source's own derived RNG
+    stream, so output is independent of any parallel scheduling.
     """
     seen_set = set(split.seen)
     data_locs = set(data.locations)
@@ -87,13 +100,17 @@ def augment_seen(
             "dropout will be a no-op",
             stacklevel=2,
         )
-    originals = [s for s in data.samples if s.location in seen_set]
-    children = np.random.SeedSequence(cfg.seed).spawn(len(originals))
-    out = list(originals)
-    for src, child in zip(originals, children):
-        rng = np.random.default_rng(child)
-        for _ in range(cfg.replicas_per_sample):
-            fp = inject_gaussian_noise(src, cfg.noise_sigma, rng, floor)
-            fp = drop_weak_transmitters(fp, cfg.drop_threshold)
-            out.append(fp)
-    return make_dataset(out, data.ap_count, data.norm_params)
+    src = data.subset_at(split.seen)
+    n, a = src.rss.shape
+    r = cfg.replicas_per_sample
+    rss = np.empty((n * (1 + r), a))
+    rss[:n] = src.rss
+    replicas = rss[n:].reshape(n, r, a)
+    for k, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(n)):
+        np.random.default_rng(child).standard_normal((r, a), out=replicas[k])
+    _jitter(src.rss[:, None, :], replicas, cfg.noise_sigma, floor)
+    _drop_weak(replicas, cfg.drop_threshold)
+    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), r)])
+    return FingerprintDataset(
+        rss, src.loc_index[rows], src.locations, src.norm_params, src.collector_ids[rows]
+    )

@@ -134,3 +134,90 @@ def spatial_interpolate(seen_data, target, k):
         blended = (w[:, None] * rows).sum(axis=0) / w.sum()
     floor = seen_data.norm_params.detect_floor
     return np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))
+
+
+def load_lines(path, params):
+    """The per-line wide-format loader with per-sample objects.
+
+    Returns (rss, sample_locations, locations, collectors): the (N, A)
+    normalized matrix, each row's own Coordinate, the distinct coordinates in
+    first-appearance order (the first of equal ones kept) and the collector
+    ids. Raises ParseError or RangeError naming the first bad line.
+    """
+    from pathlib import Path
+
+    from fpsynth.dataset import Coordinate
+    from fpsynth.errors import ParseError, RangeError
+
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in lines[0].split(",")]
+    ap_count = 0
+    while ap_count < len(header) and header[ap_count].startswith("AP"):
+        ap_count += 1
+    if ap_count == 0:
+        raise ParseError(f"{path}: header has no AP columns")
+    tail = header[ap_count:]
+    if tail not in (["X", "Y"], ["X", "Y", "COLLECTOR"]):
+        raise ParseError(
+            f"{path}: expected columns X,Y[,COLLECTOR] after the AP block, got {tail}"
+        )
+    has_collector = len(tail) == 3
+    n_fields = len(header)
+    f = params.detect_floor
+    rows, sample_locations, collectors = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise ParseError(f"{path}: line {lineno}: expected {n_fields} fields, got {len(parts)}")
+        try:
+            raw = np.array([float(p) for p in parts[:ap_count]])
+            x = float(parts[ap_count])
+            y = float(parts[ap_count + 1])
+        except ValueError as e:
+            raise ParseError(f"{path}: line {lineno}: non-numeric field ({e})") from e
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"{path}: line {lineno}: non-finite coordinate ({x}, {y})")
+        bad = ~(
+            (raw == params.sentinel_raw) | ((raw >= params.rss_min) & (raw <= params.rss_max))
+        )
+        if bad.any():
+            raise RangeError(
+                f"{path}: line {lineno}: raw RSS {raw[bad][0]} outside "
+                f"[{params.rss_min}, {params.rss_max}] and not the sentinel"
+            )
+        collector = None
+        if has_collector:
+            field = parts[ap_count + 2].strip()
+            if field:
+                try:
+                    collector = int(field)
+                except ValueError as e:
+                    raise ParseError(f"{path}: line {lineno}: bad collector id {field!r}") from e
+        v = f + (raw - params.rss_min) / (params.rss_max - params.rss_min) * (1.0 - f)
+        rows.append(np.where(raw != params.sentinel_raw, np.clip(v, f, 1.0), 0.0))
+        sample_locations.append(Coordinate(x, y))
+        collectors.append(collector)
+    distinct = {}
+    for c in sample_locations:
+        distinct.setdefault(c, None)
+    rss = np.array(rows).reshape(-1, ap_count)
+    return rss, sample_locations, tuple(distinct), collectors
+
+
+def augment_replicas(rss, seed, replicas, sigma, threshold, detect_floor):
+    """Per-source, per-replica noise and dropout: one (A,) draw per replica from
+    each source row's own `default_rng(child)`; returns the (N * replicas, A) block."""
+    out = []
+    children = np.random.SeedSequence(seed).spawn(rss.shape[0])
+    for row, child in zip(rss, children):
+        rng = np.random.default_rng(child)
+        for _ in range(replicas):
+            noisy = np.clip(row + rng.standard_normal(row.shape) * sigma, detect_floor, 1.0)
+            noisy = np.where(row > 0.0, noisy, 0.0)
+            out.append(np.where((noisy > 0.0) & (noisy < threshold), 0.0, noisy))
+    return np.array(out).reshape(-1, rss.shape[1])

@@ -1,21 +1,27 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsynth.dataset import (
     Coordinate,
     Fingerprint,
+    FingerprintDataset,
     NormalizationParams,
     SyntheticEnvironment,
     denormalize_rss,
     generate_synthetic,
     load_dataset,
     make_dataset,
+    merge_datasets,
     normalize_rss,
     save_dataset,
 )
-from fpsynth.errors import ConfigError, ParseError, RangeError
+from fpsynth.errors import ConfigError, ConsistencyError, FpsynthError, ParseError, RangeError
+from oracles import load_lines
 
 
 class TestNormalize:
@@ -246,3 +252,242 @@ class TestDatasetInvariants:
         sub = tiny_dataset.subset_at(keep)
         assert set(sub.locations) == set(keep)
         assert len(sub) == 4
+
+
+def _spellings(v: float, exotic: bool) -> list[str]:
+    """Ways to write v that float() reads back as exactly v; the exotic ones
+    (digit separators) are ones np.loadtxt rejects."""
+    r = repr(v)
+    if not exotic:
+        return [r, f" {r} ", f"\t{r}", f"{v:.17e}"]
+    between_digits = [i for i in range(1, len(r)) if r[i - 1].isdigit() and r[i].isdigit()]
+    return [r[:i] + "_" + r[i:] for i in between_digits] or [r]
+
+
+def _tokens(specials, values, exotic):
+    spelled = values.flatmap(lambda v: st.sampled_from(_spellings(v, exotic)))
+    return st.one_of(st.sampled_from(specials), spelled)
+
+
+def raw_tokens(exotic):
+    specials = ["100", "1e2", "100.000", "-104", "-0", "0", "-1e-3", "-0.0"]
+    specials += [" 1_00 "] if exotic else []
+    return _tokens(specials, st.one_of(st.just(100.0), st.floats(-104.0, 0.0)), exotic)
+
+
+def coord_tokens(exotic):
+    specials = ["0.0", "-0.0", "0", "-0", "1e-3", "2.5"]
+    specials += [" 1_000 ", "\u0663"] if exotic else []  # U+0663 is float("3")
+    return _tokens(specials, st.floats(-1e6, 1e6), exotic)
+
+
+COLLECTOR_TOKENS = st.one_of(
+    st.sampled_from(["", "  ", " 7 ", "1_0", "-3"]), st.integers(0, 10**6).map(str)
+)
+CORRUPT_TOKENS = [
+    "nan", "Infinity", "-inf", "abc", "", "0x10", "1\x1f", "\x1f-5", "5", "-104.5", "1e-3",
+    "1,2", "1__0", "-5 #1", '"-5"',
+]
+
+
+@st.composite
+def survey_lines(draw, min_rows=0, exotic=st.booleans()):
+    """A well-formed wide-format file as a list of lines (header first).
+
+    An exotic file mixes in spellings that only float(), not np.loadtxt, reads.
+    """
+    exotic = draw(exotic)
+    raw, coord = raw_tokens(exotic), coord_tokens(exotic)
+    ap_count = draw(st.integers(1, 6))
+    has_collector = draw(st.booleans())
+    pool = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4))
+    header = [f"AP{i + 1:03d}" for i in range(ap_count)] + ["X", "Y"]
+    lines = [",".join(header + (["COLLECTOR"] if has_collector else []))]
+    for _ in range(draw(st.integers(min_rows, 10))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        fields = [draw(raw) for _ in range(ap_count)] + list(draw(st.sampled_from(pool)))
+        if has_collector:
+            fields.append(draw(COLLECTOR_TOKENS))
+        lines.append(",".join(fields))
+    return lines
+
+
+def _load_both(text):
+    """(load_dataset outcome, oracle outcome) for one file; each a value or the raised error."""
+    params = NormalizationParams()
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "survey.csv"
+        path.write_text(text, encoding="utf-8")
+        outcomes = []
+        for load in (load_dataset, load_lines):
+            try:
+                outcomes.append(load(path, params))
+            except FpsynthError as e:
+                outcomes.append(e)
+    return outcomes
+
+
+def _assert_same_dataset(ds, oracle):
+    rss, sample_locations, locations, collectors = oracle
+    assert ds.rss_matrix().shape == rss.shape
+    assert ds.rss_matrix().tobytes() == rss.tobytes()
+    # the first coordinate seen stands for its location, sign of zero included
+    assert [(repr(c.x), repr(c.y)) for c in ds.locations] == [
+        (repr(c.x), repr(c.y)) for c in locations
+    ]
+    assert [ds.locations[j] for j in ds.loc_index] == sample_locations
+    assert list(ds.collector_ids) == collectors
+
+
+class TestLoaderParity:
+    @settings(max_examples=200, deadline=None)
+    @given(survey_lines(), st.sampled_from(["", "\n", "\n\n"]))
+    def test_well_formed_file_equals_oracle(self, lines, end):
+        got, oracle = _load_both("\n".join(lines) + end)
+        assert not isinstance(oracle, Exception)
+        _assert_same_dataset(got, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(survey_lines(min_rows=1, exotic=st.just(False)), st.data())
+    def test_one_corrupted_line_raises_the_oracle_error(self, lines, data):
+        row = data.draw(st.sampled_from([i for i, ln in enumerate(lines) if ln.strip()][1:]))
+        fields = lines[row].split(",")
+        how = data.draw(st.sampled_from(["replace"] * 4 + ["drop", "add", "collector"]))
+        if how == "replace":
+            token = data.draw(st.sampled_from(CORRUPT_TOKENS))
+            fields[data.draw(st.integers(0, len(fields) - 1))] = token
+        elif how == "drop":
+            del fields[data.draw(st.integers(0, len(fields) - 1))]
+        elif how == "add":
+            fields.append(data.draw(raw_tokens(exotic=False)))
+        else:
+            fields[-1] = "x7"  # a bad collector id, or a bad Y without the column
+        lines[row] = ",".join(fields)
+        _assert_same_outcome("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("token", CORRUPT_TOKENS)
+    @pytest.mark.parametrize("column", range(4))
+    def test_each_corruption_in_each_column(self, token, column):
+        fields = ["-1", "100", "3", "4", ""]
+        fields[column] = token
+        lines = ["AP001,AP002,X,Y,COLLECTOR", "-50.5,100,1.0,2.0,3", "", "-60,-70,0.0,-0.0,"]
+        _assert_same_outcome("\n".join(lines + [",".join(fields), "-0,100,1,2, 4 "]))
+
+
+def _assert_same_outcome(text):
+    got, oracle = _load_both(text)
+    if isinstance(oracle, Exception):
+        assert type(got) is type(oracle)
+        assert str(got) == str(oracle)
+    else:  # the corruption spelled a valid value, e.g. "5" as a coordinate
+        _assert_same_dataset(got, oracle)
+
+
+def _valid_rows(rng, n, a):
+    return np.where(rng.random((n, a)) < 0.4, 0.0, rng.uniform(0.1, 1.0, (n, a)))
+
+
+class TestFirstBadRow:
+    N = 300
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wrong_width(self, params, seed):
+        rng = np.random.default_rng(seed)
+        bad = int(rng.integers(self.N))
+        samples = [
+            Fingerprint(row, Coordinate(float(i % 7), 0.0))
+            for i, row in enumerate(_valid_rows(rng, self.N, 4))
+        ]
+        samples[bad] = Fingerprint(np.full(5, 0.5), samples[bad].location)
+        with pytest.raises(ConsistencyError, match=rf"^sample {bad} has 5 RSS entries"):
+            make_dataset(samples, 4, params)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("value", [0.05, 1.5, -0.2, float("nan")])
+    def test_value_outside_codomain(self, params, seed, value):
+        rng = np.random.default_rng(seed)
+        bad = int(rng.integers(self.N))
+        rss = _valid_rows(rng, self.N, 4)
+        rss[bad, int(rng.integers(4))] = value
+        index = rng.integers(0, 7, self.N)
+        locations = tuple(Coordinate(float(i), 0.0) for i in range(7))
+        with pytest.raises(RangeError, match=rf"^sample {bad} has RSS entry {value}"):
+            FingerprintDataset(rss, index, locations, params)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("wrong", [7, -1, 1000])
+    def test_location_index_out_of_range(self, params, seed, wrong):
+        rng = np.random.default_rng(seed)
+        bad = int(rng.integers(self.N))
+        index = rng.integers(0, 7, self.N)
+        index[bad] = wrong
+        locations = tuple(Coordinate(float(i), 0.0) for i in range(7))
+        with pytest.raises(ConsistencyError, match=rf"^sample {bad} has location index {wrong}"):
+            FingerprintDataset(_valid_rows(rng, self.N, 4), index, locations, params)
+
+    @pytest.mark.parametrize("value_row, index_row", [(20, 10), (10, 20), (15, 15)])
+    def test_earliest_bad_sample_is_named(self, params, value_row, index_row):
+        rng = np.random.default_rng(0)
+        rss = _valid_rows(rng, 40, 3)
+        rss[value_row, 1] = 0.05
+        index = np.zeros(40, dtype=int)
+        index[index_row] = 3
+        first = min(value_row, index_row)
+        error = RangeError if value_row <= index_row else ConsistencyError
+        with pytest.raises(error, match=rf"^sample {first} "):
+            FingerprintDataset(rss, index, (Coordinate(0.0, 0.0),), params)
+
+    @pytest.mark.parametrize("value_row, width_row", [(3, 5), (5, 3)])
+    def test_earliest_of_value_and_width_fault_is_named(self, params, value_row, width_row):
+        rng = np.random.default_rng(1)
+        rows = _valid_rows(rng, 40, 3)
+        rows[value_row, 0] = 0.05
+        samples = [Fingerprint(row, Coordinate(float(i % 4), 0.0)) for i, row in enumerate(rows)]
+        samples[width_row] = Fingerprint(np.full(2, 0.5), samples[width_row].location)
+        error = RangeError if value_row < width_row else ConsistencyError
+        with pytest.raises(error, match=rf"^sample {min(value_row, width_row)} "):
+            make_dataset(samples, 3, params)
+
+    def test_nonpositive_ap_count_before_width(self, params):
+        samples = [Fingerprint(np.full(3, 0.5), Coordinate(0.0, 0.0))]
+        with pytest.raises(ConfigError, match="ap_count must be positive"):
+            make_dataset(samples, 0, params)
+
+
+class TestColumnarOperations:
+    def test_merge_keeps_first_coordinate_seen(self, params):
+        a = make_dataset([Fingerprint(np.array([0.5]), Coordinate(-0.0, 1.0))], 1, params)
+        b = make_dataset(
+            [
+                Fingerprint(np.array([0.6]), Coordinate(2.0, 2.0)),
+                Fingerprint(np.array([0.7]), Coordinate(0.0, 1.0)),
+            ],
+            1,
+            params,
+        )
+        merged = merge_datasets(a, b)
+        assert [(repr(c.x), c.y) for c in merged.locations] == [("-0.0", 1.0), ("2.0", 2.0)]
+        assert merged.loc_index.tolist() == [0, 1, 0]
+        assert merged.rss_matrix()[:, 0].tolist() == [0.5, 0.6, 0.7]
+
+    def test_take_renumbers_locations_by_first_appearance(self, tiny_dataset):
+        rows = [7, 0, 6, 1]
+        sub = tiny_dataset.take(rows)
+        expected = [tiny_dataset.samples[i] for i in rows]
+        assert sub.locations == (expected[0].location, expected[1].location)
+        assert [s.location for s in sub.samples] == [s.location for s in expected]
+        assert np.array_equal(sub.rss_matrix(), np.stack([s.rss for s in expected]))
+
+    def test_matrix_is_read_only(self, tiny_dataset):
+        with pytest.raises(ValueError):
+            tiny_dataset.rss_matrix()[0, 0] = 0.5
+
+    def test_caller_arrays_are_frozen(self, params):
+        rss = np.full((3, 2), 0.5)
+        index = np.zeros(3, dtype=np.intp)
+        FingerprintDataset(rss, index, (Coordinate(0.0, 0.0),), params)
+        with pytest.raises(ValueError):
+            rss[0, 0] = 0.05
+        with pytest.raises(ValueError):
+            index[0] = 5

@@ -84,6 +84,15 @@ class TestTrain:
         with pytest.raises(ConsistencyError):
             train(data, bad_split, quick_cfg(epochs=1))
 
+    def test_error_names_the_first_sample_off_the_split(self):
+        data, split = constant_setup(n_samples=4)
+        stray = [Fingerprint(CONST, Coordinate(3.0, 4.0)), Fingerprint(CONST, Coordinate(5.0, 6.0))]
+        mixed = make_dataset(
+            [*data.samples[:2], *stray, *data.samples[2:]], len(CONST), NormalizationParams()
+        )
+        with pytest.raises(ConsistencyError, match=r"sample at Coordinate\(x=3\.0, y=4\.0\)"):
+            train(mixed, split, quick_cfg(epochs=1))
+
     def test_rejects_empty_unseen(self):
         data, split = constant_setup()
         with pytest.raises(SizeError):

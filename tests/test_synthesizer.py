@@ -12,6 +12,7 @@ from fpsynth.synthesizer import (
     drop_weak_transmitters,
     inject_gaussian_noise,
 )
+from oracles import augment_replicas
 
 rss_vectors = st.lists(
     st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=1.0)),
@@ -116,6 +117,24 @@ class TestAugmentSeen:
             src_zeros = set(np.nonzero(src.rss == 0.0)[0])
             rep_zeros = set(np.nonzero(rep.rss == 0.0)[0])
             assert src_zeros <= rep_zeros  # noise never resurrects an absent AP
+
+    def test_replicas_equal_per_replica_draws(self, tiny_dataset):
+        # one (replicas, A) block per source == one (A,) draw per replica
+        split = _split_of(tiny_dataset, 1)
+        cfg = AugmentationConfig(
+            noise_sigma=0.3, drop_threshold=0.4, replicas_per_sample=5, seed=11
+        )
+        out = augment_seen(tiny_dataset, split, cfg)
+        src = tiny_dataset.subset_at(split.seen)
+        expected = augment_replicas(
+            src.rss_matrix(), 11, 5, 0.3, 0.4, tiny_dataset.norm_params.detect_floor
+        )
+        n = len(src)
+        assert out.rss_matrix()[:n].tobytes() == src.rss_matrix().tobytes()
+        assert out.rss_matrix()[n:].tobytes() == expected.tobytes()
+        assert [s.location for s in out.samples] == [s.location for s in src.samples] + [
+            s.location for s in src.samples for _ in range(5)
+        ]
 
     def test_missing_seen_coordinate_raises(self, tiny_dataset):
         split = LocationSplit(seen=(Coordinate(99.0, 99.0),), unseen=())
