@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the dataset layer and kNN evaluation at the scale of a public survey file.
+"""Time the dataset layer, the density split and kNN evaluation at the scale
+of a public survey file, and measure the memory of one training epoch.
 
 A seeded survey of 20,000 fingerprints x 520 APs (2,000 locations x 10
 samples, about half the readings "not detected") and a 2,000-query test draw
@@ -9,10 +10,15 @@ then timed REPEATS times and the median reported:
 * save: `save_dataset` of the loaded survey;
 * load: `load_dataset` of the survey file;
 * canonicalize: `canonicalize_dataset` of the survey;
+* density_split: `select_unseen_density` of the 2,000 locations, 1,000 unseen;
 * augment: `augment_seen` with one replica per sample at every other location;
 * merge: `merge_datasets` of the augmented data and the other locations' samples;
 * evaluate: fitting the kNN localizer on the merged map and `evaluate` on the
   2,000 test queries.
+
+Last, one epoch of diffusion `train()` (default config) runs once on the
+samples of every other location, conditioned on the other 1,000 locations,
+and its `tracemalloc` peak is reported (`train_one_epoch`).
 
     PYTHONPATH=src python3 scripts/filescale.py --out filescale.json
 
@@ -27,12 +33,14 @@ import resource
 import statistics
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from fpsynth.dataset import canonicalize_dataset, load_dataset, merge_datasets, save_dataset
-from fpsynth.initializer import LocationSplit
+from fpsynth.diffusion import DiffusionTrainConfig, train
+from fpsynth.initializer import LocationSplit, select_unseen_density
 from fpsynth.localizer import evaluate, fit_localizer
 from fpsynth.synthesizer import AugmentationConfig, augment_seen
 
@@ -120,12 +128,23 @@ def main() -> None:
     detection_rate = float(np.mean(data.rss_matrix() > 0.0))
 
     data = record("canonicalize", lambda: canonicalize_dataset(data))
+    record("density_split", lambda: select_unseen_density(data.locations, len(data.locations) // 2))
     split = LocationSplit(seen=data.locations[::2], unseen=data.locations[1::2])
     cfg = AugmentationConfig(replicas_per_sample=1, seed=SEED)
     aug = record("augment", lambda: augment_seen(data, split, cfg))
     rest = data.subset_at(split.unseen)
     merged = record("merge", lambda: merge_datasets(aug, rest))
     report = record("evaluate", lambda: evaluate(fit_localizer(merged, "knn"), test_set))
+    map_rows = len(merged)
+    del aug, rest, merged
+
+    seen = data.subset_at(split.seen)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    train(seen, split, DiffusionTrainConfig(epochs=1, seed=SEED))
+    train_s = time.perf_counter() - t0
+    train_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
 
     result = {
         "environment": environment(),
@@ -135,11 +154,13 @@ def main() -> None:
             "locations": len(data.locations),
             "detection_rate": detection_rate,
             "file_mb": file_mb,
-            "map_rows": len(merged),
+            "map_rows": map_rows,
+            "train_rows": len(seen),
             "queries": len(test_set),
         },
         "repeats": REPEATS,
         "timings": timings,
+        "train_one_epoch": {"tracemalloc_peak_mb": train_peak_mb, "seconds_traced": train_s},
         "mean_error_m": report.mean_error_m,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }

@@ -364,6 +364,34 @@ def _training_bounds(split: LocationSplit) -> tuple[float, float, float, float]:
     return float(xmin), float(ymin), float(xmax), float(ymax)
 
 
+# Sample rows per block of the (N, U) kernel weights in `_condition_cdf`.
+_CDF_BLOCK = 512
+
+
+def _condition_cdf(
+    sample_locs: np.ndarray, unseen_xy: np.ndarray, kernel: VicinityKernel
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's total kernel mass over the unseen locations, and its
+    cumulative distribution over them (weights over mass; zero-mass rows stay 0).
+
+    Built in blocks of rows: every quantity is a per-row computation, so the
+    bits equal a whole-matrix pass, but the distances and weights exist for
+    one block at a time and `cdf` is the only (N, U) array.
+    """
+    n = sample_locs.shape[0]
+    mass = np.empty(n)
+    cdf = np.empty((n, unseen_xy.shape[0]))
+    for lo in range(0, n, _CDF_BLOCK):
+        rows = slice(lo, lo + _CDF_BLOCK)
+        dx = unseen_xy[:, 0][None, :] - sample_locs[rows, 0][:, None]
+        dy = unseen_xy[:, 1][None, :] - sample_locs[rows, 1][:, None]
+        wmat = kernel.weight(np.sqrt(dx * dx + dy * dy))
+        mass[rows] = wmat.sum(axis=1)
+        safe_mass = np.where(mass[rows] > 0.0, mass[rows], 1.0)
+        np.cumsum(wmat / safe_mass[:, None], axis=1, out=cdf[rows])
+    return mass, cdf
+
+
 def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainConfig) -> TrainResult:
     """Fit the conditional denoiser on seen-location samples.
 
@@ -394,17 +422,12 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
         sigma_w = AUTO_SIGMA_FACTOR * median_nn_distance(split.seen_coords())
     kernel = VicinityKernel(sigma_w, cfg.kernel)
 
-    dx = unseen_xy[:, 0][None, :] - sample_locs[:, 0][:, None]
-    dy = unseen_xy[:, 1][None, :] - sample_locs[:, 1][:, None]
-    wmat = kernel.weight(np.sqrt(dx * dx + dy * dy))  # (N, U)
-    mass = wmat.sum(axis=1)
+    mass, cdf = _condition_cdf(sample_locs, unseen_xy, kernel)
     if not np.any(mass > 0.0):
         raise CoverageError(
             "no unseen location lies within kernel support of any seen sample; "
             "the split cannot supervise generation"
         )
-    safe_mass = np.where(mass > 0.0, mass, 1.0)
-    cdf = np.cumsum(wmat / safe_mass[:, None], axis=1)
 
     bounds = _training_bounds(split)
     arch = DenoiserArch(

@@ -6,6 +6,17 @@ moves the densest location(s) to the unseen set, and recomputes. Locations in
 crowded areas are dropped first because their neighbors can supervise
 generation there; sparse areas keep their survey points.
 
+The recomputation is incremental and gives the same split as re-ranking every
+remaining location after each removal. A density is `fsum` of a row's k
+smallest distances to the other remaining locations, divided by k, so it
+depends only on the multiset of those k distances (`fsum` is exact in any
+order). Removing location m changes that multiset for row r only if
+`dist[r, m] <= kth[r]`, the row's k-th smallest distance; the comparison must
+include equality, because removing a point tied at the k-th distance can
+change which values fill the k smallest. Every other row keeps its density
+bit for bit, so only the rows within `kth` of a removed location are
+recomputed, with the same partition, sort and `fsum` helper as a full pass.
+
 Two reference strategies are included: uniform random selection and a
 grid-center heuristic.
 """
@@ -71,12 +82,14 @@ def _distance_matrix(xy: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _mean_knn_distances(dist: np.ndarray, k: int) -> list[float]:
+def _knn_stats(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of `dist`: the mean of its k nearest peers and the k-th distance."""
     # Rows include the self-distance 0; the k + 1 smallest of a row, sorted
     # ascending, are 0 then the k nearest peers. fsum keeps tie values exact
     # regardless of float order.
     smallest = np.sort(np.partition(dist, k, axis=1)[:, : k + 1], axis=1)
-    return [math.fsum(row[1:]) / k for row in smallest]
+    dens = np.array([math.fsum(row) / k for row in smallest[:, 1:].tolist()], dtype=np.float64)
+    return dens, smallest[:, k]
 
 
 def neighbor_density(points, k: int) -> list[float]:
@@ -89,42 +102,46 @@ def neighbor_density(points, k: int) -> list[float]:
     if len(points) <= k:
         raise SizeError(f"need more than k={k} points, got {len(points)}")
     xy = np.array([[p.x, p.y] for p in points])
-    return _mean_knn_distances(_distance_matrix(xy), k)
+    return _knn_stats(_distance_matrix(xy), k)[0].tolist()
 
 
 def select_unseen_density(points, n_unseen: int, params: DensityParams = DensityParams()) -> LocationSplit:
     """Greedy densest-first selection of unseen locations.
 
-    Each iteration recomputes neighbor density over the remaining locations and
-    moves the `batch_per_iteration` densest (smallest mean distance) into the
-    unseen set; ties break toward the lexicographically smallest coordinate.
+    Each iteration moves the `batch_per_iteration` densest (smallest mean
+    distance) remaining locations into the unseen set; ties break toward the
+    lexicographically smallest coordinate. Densities are then brought up to
+    date over the remaining locations by recomputing only the rows that had a
+    moved location among their k nearest (see the module docstring).
     """
     points = list(points)
     _check_distinct(points)
     n = len(points)
-    if not 0 <= n_unseen <= n - (params.k_neighbors + 1):
+    k = params.k_neighbors
+    if not 0 <= n_unseen <= n - (k + 1):
         raise SizeError(
             f"n_unseen={n_unseen} must leave at least k_neighbors+1="
-            f"{params.k_neighbors + 1} of {n} points seen"
+            f"{k + 1} of {n} points seen"
         )
     xy = np.array([[p.x, p.y] for p in points])
     dist = _distance_matrix(xy)
-    remaining = list(range(n))
+    dens, kth = _knn_stats(dist, k)
+    # Position of each point in (x, y) order, compared as Python compares the
+    # coordinates: the tie-break key as one integer.
+    xy_rank = np.empty(n, dtype=np.intp)
+    xy_rank[sorted(range(n), key=lambda i: (points[i].x, points[i].y))] = np.arange(n)
+    remaining = np.arange(n)
     unseen_idx: list[int] = []
     while len(unseen_idx) < n_unseen:
         take = min(params.batch_per_iteration, n_unseen - len(unseen_idx))
-        sub = dist[np.ix_(remaining, remaining)]
-        dens = _mean_knn_distances(sub, params.k_neighbors)
-        order = sorted(
-            range(len(remaining)),
-            key=lambda r: (dens[r], points[remaining[r]].x, points[remaining[r]].y),
-        )
-        moved = [remaining[r] for r in order[:take]]
-        unseen_idx.extend(moved)
-        moved_set = set(moved)
-        remaining = [i for i in remaining if i not in moved_set]
+        order = np.lexsort((xy_rank[remaining], dens[remaining]))
+        moved = remaining[order[:take]]
+        unseen_idx.extend(moved.tolist())
+        remaining = np.delete(remaining, order[:take])
+        stale = remaining[(dist[np.ix_(remaining, moved)] <= kth[remaining, None]).any(axis=1)]
+        dens[stale], kth[stale] = _knn_stats(dist[np.ix_(stale, remaining)], k)
     return LocationSplit(
-        seen=tuple(points[i] for i in remaining),
+        seen=tuple(points[i] for i in remaining.tolist()),
         unseen=tuple(points[i] for i in unseen_idx),
     )
 

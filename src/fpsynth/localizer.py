@@ -59,7 +59,7 @@ class KnnLocalizer:
         self.rss = rss
         self.coords = coords
         self.k = k
-        self._sq_norms = np.sum(rss * rss, axis=1)
+        self._sq_norms = np.einsum("ij,ij->i", rss, rss)  # no (N, A) temporary
         self._max_sq_norm = float(self._sq_norms.max(initial=0.0))
 
     def predict(self, rss: np.ndarray) -> Coordinate:

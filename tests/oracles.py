@@ -41,6 +41,34 @@ def brute_density_split(points, n_unseen, k, batch=1):
     return remaining, unseen
 
 
+def rerank_density_split(points, n_unseen, k, batch=1):
+    """The full re-rank form of the density split: every iteration recomputes
+    every remaining location's density from the remaining distance submatrix.
+
+    points: list of Coordinate; returns (seen, unseen) as Coordinate lists.
+    """
+    xy = np.array([[p.x, p.y] for p in points])
+    dx = xy[:, 0][:, None] - xy[:, 0][None, :]
+    dy = xy[:, 1][:, None] - xy[:, 1][None, :]
+    dist = np.sqrt(dx * dx + dy * dy)
+    remaining = list(range(len(points)))
+    unseen_idx = []
+    while len(unseen_idx) < n_unseen:
+        take = min(batch, n_unseen - len(unseen_idx))
+        sub = dist[np.ix_(remaining, remaining)]
+        smallest = np.sort(np.partition(sub, k, axis=1)[:, : k + 1], axis=1)
+        dens = [math.fsum(row[1:]) / k for row in smallest]
+        order = sorted(
+            range(len(remaining)),
+            key=lambda r: (dens[r], points[remaining[r]].x, points[remaining[r]].y),
+        )
+        moved = [remaining[r] for r in order[:take]]
+        unseen_idx.extend(moved)
+        moved_set = set(moved)
+        remaining = [i for i in remaining if i not in moved_set]
+    return [points[i] for i in remaining], [points[i] for i in unseen_idx]
+
+
 def masked_sigmoid(x):
     """Logistic function evaluated separately on the x >= 0 and x < 0 entries."""
     out = np.empty_like(x)

@@ -151,6 +151,26 @@ class TestTrain:
             assert loss == returned
 
 
+class TestConditionCdf:
+    @pytest.mark.parametrize("form", ["gaussian", "hard"])
+    def test_blocks_equal_the_dense_formula(self, monkeypatch, form):
+        rng = np.random.default_rng(5)
+        locs = rng.random((203, 2)) * 20.0
+        unseen_xy = rng.random((37, 2)) * 20.0
+        kernel = VicinityKernel(1.5, form)
+        dx = unseen_xy[:, 0][None, :] - locs[:, 0][:, None]
+        dy = unseen_xy[:, 1][None, :] - locs[:, 1][:, None]
+        wmat = kernel.weight(np.sqrt(dx * dx + dy * dy))
+        mass = wmat.sum(axis=1)
+        cdf = np.cumsum(wmat / np.where(mass > 0.0, mass, 1.0)[:, None], axis=1)
+        if form == "hard":
+            assert (mass == 0.0).any() and (mass > 0.0).any()
+        monkeypatch.setattr(diffusion, "_CDF_BLOCK", 16)  # 13 blocks, the last of 11 rows
+        got_mass, got_cdf = diffusion._condition_cdf(locs, unseen_xy, kernel)
+        assert got_mass.tobytes() == mass.tobytes()
+        assert got_cdf.tobytes() == cdf.tobytes()
+
+
 class TestSample:
     def test_constant_oracle_fixed_point(self):
         arch = DenoiserArch(ap_count=8, cond_freqs=2, time_dim=8, hidden=(16, 8, 16), bounds=(0, 0, 2, 2))

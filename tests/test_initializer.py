@@ -16,7 +16,7 @@ from fpsynth.initializer import (
     select_unseen_grid,
     select_unseen_random,
 )
-from oracles import brute_density_split, brute_knn_densities
+from oracles import brute_density_split, brute_knn_densities, rerank_density_split
 
 
 def line_points(n):
@@ -29,6 +29,17 @@ coord_sets = st.lists(
     max_size=12,
     unique=True,
 ).map(lambda pts: [Coordinate(x * 0.5, y * 0.5) for x, y in pts])
+
+
+@st.composite
+def lattice_sets(draw):
+    # A subset of a w x h integer lattice (up to 100 points): many exact
+    # density ties and many removals at exactly a row's k-th distance.
+    w, h = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+    share = draw(st.sampled_from([1.0, 0.9, 0.7, 0.5]))
+    rnd = draw(st.randoms(use_true_random=False))
+    cells = itertools.product(range(w), range(h))
+    return [Coordinate(float(x), float(y)) for x, y in cells if rnd.random() < share]
 
 
 class TestNeighborDensity:
@@ -114,6 +125,27 @@ class TestDensitySelection:
         seen_o, unseen_o = brute_density_split(
             [(p.x, p.y) for p in pts], n_unseen, k, batch
         )
+        assert [(c.x, c.y) for c in split.unseen] == unseen_o
+        assert [(c.x, c.y) for c in split.seen] == seen_o
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_survey_grid_equals_full_rerank(self, batch):
+        # the survey benchmark's locations: a 20 x 20 grid at 5 m, 200 unseen
+        pts = [Coordinate(x * 5.0, y * 5.0) for x in range(20) for y in range(20)]
+        split = select_unseen_density(pts, 200, DensityParams(3, batch))
+        seen_o, unseen_o = rerank_density_split(pts, 200, 3, batch)
+        assert list(split.unseen) == unseen_o
+        assert list(split.seen) == seen_o
+
+    @settings(max_examples=40, deadline=None)
+    @given(lattice_sets(), st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_lattice_matches_brute_force(self, pts, k, batch, data):
+        max_unseen = len(pts) - (k + 1)
+        if max_unseen < 0:
+            return
+        n_unseen = data.draw(st.integers(max_unseen // 2, max_unseen))
+        split = select_unseen_density(pts, n_unseen, DensityParams(k, batch))
+        seen_o, unseen_o = brute_density_split([(p.x, p.y) for p in pts], n_unseen, k, batch)
         assert [(c.x, c.y) for c in split.unseen] == unseen_o
         assert [(c.x, c.y) for c in split.seen] == seen_o
 
