@@ -16,13 +16,20 @@ then timed REPEATS times and the median reported:
 * evaluate: fitting the kNN localizer on the merged map and `evaluate` on the
   2,000 test queries.
 
-Last, one epoch of diffusion `train()` (default config) runs once on the
-samples of every other location, conditioned on the other 1,000 locations,
-and its `tracemalloc` peak is reported (`train_one_epoch`).
+Last, the diffusion arm, on the samples of every other location conditioned
+on the other 1,000 locations:
+
+* train_one_epoch: one epoch of `train()` (default config, 157 steps of 64
+  rows), timed with tracing off; one more run under `tracemalloc` reports
+  the epoch's peak traced memory;
+* generate_1_step, generate_5_steps: `generate_unseen_map` of the 1,000
+  unseen locations, 8 samples each, with the trained network and a 1-step
+  and a 5-step noise schedule. Their difference over 4 is the time of one
+  reverse-diffusion step (`reverse_step_s`); the default schedule runs 200.
 
     PYTHONPATH=src python3 scripts/filescale.py --out filescale.json
 
-Its peak resident memory is about 600 MB (565 MB measured with numpy 2.4).
+Its peak resident memory is about 600 MB (575 MB measured with numpy 2.4).
 """
 
 import argparse
@@ -39,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from fpsynth.dataset import canonicalize_dataset, load_dataset, merge_datasets, save_dataset
-from fpsynth.diffusion import DiffusionTrainConfig, train
+from fpsynth.diffusion import DiffusionTrainConfig, build_schedule, generate_unseen_map, train
 from fpsynth.initializer import LocationSplit, select_unseen_density
 from fpsynth.localizer import evaluate, fit_localizer
 from fpsynth.synthesizer import AugmentationConfig, augment_seen
@@ -51,6 +58,7 @@ AP_COUNT = 520
 DETECTION_DBM = -87.0  # with the constants below, about half the readings
 REPEATS = 5
 SEED = 0
+SAMPLES_PER_UNSEEN = 8  # the default config's augmenter.samples_per_unseen
 
 
 def write_survey(path: Path, rng, ap_xy, rows_xy) -> None:
@@ -139,12 +147,24 @@ def main() -> None:
     del aug, rest, merged
 
     seen = data.subset_at(split.seen)
+    train_cfg = DiffusionTrainConfig(epochs=1, seed=SEED)
+    trained = record("train_one_epoch", lambda: train(seen, split, train_cfg))
     tracemalloc.start()
     t0 = time.perf_counter()
-    train(seen, split, DiffusionTrainConfig(epochs=1, seed=SEED))
+    train(seen, split, train_cfg)
     train_s = time.perf_counter() - t0
     train_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
+
+    def generate(steps):
+        schedule = build_schedule(steps, train_cfg.beta_start, train_cfg.beta_end)
+        net = trained.network
+        return lambda: generate_unseen_map(net, split, schedule, SAMPLES_PER_UNSEEN, SEED)
+
+    record("generate_1_step", generate(1))
+    record("generate_5_steps", generate(5))
+    one, five = (timings[k]["median_s"] for k in ("generate_1_step", "generate_5_steps"))
+    reverse_step_s = (five - one) / 4
 
     result = {
         "environment": environment(),
@@ -161,6 +181,7 @@ def main() -> None:
         "repeats": REPEATS,
         "timings": timings,
         "train_one_epoch": {"tracemalloc_peak_mb": train_peak_mb, "seconds_traced": train_s},
+        "reverse_step_s": reverse_step_s,
         "mean_error_m": report.mean_error_m,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }

@@ -34,7 +34,7 @@ from .errors import (
     ShapeError,
     SizeError,
 )
-from .initializer import LocationSplit
+from .initializer import LocationSplit, _distance_matrix
 from .nets import AdamOptimizer, DenoiserArch, DenoiserNetwork
 
 
@@ -341,15 +341,21 @@ class TrainResult:
 AUTO_SIGMA_FACTOR = 0.6
 
 
+# Rows per block of the distances in `median_nn_distance`.
+_NN_BLOCK = 256
+
+
 def median_nn_distance(coords: np.ndarray) -> float:
     coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
     if coords.shape[0] < 2:
         raise ConfigError("need at least two locations for a nearest-neighbor distance")
-    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
-    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
-    d = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(d, np.inf)
-    return float(np.median(d.min(axis=1)))
+    nearest = np.empty(len(coords))
+    for start in range(0, len(coords), _NN_BLOCK):
+        d = _distance_matrix(coords, slice(start, start + _NN_BLOCK))
+        own = np.arange(len(d))
+        d[own, start + own] = np.inf
+        nearest[start : start + len(d)] = d.min(axis=1)
+    return float(np.median(nearest))
 
 
 def _training_bounds(split: LocationSplit) -> tuple[float, float, float, float]:

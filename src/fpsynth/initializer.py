@@ -76,10 +76,16 @@ def _check_distinct(points) -> None:
         raise ConsistencyError("points must be distinct")
 
 
-def _distance_matrix(xy: np.ndarray) -> np.ndarray:
-    dx = xy[:, 0][:, None] - xy[:, 0][None, :]
-    dy = xy[:, 1][:, None] - xy[:, 1][None, :]
-    return np.sqrt(dx * dx + dy * dy)
+def _distance_matrix(xy: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """Euclidean distances from the points `xy[rows]` to every point of `xy`."""
+    # sqrt(dx * dx + dy * dy), computed in place: the same float operations
+    # with two (rows, n) buffers instead of five.
+    dx = xy[rows, 0][:, None] - xy[:, 0][None, :]
+    dy = xy[rows, 1][:, None] - xy[:, 1][None, :]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _knn_stats(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

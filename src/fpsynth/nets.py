@@ -6,10 +6,21 @@ against central finite differences. One forward and one backward (`_FlatMlp`)
 serve both networks: the diffusion denoiser (`DenoiserNetwork`, with a skip
 from hidden layer 1 to hidden layer 3) and the feedforward localizer (`Mlp`,
 no skip).
+
+Every matrix product of `_FlatMlp` runs on one BLAS thread: `_forward` and
+`_backward` pin the OpenBLAS that numpy loaded to one thread and restore the
+previous count on the way out. A threaded GEMM may split and sum a product
+differently, so this keeps model bits independent of the core count; at these
+sizes (tens to hundreds of rows) a second thread also saves no time. Other
+products, such as the kNN prefilter, keep the library's threading. Where no
+OpenBLAS thread API is found (another BLAS, or no `/proc/self/maps` to find
+it in), the pin does nothing and the bits follow that library's threading.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +130,67 @@ class DenoiserArch:
         )
 
 
+# (get, set) thread-count pairs, in order of preference: numpy's wheel
+# (scipy-openblas, 64-bit ints) first, then a system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS in this process, or ().
+
+    Looked up once, on the first pinned call, so importing fpsynth costs nothing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return ()
+    mapped = {f[5].strip() for f in fields if len(f) == 6}
+    # dlopen of a library that is already mapped returns that same instance
+    libs = []
+    for path in sorted(p for p in mapped if "blas" in p.lower()):
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        for lib in libs:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return ()
+
+
+def _one_blas_thread(method):
+    """Run `method` with the BLAS pinned to one thread, then restore the count.
+
+    The count is process-wide, so two Python threads inside pinned calls at
+    once could restore each other's count; fpsynth makes no such calls.
+    """
+
+    @functools.wraps(method)
+    def pinned(*args, **kwargs):
+        api = _openblas_threads()
+        if not api:
+            return method(*args, **kwargs)
+        get, set_ = api
+        previous = get()
+        set_(1)
+        try:
+            return method(*args, **kwargs)
+        finally:
+            set_(previous)
+
+    return pinned
+
+
 def _layout(layer_shapes):
     """(weight_slice, bias_slice, shape) triples over the flat parameter vector."""
     out = []
@@ -170,6 +242,7 @@ class _FlatMlp:
         out, _ = self.forward_cached(x)
         return out
 
+    @_one_blas_thread
     def _forward(self, x):
         """Output and backward cache for a `(..., batch, in)` input.
 
@@ -196,6 +269,7 @@ class _FlatMlp:
             acts.append(a)
         return acts[-1], (zs, ss, acts)
 
+    @_one_blas_thread
     def _backward(self, cache, dout):
         """Gradient of sum(dout * out) w.r.t. theta, from the cache of a 2-D input."""
         zs, ss, acts = cache

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -165,6 +170,30 @@ class TestDeterminism:
                        "--set", "augmenter.kind=interpolator"],
             ["sweep.csv"],
         )
+
+    def test_checkpoint_independent_of_blas_threads(self, tmp_path):
+        # at 100 APs a threaded BLAS would split the denoiser's products
+        # differently; every network product runs on one thread, so the
+        # model's bits do not depend on the core count
+        common = ["--set", "synth.ap_count=100", "--set", "diffusion.epochs=2", "--seed", "0"]
+        data, split, aug = tmp_path / "data.csv", tmp_path / "split.csv", tmp_path / "aug.csv"
+        run_ok(["synth-env", *common, "-o", str(data)])
+        run_ok(["split", *common, "--data", str(data), "-o", str(split)])
+        run_ok(["augment", *common, "--data", str(data), "--split", str(split), "-o", str(aug)])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        checkpoints = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            ckpt = tmp_path / f"model_{threads}.ckpt"
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from fpsynth.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "train-diffusion", *common, "--data", str(aug),
+                 "--split", str(split), "-o", str(ckpt), "--trace", str(tmp_path / "trace.csv")],
+                env=env, check=True, capture_output=True,
+            )
+            checkpoints.append(ckpt.read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
 
 class TestComposition:

@@ -171,6 +171,24 @@ class TestConditionCdf:
         assert got_cdf.tobytes() == cdf.tobytes()
 
 
+class TestMedianNnDistance:
+    @pytest.mark.parametrize("n", [2, 16, 17, 203])
+    @pytest.mark.parametrize("lattice", [False, True])
+    def test_blocks_equal_the_dense_formula(self, monkeypatch, n, lattice):
+        rng = np.random.default_rng(n)
+        if lattice:  # many tied nearest distances
+            coords = rng.permutation(np.argwhere(np.ones((15, 15))))[:n] * 2.0
+        else:
+            coords = rng.random((n, 2)) * 20.0
+        dx = coords[:, 0][:, None] - coords[:, 0][None, :]
+        dy = coords[:, 1][:, None] - coords[:, 1][None, :]
+        d = np.sqrt(dx * dx + dy * dy)
+        np.fill_diagonal(d, np.inf)
+        want = float(np.median(d.min(axis=1)))
+        monkeypatch.setattr(diffusion, "_NN_BLOCK", 16)  # 203 rows: 13 blocks, the last of 11
+        assert diffusion.median_nn_distance(coords).hex() == want.hex()
+
+
 class TestSample:
     def test_constant_oracle_fixed_point(self):
         arch = DenoiserArch(ap_count=8, cond_freqs=2, time_dim=8, hidden=(16, 8, 16), bounds=(0, 0, 2, 2))

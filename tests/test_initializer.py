@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from fpsynth.dataset import Coordinate
 from fpsynth.errors import ConsistencyError, ParseError, SizeError
 from fpsynth.initializer import (
     DensityParams,
+    _distance_matrix,
     LocationSplit,
     load_split,
     neighbor_density,
@@ -40,6 +42,15 @@ def lattice_sets(draw):
     rnd = draw(st.randoms(use_true_random=False))
     cells = itertools.product(range(w), range(h))
     return [Coordinate(float(x), float(y)) for x, y in cells if rnd.random() < share]
+
+
+def test_distance_matrix_bits_match_the_formula():
+    xy = np.random.default_rng(2).random((60, 2)) * 30.0
+    dx = xy[:, 0][:, None] - xy[:, 0][None, :]
+    dy = xy[:, 1][:, None] - xy[:, 1][None, :]
+    want = np.sqrt(dx * dx + dy * dy)
+    assert _distance_matrix(xy).tobytes() == want.tobytes()
+    assert _distance_matrix(xy, slice(7, 40)).tobytes() == want[7:40].tobytes()
 
 
 class TestNeighborDensity:

@@ -3,7 +3,11 @@ import pytest
 
 from oracles import adam_step, masked_sigmoid, skip_mlp_backward, skip_mlp_forward
 
+import fpsynth.nets as nets
+from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
+from fpsynth.diffusion import DiffusionTrainConfig, train
 from fpsynth.errors import ConfigError, ShapeError
+from fpsynth.initializer import LocationSplit
 from fpsynth.nets import ACTIVATIONS, AdamOptimizer, DenoiserArch, DenoiserNetwork, Mlp, _sigmoid
 
 
@@ -189,3 +193,82 @@ class TestSigmoid:
     def test_bits_match_masked_reference_at_edges(self):
         x = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300])
         assert np.array_equal(_sigmoid(x).view(np.uint64), masked_sigmoid(x).view(np.uint64))
+
+
+@pytest.fixture
+def blas_threads():
+    """The process's BLAS thread count getter, with the count set to 2 for the test."""
+    api = nets._openblas_threads()
+    if not api:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count API here")
+    get, set_ = api
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
+
+
+class TestBlasThreadPin:
+    def _net(self):
+        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128))
+        return DenoiserNetwork.create(arch, 3)
+
+    def test_count_restored_after_forward_backward_and_errors(self, blas_threads):
+        net = self._net()
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((64, net.arch.input_dim))
+        out, cache = net.forward_cached(x)
+        assert blas_threads() == 2
+        net.backward(cache, rng.standard_normal(out.shape))
+        assert blas_threads() == 2
+        with pytest.raises(ShapeError):
+            net.forward(np.zeros((64, net.arch.input_dim + 1)))
+        assert blas_threads() == 2
+        _, stacked = net.forward_cached(np.zeros((2, 3, net.arch.input_dim)))
+        with pytest.raises(ShapeError):
+            net.backward(stacked, np.zeros((2, 3, net.arch.ap_count)))
+        assert blas_threads() == 2
+
+    def test_products_run_on_one_thread(self, blas_threads):
+        net = self._net()
+        act, dact = net._act
+        counts = []
+
+        def spy_act(z):
+            counts.append(blas_threads())
+            return act(z)
+
+        def spy_dact(z, s):
+            counts.append(blas_threads())
+            return dact(z, s)
+
+        net._act = (spy_act, spy_dact)
+        rng = np.random.default_rng(5)
+        out, cache = net.forward_cached(rng.standard_normal((64, net.arch.input_dim)))
+        net.backward(cache, rng.standard_normal(out.shape))
+        # three hidden activations forward, their three derivatives backward
+        assert counts == [1] * 6
+        assert blas_threads() == 2
+
+    def test_without_a_thread_api_training_runs_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        seen = [Coordinate(float(x), float(y)) for x in range(3) for y in range(3)]
+        samples = [Fingerprint(rng.uniform(0.2, 1.0, 5), c) for c in seen for _ in range(4)]
+        data = make_dataset(samples, 5, NormalizationParams())
+        split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 2.5)))
+        cfg = DiffusionTrainConfig(T=10, epochs=3, batch_size=8, hidden=(16, 8, 16),
+                                   cond_freqs=2, time_dim=4, seed=2)
+        pinned = train(data, split, cfg)
+        lookups = []
+
+        def no_library():
+            lookups.append(1)
+            return ()
+
+        monkeypatch.setattr(nets, "_openblas_threads", no_library)
+        unpinned = train(data, split, cfg)
+        assert lookups
+        assert bits_equal(unpinned.network.theta, pinned.network.theta)
+        assert unpinned.trace == pinned.trace
