@@ -78,14 +78,15 @@ def _check_distinct(points) -> None:
 
 def _distance_matrix(xy: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     """Euclidean distances from the points `xy[rows]` to every point of `xy`."""
-    # sqrt(dx * dx + dy * dy), computed in place: the same float operations
-    # with two (rows, n) buffers instead of five.
+    # sqrt(dx * dx + dy * dy), computed in place: the same operations with two
+    # (rows, n) buffers instead of five. Integer coordinates keep their exact
+    # integer sums; only the square root makes them float64.
     dx = xy[rows, 0][:, None] - xy[:, 0][None, :]
     dy = xy[rows, 1][:, None] - xy[:, 1][None, :]
     dx *= dx
     dy *= dy
     dx += dy
-    return np.sqrt(dx, out=dx)
+    return np.sqrt(dx, out=dx if dx.dtype == np.float64 else None)
 
 
 def _knn_stats(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -130,10 +130,12 @@ class DenoiserArch:
         )
 
 
-# (get, set) thread-count pairs, in order of preference: numpy's wheel
-# (scipy-openblas, 64-bit ints) first, then a system OpenBLAS.
+# (get, set) thread-count pairs, in order of preference: numpy 2's wheel
+# (scipy-openblas, 64-bit ints), numpy 1's wheel (OpenBLAS with 64-bit ints),
+# then a system OpenBLAS.
 _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 

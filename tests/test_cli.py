@@ -10,6 +10,12 @@ from fpsynth.cli import main
 from fpsynth.localizer import load_report
 
 
+def usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_ok(argv):
     assert main(argv) == 0
 
@@ -171,6 +177,10 @@ class TestDeterminism:
             ["sweep.csv"],
         )
 
+    @pytest.mark.skipif(
+        usable_cpus() < 2,
+        reason="OpenBLAS caps its threads at the CPU count, so one CPU runs both sides on one thread",
+    )
     def test_checkpoint_independent_of_blas_threads(self, tmp_path):
         # at 100 APs a threaded BLAS would split the denoiser's products
         # differently; every network product runs on one thread, so the

@@ -53,6 +53,16 @@ def test_distance_matrix_bits_match_the_formula():
     assert _distance_matrix(xy, slice(7, 40)).tobytes() == want[7:40].tobytes()
 
 
+def test_integer_coordinates_equal_their_float_twins():
+    cells = [(0, 0), (1, 0), (3, 0), (0, 2), (5, 5), (2, 7), (6, 1), (4, 4)]
+    ints = [Coordinate(x, y) for x, y in cells]
+    floats = [Coordinate(float(x), float(y)) for x, y in cells]
+    assert neighbor_density(ints[:3], k=1) == [1.0, 1.0, 2.0]
+    assert neighbor_density(ints, k=2) == neighbor_density(floats, k=2)
+    params = DensityParams(k_neighbors=2, batch_per_iteration=1)
+    assert select_unseen_density(ints, 4, params) == select_unseen_density(floats, 4, params)
+
+
 class TestNeighborDensity:
     def test_collinear_example(self):
         dens = neighbor_density(line_points(5), k=2)

@@ -1,3 +1,6 @@
+import os
+import types
+
 import numpy as np
 import pytest
 
@@ -272,3 +275,35 @@ class TestBlasThreadPin:
         assert lookups
         assert bits_equal(unpinned.network.theta, pinned.network.theta)
         assert unpinned.trace == pinned.trace
+
+
+class TestOpenblasLookup:
+    # numpy 2 wheels, numpy 1 wheels (64-bit ints), a system OpenBLAS
+    @pytest.mark.parametrize("pair", [
+        ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+        ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+        ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ], ids=lambda pair: pair[0])
+    def test_each_library_pair_is_found(self, monkeypatch, pair):
+        if not os.path.exists("/proc/self/maps"):
+            pytest.skip("the lookup reads /proc/self/maps")
+
+        class OnlyThisPair:
+            def __init__(self, path):
+                for name in pair:
+                    setattr(self, name, types.SimpleNamespace(__name__=name))
+
+        monkeypatch.setattr(nets.ctypes, "CDLL", OnlyThisPair)
+        api = nets._openblas_threads.__wrapped__()
+        assert tuple(f.__name__ for f in api) == pair
+
+    def test_numpy_openblas_exposes_a_known_pair(self, record_property):
+        blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+        name = str(blas.get("name", ""))
+        if "openblas" not in name or not os.path.exists("/proc/self/maps"):
+            pytest.skip(f"numpy's BLAS is {name or 'unknown'}, or there is no /proc/self/maps")
+        api = nets._openblas_threads()
+        assert api, f"numpy links {name} {blas.get('version')}, but no thread-count pair was found"
+        found = tuple(f.__name__ for f in api)
+        record_property("openblas_thread_api", " ".join(found))
+        assert found in nets._OPENBLAS_THREAD_SYMBOLS
