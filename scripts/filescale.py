@@ -133,7 +133,7 @@ def main() -> None:
         test_set = load_dataset(test_path)
         record("save", lambda: save_dataset(data, Path(tmp) / "saved.csv"))
         file_mb = survey_path.stat().st_size / 1e6
-    detection_rate = float(np.mean(data.rss_matrix() > 0.0))
+    detection_rate = float(np.mean(data.rss > 0.0))
 
     data = record("canonicalize", lambda: canonicalize_dataset(data))
     record("density_split", lambda: select_unseen_density(data.locations, len(data.locations) // 2))

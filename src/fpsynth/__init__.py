@@ -27,14 +27,12 @@ from .diffusion import (
     VicinityKernel,
     build_schedule,
     embed_condition,
-    embed_time,
     forward_diffuse,
     generate_unseen_map,
     sample,
     spatial_loss,
     spatial_loss_and_grad,
     train,
-    vicinity_weight,
 )
 from .errors import FpsynthError
 from .initializer import (

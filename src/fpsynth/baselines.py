@@ -4,32 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Coordinate, Fingerprint, FingerprintDataset
+from .dataset import FingerprintDataset
 from .errors import SizeError
 
 
-def knn_spatial_interpolate(
-    seen_data: FingerprintDataset, target: Coordinate, k: int = 3
-) -> Fingerprint:
-    """Inverse-distance-weighted blend of the k nearest per-location mean fingerprints.
+def interpolate_locations(seen_data: FingerprintDataset, targets, k: int = 3) -> np.ndarray:
+    """Inverse-distance-weighted blend of the k nearest per-location mean
+    fingerprints at each target, as a `(len(targets), A)` matrix.
 
-    A target coinciding with a seen location returns that location's mean.
-    Entries that land below detect_floor snap to 0.
+    The location means are computed once. A target coinciding with a seen
+    location gets that location's mean. Entries that land below detect_floor
+    snap to 0.
     """
-    return interpolate_locations(seen_data, [target], k)[0]
-
-
-def interpolate_locations(
-    seen_data: FingerprintDataset, targets, k: int = 3
-) -> list[Fingerprint]:
-    """`knn_spatial_interpolate` at every target, computing the location means once."""
     locs = seen_data.locations
     if len(locs) < k:
         raise SizeError(f"need at least k={k} distinct seen locations, got {len(locs)}")
     rows = seen_data.loc_index
     sums = np.zeros((len(locs), seen_data.ap_count))
     # unbuffered, in sample order: each sum accumulates as a per-sample loop would
-    np.add.at(sums, rows, seen_data.rss_matrix())
+    np.add.at(sums, rows, seen_data.rss)
     counts = np.bincount(rows, minlength=len(locs)).astype(np.float64)
     means = sums / counts[:, None]
 
@@ -37,8 +30,8 @@ def interpolate_locations(
     means = means[order]
     xy = seen_data.location_coords()[order]
     floor = seen_data.norm_params.detect_floor
-    out = []
-    for target in targets:
+    out = np.empty((len(targets), seen_data.ap_count))
+    for i, target in enumerate(targets):
         # the same float operations as Coordinate.distance_to
         dx = xy[:, 0] - target.x
         dy = xy[:, 1] - target.y
@@ -49,6 +42,5 @@ def interpolate_locations(
         else:
             w = 1.0 / d[nearest]
             blended = (w[:, None] * means[nearest]).sum(axis=0) / w.sum()
-        rss = np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))
-        out.append(Fingerprint(rss, target))
+        out[i] = np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))
     return out

@@ -7,7 +7,7 @@ integer tuples (network widths) and the literal `auto` for sigma_w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .dataset import NormalizationParams
@@ -89,84 +89,68 @@ class ExperimentConfig:
             raise ConfigError(f"unknown localizer.variant {self.localizer_variant!r}")
         if self.minutes_per_location <= 0:
             raise ConfigError("overhead.minutes_per_location must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
-# Flat-key schema: key -> (parser, target path)
+# Flat-key schema: key -> (parser, target path), derived from the dataclasses.
+# A key is its field path ("diffusion.T") unless renamed here. The nested
+# `seed` fields are not keys: `stage_seed` sets them from the top-level seed.
 
-
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_str(s: str) -> str:
-    return s
-
-
-def _parse_int_tuple(s: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in s.split(",") if p.strip())
-
-
-def _parse_sigma_w(s: str):
-    return None if s == "auto" else float(s)
-
-
-_SCHEMA: dict[str, tuple] = {
-    "data.source": (_parse_str, "source"),
-    "data.file.path": (_parse_str, "file_path"),
-    "data.file.test_fraction": (_parse_float, "file_test_fraction"),
-    "norm.rss_min": (_parse_float, "norm.rss_min"),
-    "norm.rss_max": (_parse_float, "norm.rss_max"),
-    "norm.sentinel": (_parse_float, "norm.sentinel_raw"),
-    "norm.detect_floor": (_parse_float, "norm.detect_floor"),
-    "synth.grid_nx": (_parse_int, "synth.grid_nx"),
-    "synth.grid_ny": (_parse_int, "synth.grid_ny"),
-    "synth.width_m": (_parse_float, "synth.width_m"),
-    "synth.height_m": (_parse_float, "synth.height_m"),
-    "synth.ap_count": (_parse_int, "synth.ap_count"),
-    "synth.tx_power_dbm": (_parse_float, "synth.tx_power_dbm"),
-    "synth.path_loss_exponent": (_parse_float, "synth.path_loss_exponent"),
-    "synth.shadowing_sigma_db": (_parse_float, "synth.shadowing_sigma_db"),
-    "synth.reference_distance_m": (_parse_float, "synth.reference_distance_m"),
-    "synth.detection_threshold_dbm": (_parse_float, "synth.detection_threshold_dbm"),
-    "synth.samples_per_location": (_parse_int, "synth.samples_per_location"),
-    "synth.test_samples_per_location": (_parse_int, "synth.test_samples_per_location"),
-    "split.strategy": (_parse_str, "split_strategy"),
-    "split.unseen_fraction": (_parse_float, "unseen_fraction"),
-    "split.k_neighbors": (_parse_int, "density.k_neighbors"),
-    "split.batch_per_iteration": (_parse_int, "density.batch_per_iteration"),
-    "augment.noise_sigma": (_parse_float, "augment.noise_sigma"),
-    "augment.drop_threshold": (_parse_float, "augment.drop_threshold"),
-    "augment.replicas_per_sample": (_parse_int, "augment.replicas_per_sample"),
-    "augmenter.kind": (_parse_str, "augmenter"),
-    "augmenter.samples_per_unseen": (_parse_int, "samples_per_unseen"),
-    "augmenter.interpolator_k": (_parse_int, "interpolator_k"),
-    "diffusion.T": (_parse_int, "diffusion.T"),
-    "diffusion.beta_start": (_parse_float, "diffusion.beta_start"),
-    "diffusion.beta_end": (_parse_float, "diffusion.beta_end"),
-    "diffusion.learning_rate": (_parse_float, "diffusion.learning_rate"),
-    "diffusion.lr_decay": (_parse_float, "diffusion.lr_decay"),
-    "diffusion.batch_size": (_parse_int, "diffusion.batch_size"),
-    "diffusion.epochs": (_parse_int, "diffusion.epochs"),
-    "diffusion.sigma_w": (_parse_sigma_w, "diffusion.sigma_w"),
-    "diffusion.kernel": (_parse_str, "diffusion.kernel"),
-    "diffusion.hidden": (_parse_int_tuple, "diffusion.hidden"),
-    "diffusion.activation": (_parse_str, "diffusion.activation"),
-    "diffusion.cond_freqs": (_parse_int, "diffusion.cond_freqs"),
-    "diffusion.time_dim": (_parse_int, "diffusion.time_dim"),
-    "localizer.variant": (_parse_str, "localizer_variant"),
-    "localizer.k": (_parse_int, "localizer.k"),
-    "localizer.hidden": (_parse_int_tuple, "localizer.hidden"),
-    "localizer.learning_rate": (_parse_float, "localizer.learning_rate"),
-    "localizer.epochs": (_parse_int, "localizer.epochs"),
-    "localizer.batch_size": (_parse_int, "localizer.batch_size"),
-    "overhead.minutes_per_location": (_parse_float, "minutes_per_location"),
-    "seed": (_parse_int, "seed"),
+_RENAMED = {
+    "data.source": "source",
+    "data.file.path": "file_path",
+    "data.file.test_fraction": "file_test_fraction",
+    "norm.sentinel": "norm.sentinel_raw",
+    "split.strategy": "split_strategy",
+    "split.unseen_fraction": "unseen_fraction",
+    "split.k_neighbors": "density.k_neighbors",
+    "split.batch_per_iteration": "density.batch_per_iteration",
+    "augmenter.kind": "augmenter",
+    "augmenter.samples_per_unseen": "samples_per_unseen",
+    "augmenter.interpolator_k": "interpolator_k",
+    "localizer.variant": "localizer_variant",
+    "overhead.minutes_per_location": "minutes_per_location",
 }
+
+# Parsers of the fields whose default (None) does not name a type.
+_NONE_DEFAULT_PARSERS = {
+    "file_path": str,
+    "diffusion.sigma_w": lambda s: None if s == "auto" else float(s),
+}
+
+# Nested sections in field order, each with its dataclass.
+_SECTIONS = {
+    f.name: f.default_factory for f in fields(ExperimentConfig) if f.default_factory is not MISSING
+}
+
+
+def _parser_for(default):
+    """int, float or str by the default's type; a tuple default is a comma-separated int tuple."""
+    if isinstance(default, tuple):
+        return lambda s: tuple(int(p) for p in s.split(",") if p.strip())
+    return type(default)
+
+
+def _derive_schema() -> dict[str, tuple]:
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.name not in _SECTIONS}
+    for section, cls in _SECTIONS.items():
+        instance = cls()
+        for f in fields(cls):
+            if f.name != "seed":
+                defaults[f"{section}.{f.name}"] = getattr(instance, f.name)
+    key_of = {target: key for key, target in _RENAMED.items()}
+    return {
+        key_of.get(target, target): (
+            _NONE_DEFAULT_PARSERS[target] if default is None else _parser_for(default),
+            target,
+        )
+        for target, default in defaults.items()
+    }
+
+
+_SCHEMA = _derive_schema()
 
 
 def parse_flat_config(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -199,28 +183,20 @@ def build_experiment_config(flat: dict[str, str]) -> ExperimentConfig:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
     top: dict = {}
-    nested: dict[str, dict] = {"norm": {}, "synth": {}, "augment": {}, "diffusion": {}, "localizer": {}, "density": {}}
+    nested: dict[str, dict] = {}
     for key, raw in flat.items():
         parser, target = _SCHEMA[key]
         try:
             value = parser(raw)
         except ValueError as e:
             raise ConfigError(f"config key {key!r}: bad value {raw!r} ({e})") from e
-        if "." in target:
-            section, attr = target.split(".", 1)
-            nested[section][attr] = value
+        section, _, attr = target.rpartition(".")
+        if section:
+            nested.setdefault(section, {})[attr] = value
         else:
             top[target] = value
-    cfg = ExperimentConfig(
-        norm=NormalizationParams(**nested["norm"]),
-        synth=SyntheticSpec(**nested["synth"]),
-        density=DensityParams(**nested["density"]),
-        augment=AugmentationConfig(**nested["augment"]),
-        diffusion=DiffusionTrainConfig(**nested["diffusion"]),
-        localizer=LocalizerHyperparams(**nested["localizer"]),
-        **top,
-    )
-    return cfg
+    sections = {name: cls(**nested.get(name, {})) for name, cls in _SECTIONS.items()}
+    return ExperimentConfig(**sections, **top)
 
 
 def apply_overrides(flat: dict[str, str], overrides) -> dict[str, str]:

@@ -213,25 +213,12 @@ class FingerprintDataset:
             for row, j, c in zip(self.rss, self.loc_index.tolist(), self.collector_ids)
         )
 
-    def rss_matrix(self) -> np.ndarray:
-        """All sample RSS vectors as the read-only (N, A) matrix."""
-        return self.rss
-
     def coords_matrix(self) -> np.ndarray:
         """Per-sample (x, y) positions as an (N, 2) array."""
         return self.location_coords()[self.loc_index]
 
     def location_coords(self) -> np.ndarray:
         return np.array([[c.x, c.y] for c in self.locations], dtype=np.float64).reshape(-1, 2)
-
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        xy = self.location_coords()
-        return (
-            float(xy[:, 0].min()),
-            float(xy[:, 1].min()),
-            float(xy[:, 0].max()),
-            float(xy[:, 1].max()),
-        )
 
     def take(self, rows) -> "FingerprintDataset":
         """The samples at integer positions `rows`, in that order, with their

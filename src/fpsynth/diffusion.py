@@ -12,7 +12,8 @@ The double sum over pairs is estimated by importance sampling: for each seen
 sample in a minibatch one unseen condition is drawn with probability
 proportional to its kernel weight, and the pair's loss term is scaled by the
 sample's total kernel mass, keeping the estimator's expectation proportional
-to the full sum. An exact pair enumeration is kept as a slow reference mode.
+to the full sum. `spatial_loss` scores any explicit batch of pairs, so the
+tests check it against an exact enumeration of every pair.
 """
 
 from __future__ import annotations
@@ -118,10 +119,6 @@ class VicinityKernel:
         return np.where(d <= self.sigma_w, 1.0, 0.0)
 
 
-def vicinity_weight(unseen: Coordinate, seen: Coordinate, kernel: VicinityKernel) -> float:
-    return float(kernel.weight(unseen.distance_to(seen)))
-
-
 def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dx = a[:, 0] - b[:, 0]
     dy = a[:, 1] - b[:, 1]
@@ -174,33 +171,12 @@ def embed_time_table(T: int, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def embed_time(t: int, T: int, dim: int = 16) -> np.ndarray:
-    _check_step(t, T)
-    return embed_time_table(T, dim)[t - 1]
-
-
 # ---------------------------------------------------------------------------
-# Denoiser forward and the vicinity-weighted loss
+# The vicinity-weighted loss
 
 
 def _assemble_input(mt: np.ndarray, cond: np.ndarray, temb: np.ndarray) -> np.ndarray:
     return np.concatenate([mt, cond, temb], axis=1)
-
-
-def denoiser_forward(
-    net: DenoiserNetwork, t: int, cond: np.ndarray, mt: np.ndarray, schedule: NoiseSchedule
-) -> np.ndarray:
-    """Predict the clean fingerprint from one noisy vector at step t."""
-    _check_step(t, schedule.T)
-    cond = np.asarray(cond, dtype=np.float64)
-    mt = np.asarray(mt, dtype=np.float64)
-    if cond.shape != (net.arch.cond_dim,):
-        raise ShapeError(f"condition must have shape ({net.arch.cond_dim},), got {cond.shape}")
-    if mt.shape != (net.arch.ap_count,):
-        raise ShapeError(f"mt must have shape ({net.arch.ap_count},), got {mt.shape}")
-    temb = embed_time(t, schedule.T, net.arch.time_dim)
-    x = _assemble_input(mt[None, :], cond[None, :], temb[None, :])
-    return net.forward(x)[0]
 
 
 @dataclass(frozen=True)
@@ -266,31 +242,6 @@ def spatial_loss_and_grad(net, batch: LossBatch, kernel: VicinityKernel, schedul
     """Loss plus its analytic gradient w.r.t. the flat parameter vector."""
     x, w = _loss_terms(net, batch, kernel, schedule)
     return _weighted_loss_and_grad(net, x, batch.m0, w)
-
-
-def pair_batch(
-    seen_m0: np.ndarray,
-    seen_locs: np.ndarray,
-    unseen_locs: np.ndarray,
-    t: np.ndarray,
-    eps: np.ndarray,
-) -> LossBatch:
-    """Materialize every (unseen, seen) pair for the exact-sum reference mode.
-
-    `t` and `eps` are per seen sample and are repeated across conditions, so
-    the pair (i, j) reuses sample j's noise draw.
-    """
-    seen_m0 = np.asarray(seen_m0, dtype=np.float64)
-    seen_locs = np.asarray(seen_locs, dtype=np.float64)
-    unseen_locs = np.asarray(unseen_locs, dtype=np.float64).reshape(-1, 2)
-    n, u = seen_m0.shape[0], unseen_locs.shape[0]
-    return LossBatch(
-        m0=np.tile(seen_m0, (u, 1)),
-        seen_locs=np.tile(seen_locs, (u, 1)),
-        cond_locs=np.repeat(unseen_locs, n, axis=0),
-        t=np.tile(np.asarray(t, dtype=np.int64), u),
-        eps=np.tile(np.asarray(eps, dtype=np.float64), (u, 1)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +367,7 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
         raise ConsistencyError(f"training sample at {location} is not at a seen location")
 
     schedule = build_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
-    m0 = data.rss_matrix()
+    m0 = data.rss
     sample_locs = data.coords_matrix()
     unseen_xy = split.unseen_coords()
     n, a = m0.shape

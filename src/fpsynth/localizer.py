@@ -158,14 +158,14 @@ def fit_localizer(
     if variant == "knn":
         if hyperparams.k > len(train):
             raise ConfigError(f"k={hyperparams.k} exceeds training size {len(train)}")
-        return KnnLocalizer(train.rss_matrix(), train.coords_matrix(), hyperparams.k)
+        return KnnLocalizer(train.rss, train.coords_matrix(), hyperparams.k)
     if variant == "feedforward":
         return _fit_feedforward(train, hyperparams, seed)
     raise ConfigError(f"unknown localizer variant {variant!r}")
 
 
 def _fit_feedforward(train, hp: LocalizerHyperparams, seed) -> FeedforwardLocalizer:
-    x = train.rss_matrix()
+    x = train.rss
     y = train.coords_matrix()
     n, a = x.shape
     rng = np.random.default_rng(seed)
@@ -198,7 +198,7 @@ def evaluate(model: LocalizationModel, test: FingerprintDataset) -> Localization
     """Per-sample Euclidean error in meters with mean, median and empirical CDF."""
     if len(test) == 0:
         raise SizeError("test dataset is empty")
-    preds = model.predict_batch(test.rss_matrix())
+    preds = model.predict_batch(test.rss)
     pred_xy = np.array([(p.x, p.y) for p in preds], dtype=np.float64).reshape(-1, 2)
     true_xy = test.coords_matrix()
     # the float operations of Coordinate.distance_to
@@ -229,19 +229,23 @@ def save_report(report: LocalizationReport, path) -> None:
 
 
 def load_report(path) -> LocalizationReport:
+    """Read a report written by `save_report`; a malformed row raises ParseError naming its line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < 3 or lines[0] != "mean_error_m,median_error_m":
         raise ParseError(f"{path}: not a localization report")
-    mean_s, median_s = lines[1].split(",")
-    cdf = []
-    for line in lines[3:]:
-        if not line.strip():
-            continue
-        e, f = line.split(",")
-        cdf.append((float(e), float(f)))
+
+    def pair(lineno: int) -> tuple[float, float]:
+        line = lines[lineno - 1]
+        try:
+            a, b = (float(v) for v in line.split(","))
+        except ValueError as e:
+            raise ParseError(f"{path}: line {lineno}: expected two numbers, got {line!r}") from e
+        return a, b
+
+    mean, median = pair(2)
     return LocalizationReport(
-        mean_error_m=float(mean_s),
-        median_error_m=float(median_s),
-        error_cdf=tuple(cdf),
+        mean_error_m=mean,
+        median_error_m=median,
+        error_cdf=tuple(pair(i) for i in range(4, len(lines) + 1) if lines[i - 1].strip()),
         per_sample_errors=(),
     )

@@ -155,10 +155,9 @@ def compute_split(cfg: ExperimentConfig, locations) -> LocationSplit:
 
 
 def _interpolated_map(aug, split, cfg) -> FingerprintDataset:
-    targets = interpolate_locations(aug, split.unseen, cfg.interpolator_k)
     n = cfg.samples_per_unseen
-    rss = np.repeat(np.stack([fp.rss for fp in targets]), n, axis=0)
-    index = np.repeat(np.arange(len(targets)), n)
+    rss = np.repeat(interpolate_locations(aug, split.unseen, cfg.interpolator_k), n, axis=0)
+    index = np.repeat(np.arange(len(split.unseen)), n)
     return FingerprintDataset(rss, index, tuple(split.unseen), aug.norm_params)
 
 

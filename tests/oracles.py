@@ -2,13 +2,16 @@
 
 The brute-force split oracles are deliberately written in plain Python (no
 numpy) with a different code structure from the library. The numpy kernels
-at the end are the straightforward forms of the library's optimized kernels,
-which must reproduce them bit for bit.
+after them are the straightforward forms of the library's optimized kernels,
+which must reproduce them bit for bit. `pair_batch` enumerates the exact
+double sum that training estimates by importance sampling.
 """
 
 import math
 
 import numpy as np
+
+from fpsynth.diffusion import LossBatch
 
 
 def brute_knn_densities(points, k):
@@ -249,3 +252,28 @@ def augment_replicas(rss, seed, replicas, sigma, threshold, detect_floor):
             noisy = np.where(row > 0.0, noisy, 0.0)
             out.append(np.where((noisy > 0.0) & (noisy < threshold), 0.0, noisy))
     return np.array(out).reshape(-1, rss.shape[1])
+
+
+def pair_batch(
+    seen_m0: np.ndarray,
+    seen_locs: np.ndarray,
+    unseen_locs: np.ndarray,
+    t: np.ndarray,
+    eps: np.ndarray,
+) -> LossBatch:
+    """Materialize every (unseen, seen) pair of the exact double sum as one batch.
+
+    `t` and `eps` are per seen sample and are repeated across conditions, so
+    the pair (i, j) reuses sample j's noise draw.
+    """
+    seen_m0 = np.asarray(seen_m0, dtype=np.float64)
+    seen_locs = np.asarray(seen_locs, dtype=np.float64)
+    unseen_locs = np.asarray(unseen_locs, dtype=np.float64).reshape(-1, 2)
+    n, u = seen_m0.shape[0], unseen_locs.shape[0]
+    return LossBatch(
+        m0=np.tile(seen_m0, (u, 1)),
+        seen_locs=np.tile(seen_locs, (u, 1)),
+        cond_locs=np.repeat(unseen_locs, n, axis=0),
+        t=np.tile(np.asarray(t, dtype=np.int64), u),
+        eps=np.tile(np.asarray(eps, dtype=np.float64), (u, 1)),
+    )

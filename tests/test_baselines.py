@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpsynth.baselines import interpolate_locations, knn_spatial_interpolate
+from fpsynth.baselines import interpolate_locations
 from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
 from fpsynth.errors import SizeError
 from oracles import spatial_interpolate
@@ -18,14 +18,13 @@ def seen_ds(entries, ap_count=1):
 class TestInterpolator:
     def test_coinciding_target_returns_location_mean(self):
         ds = seen_ds([([0.2], (0.0, 0.0)), ([0.4], (0.0, 0.0)), ([0.9], (4.0, 0.0))])
-        fp = knn_spatial_interpolate(ds, Coordinate(0.0, 0.0), k=2)
-        assert fp.rss[0] == pytest.approx(0.3)
+        rss = interpolate_locations(ds, [Coordinate(0.0, 0.0)], k=2)[0]
+        assert rss[0] == pytest.approx(0.3)
 
     def test_symmetric_idw(self):
         ds = seen_ds([([0.2], (0.0, 0.0)), ([0.6], (2.0, 0.0))])
-        fp = knn_spatial_interpolate(ds, Coordinate(1.0, 0.0), k=2)
-        assert fp.rss[0] == pytest.approx(0.4)
-        assert fp.location == Coordinate(1.0, 0.0)
+        rss = interpolate_locations(ds, [Coordinate(1.0, 0.0)], k=2)[0]
+        assert rss[0] == pytest.approx(0.4)
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(0)
@@ -34,32 +33,27 @@ class TestInterpolator:
             for i in range(9)
         ]
         ds = seen_ds(entries, ap_count=3)
-        for _ in range(20):
-            target = Coordinate(*(rng.random(2) * 2))
-            fp = knn_spatial_interpolate(ds, target, k=3)
-            mat = ds.rss_matrix()
-            assert np.all(fp.rss <= mat.max(axis=0) + 1e-12)
-            # entries below the floor snap to zero, otherwise convexity holds
-            ok = (fp.rss == 0.0) | (fp.rss >= mat.min(axis=0) - 1e-12)
-            assert np.all(ok)
+        targets = [Coordinate(*(rng.random(2) * 2)) for _ in range(20)]
+        out = interpolate_locations(ds, targets, k=3)
+        mat = ds.rss
+        assert np.all(out <= mat.max(axis=0) + 1e-12)
+        # entries below the floor snap to zero, otherwise convexity holds
+        assert np.all((out == 0.0) | (out >= mat.min(axis=0) - 1e-12))
 
     def test_single_location_everywhere(self):
         ds = seen_ds([([0.5], (0.0, 0.0)), ([0.7], (0.0, 0.0))])
-        for target in (Coordinate(10.0, 3.0), Coordinate(-5.0, 2.0)):
-            fp = knn_spatial_interpolate(ds, target, k=1)
-            assert fp.rss[0] == pytest.approx(0.6)
+        out = interpolate_locations(ds, [Coordinate(10.0, 3.0), Coordinate(-5.0, 2.0)], k=1)
+        assert out[:, 0] == pytest.approx([0.6, 0.6])
 
     def test_weak_blend_snaps_to_zero(self):
         # blending 0 (absent) with a weak detection can fall under the floor
         ds = seen_ds([([0.0], (0.0, 0.0)), ([0.12], (2.0, 0.0))])
-        fp = knn_spatial_interpolate(ds, Coordinate(1.0, 0.0), k=2)
-        assert fp.rss[0] == 0.0
+        assert interpolate_locations(ds, [Coordinate(1.0, 0.0)], k=2)[0, 0] == 0.0
 
     def test_too_few_locations(self):
         ds = seen_ds([([0.5], (0.0, 0.0))])
         with pytest.raises(SizeError):
-            knn_spatial_interpolate(ds, Coordinate(1.0, 1.0), k=2)
-
+            interpolate_locations(ds, [Coordinate(1.0, 1.0)], k=2)
 
 
 class TestInterpolateLocations:
@@ -76,7 +70,8 @@ class TestInterpolateLocations:
         targets = [Coordinate(*(rng.random(2) * 3)) for _ in range(15)]
         targets += [Coordinate(2.0, 1.0), Coordinate(0.0, 0.0)]
         got = interpolate_locations(ds, targets, k=3)
-        assert [fp.location for fp in got] == targets
-        for fp, target in zip(got, targets):
-            assert np.array_equal(fp.rss, spatial_interpolate(ds, target, 3))
-            assert np.array_equal(fp.rss, knn_spatial_interpolate(ds, target, 3).rss)
+        assert got.shape == (len(targets), 5)
+        for row, target in zip(got, targets):
+            assert np.array_equal(row, spatial_interpolate(ds, target, 3))
+            # a target's row does not depend on the other targets in the call
+            assert np.array_equal(row, interpolate_locations(ds, [target], 3)[0])

@@ -118,6 +118,47 @@ class TestFailureModes:
         assert "error [generate]" in capsys.readouterr().err
         assert not (tmp_path / "gen.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--data", "-c", "--split", "--model", "data.file.path"])
+    def test_missing_input_file_is_an_error_not_a_traceback(
+        self, flag, tiny_config_file, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "missing.file")
+        c, out = tiny_config_file, str(tmp_path / "out")
+        argv = {
+            "--data": ["split", "-c", c, "--data", missing, "-o", out],
+            "-c": ["split", "-c", missing, "-o", out],
+            "--split": ["augment", "-c", c, "--split", missing, "-o", out],
+            "--model": ["generate", "-c", c, "--model", missing, "--split", missing, "-o", out],
+            "data.file.path": ["split", "-c", c, "--set", "data.source=file",
+                               "--set", f"data.file.path={missing}", "-o", out],
+        }[flag]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{argv[0]}]")
+        assert "missing.file" in err
+
+    @pytest.mark.parametrize("which", ["dataset", "config"])
+    def test_non_utf8_input_is_an_error_not_a_traceback(
+        self, which, tiny_config_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.file"
+        bad.write_bytes(b"seed = 1\n\xff\xfe\n")
+        c = str(bad) if which == "config" else tiny_config_file
+        argv = ["split", "-c", c, "-o", str(tmp_path / "out")]
+        if which == "dataset":
+            argv += ["--data", str(bad)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error [split]")
+
+    def test_output_in_missing_directory_is_an_error_not_a_traceback(
+        self, tiny_config_file, tmp_path, capsys
+    ):
+        out = tmp_path / "no_such_dir" / "data.csv"
+        assert main(["synth-env", "-c", tiny_config_file, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [synth-env]")
+        assert "no_such_dir" in err
+
 
 class TestSeedFlag:
     def test_seed_changes_stochastic_outputs(self, tiny_config_file, tmp_path):
@@ -125,6 +166,15 @@ class TestSeedFlag:
         run_ok(["synth-env", "-c", tiny_config_file, "-o", str(a)])
         run_ok(["synth-env", "-c", tiny_config_file, "-o", str(b), "--seed", "99"])
         assert a.read_text() != b.read_text()
+
+    @pytest.mark.parametrize("how", [["--seed", "-1"], ["--set", "seed=-1"]], ids=["flag", "set"])
+    def test_negative_seed_is_a_config_error(self, how, tiny_config_file, tmp_path, capsys):
+        argv = ["synth-env", "-c", tiny_config_file, "-o", str(tmp_path / "a.csv"), *how]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [synth-env]")
+        assert "seed" in err
+        assert not (tmp_path / "a.csv").exists()
 
 
 class TestDeterminism:

@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from fpsynth.config import (
+    _SCHEMA,
     apply_overrides,
     build_experiment_config,
     parse_flat_config,
@@ -66,6 +70,15 @@ class TestSchema:
             build_experiment_config({"split.unseen_fraction": "1.0"})
         with pytest.raises(ConfigError):
             build_experiment_config({"localizer.variant": "oracle"})
+
+
+    def test_shipped_default_cfg_names_every_key(self):
+        # the keys are derived from the dataclasses; configs/default.cfg lists
+        # each once, the optional data.file.* keys as commented-out lines
+        text = (Path(__file__).parent.parent / "configs" / "default.cfg").read_text()
+        keys = re.findall(r"^#?\s*([a-z][\w.]*)\s*=", text, flags=re.MULTILINE)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(_SCHEMA)
 
 
 class TestOverrides:

@@ -136,13 +136,13 @@ class TestSynthetic:
         grid = [Coordinate(float(i), 0.0) for i in range(4)]
         a = generate_synthetic(env, grid, 3, seed=42, params=params)
         b = generate_synthetic(env, grid, 3, seed=42, params=params)
-        assert np.array_equal(a.rss_matrix(), b.rss_matrix())
+        assert np.array_equal(a.rss, b.rss)
 
     def test_zero_shadowing_monotone_in_distance(self, params):
         env = self._env()
         grid = [Coordinate(float(d), 0.0) for d in (1, 2, 5, 10, 20, 40)]
         ds = generate_synthetic(env, grid, 1, seed=0, params=params)
-        vals = ds.rss_matrix()[:, 0]
+        vals = ds.rss[:, 0]
         detected = vals[vals > 0]
         assert all(a >= b for a, b in zip(detected, detected[1:]))
 
@@ -165,7 +165,7 @@ class TestFileRoundTrip:
         loaded = load_dataset(path, params)
         assert loaded.ap_count == tiny_dataset.ap_count
         assert loaded.locations == tiny_dataset.locations
-        assert np.allclose(loaded.rss_matrix(), tiny_dataset.rss_matrix(), atol=1e-6)
+        assert np.allclose(loaded.rss, tiny_dataset.rss, atol=1e-6)
         assert np.array_equal(loaded.coords_matrix(), tiny_dataset.coords_matrix())
 
     def test_collector_column_round_trip(self, params, tmp_path):
@@ -330,8 +330,8 @@ def _load_both(text):
 
 def _assert_same_dataset(ds, oracle):
     rss, sample_locations, locations, collectors = oracle
-    assert ds.rss_matrix().shape == rss.shape
-    assert ds.rss_matrix().tobytes() == rss.tobytes()
+    assert ds.rss.shape == rss.shape
+    assert ds.rss.tobytes() == rss.tobytes()
     # the first coordinate seen stands for its location, sign of zero included
     assert [(repr(c.x), repr(c.y)) for c in ds.locations] == [
         (repr(c.x), repr(c.y)) for c in locations
@@ -469,7 +469,7 @@ class TestColumnarOperations:
         merged = merge_datasets(a, b)
         assert [(repr(c.x), c.y) for c in merged.locations] == [("-0.0", 1.0), ("2.0", 2.0)]
         assert merged.loc_index.tolist() == [0, 1, 0]
-        assert merged.rss_matrix()[:, 0].tolist() == [0.5, 0.6, 0.7]
+        assert merged.rss[:, 0].tolist() == [0.5, 0.6, 0.7]
 
     def test_take_renumbers_locations_by_first_appearance(self, tiny_dataset):
         rows = [7, 0, 6, 1]
@@ -477,11 +477,11 @@ class TestColumnarOperations:
         expected = [tiny_dataset.samples[i] for i in rows]
         assert sub.locations == (expected[0].location, expected[1].location)
         assert [s.location for s in sub.samples] == [s.location for s in expected]
-        assert np.array_equal(sub.rss_matrix(), np.stack([s.rss for s in expected]))
+        assert np.array_equal(sub.rss, np.stack([s.rss for s in expected]))
 
     def test_matrix_is_read_only(self, tiny_dataset):
         with pytest.raises(ValueError):
-            tiny_dataset.rss_matrix()[0, 0] = 0.5
+            tiny_dataset.rss[0, 0] = 0.5
 
     def test_caller_arrays_are_frozen(self, params):
         rss = np.full((3, 2), 0.5)

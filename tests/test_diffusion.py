@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,17 +12,15 @@ from fpsynth.diffusion import (
     VicinityKernel,
     _weighted_loss_and_grad,
     build_schedule,
-    denoiser_forward,
     embed_condition,
-    embed_time,
+    embed_time_table,
     forward_diffuse,
-    pair_batch,
     spatial_loss,
     spatial_loss_and_grad,
-    vicinity_weight,
 )
 from fpsynth.errors import ConfigError, RangeError, ShapeError
 from fpsynth.nets import DenoiserArch, DenoiserNetwork
+from oracles import pair_batch
 
 
 class TestSchedule:
@@ -93,18 +92,18 @@ class TestVicinityKernel:
     def test_zero_distance_gives_one(self):
         k = VicinityKernel(2.0)
         c = Coordinate(1.0, 1.0)
-        assert vicinity_weight(c, c, k) == 1.0
+        assert k.weight(c.distance_to(c)) == 1.0
 
     def test_gaussian_at_sigma(self):
         k = VicinityKernel(3.0)
-        assert vicinity_weight(Coordinate(0, 0), Coordinate(3.0, 0.0), k) == pytest.approx(
+        assert k.weight(Coordinate(0, 0).distance_to(Coordinate(3.0, 0.0))) == pytest.approx(
             math.exp(-0.5)
         )
 
     def test_hard_threshold(self):
         k = VicinityKernel(2.0, form="hard")
-        assert vicinity_weight(Coordinate(0, 0), Coordinate(2.0, 0.0), k) == 1.0
-        assert vicinity_weight(Coordinate(0, 0), Coordinate(2.02, 0.0), k) == 0.0
+        assert k.weight(Coordinate(0, 0).distance_to(Coordinate(2.0, 0.0))) == 1.0
+        assert k.weight(Coordinate(0, 0).distance_to(Coordinate(2.02, 0.0))) == 0.0
 
     @given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.5, max_value=10.0))
     def test_gaussian_non_increasing(self, d, sigma):
@@ -150,26 +149,36 @@ class TestEmbeddings:
 
     def test_time_deterministic_and_distinct(self):
         T = 100
-        embs = [tuple(embed_time(t, T, dim=8)) for t in range(1, T + 1)]
-        assert len(set(embs)) == T
-        assert embs[4] == tuple(embed_time(5, T, dim=8))
+        table = embed_time_table(T, 8)
+        assert table.shape == (T, 8)
+        assert len({tuple(row) for row in table}) == T
+        assert np.array_equal(table, embed_time_table(T, 8))
 
     def test_time_range(self):
-        for t in (1, 37, 200):
-            e = embed_time(t, 200, dim=16)
-            assert np.all((e >= -1.0) & (e <= 1.0))
+        table = embed_time_table(200, 16)
+        assert np.all((table >= -1.0) & (table <= 1.0))
 
     def test_time_out_of_range(self):
-        with pytest.raises(RangeError):
-            embed_time(0, 10)
-        with pytest.raises(RangeError):
-            embed_time(11, 10)
+        # a step outside [1, T] is rejected before it can index the time table
+        arch = small_arch()
+        net = DenoiserNetwork.zeros(arch)
+        s = build_schedule(10, 1e-3, 0.05)
+        batch = random_batch(np.random.default_rng(0), arch, s.T, b=2)
+        for t in (0, 11):
+            with pytest.raises(RangeError):
+                spatial_loss(net, replace(batch, t=np.array([1, t])), VicinityKernel(1.0), s)
 
 
 def small_arch(**kw):
     defaults = dict(ap_count=6, cond_freqs=1, time_dim=4, hidden=(8, 4, 8), bounds=(0, 0, 10, 10))
     defaults.update(kw)
     return DenoiserArch(**defaults)
+
+
+def denoiser_input(arch, schedule, t, cond, mt):
+    """One assembled (noisy fingerprint, condition, time embedding) input row."""
+    temb = embed_time_table(schedule.T, arch.time_dim)[t - 1]
+    return np.concatenate([mt, cond, temb])[None, :]
 
 
 def random_batch(rng, arch, T, b=5):
@@ -188,28 +197,29 @@ class TestDenoiserForward:
         net = DenoiserNetwork.zeros(arch)
         s = build_schedule(20, 1e-3, 0.05)
         cond = embed_condition(Coordinate(2.0, 3.0), arch.bounds, arch.cond_freqs)
-        out = denoiser_forward(net, 3, cond, np.ones(6), s)
-        assert np.array_equal(out, np.zeros(6))
+        out = net.forward(denoiser_input(arch, s, 3, cond, np.ones(6)))
+        assert np.array_equal(out, np.zeros((1, 6)))
 
     def test_deterministic_and_shape(self):
         arch = small_arch()
         net = DenoiserNetwork.create(arch, seed=0)
         s = build_schedule(20, 1e-3, 0.05)
         cond = embed_condition(Coordinate(2.0, 3.0), arch.bounds, arch.cond_freqs)
-        a = denoiser_forward(net, 5, cond, np.full(6, 0.4), s)
-        b = denoiser_forward(net, 5, cond, np.full(6, 0.4), s)
+        a = net.forward(denoiser_input(arch, s, 5, cond, np.full(6, 0.4)))
+        b = net.forward(denoiser_input(arch, s, 5, cond, np.full(6, 0.4)))
         assert np.array_equal(a, b)
-        assert a.shape == (6,)
+        assert a.shape == (1, 6)
         assert np.all(np.isfinite(a))
 
     def test_shape_mismatch(self):
         arch = small_arch()
         net = DenoiserNetwork.zeros(arch)
         s = build_schedule(20, 1e-3, 0.05)
+        # a condition or fingerprint of the wrong length gives a row of the wrong width
         with pytest.raises(ShapeError):
-            denoiser_forward(net, 1, np.zeros(3), np.zeros(6), s)
+            net.forward(denoiser_input(arch, s, 1, np.zeros(3), np.zeros(6)))
         with pytest.raises(ShapeError):
-            denoiser_forward(net, 1, np.zeros(arch.cond_dim), np.zeros(5), s)
+            net.forward(denoiser_input(arch, s, 1, np.zeros(arch.cond_dim), np.zeros(5)))
 
 
 class TestSpatialLoss:
@@ -268,7 +278,7 @@ class TestSpatialLoss:
         for _ in range(20):
             unseen = Coordinate(*rng.random(2) * 10)
             seens = [Coordinate(*rng.random(2) * 10) for _ in range(6)]
-            ws = [vicinity_weight(unseen, s, kernel) for s in seens]
+            ws = [kernel.weight(unseen.distance_to(s)) for s in seens]
             ds = [unseen.distance_to(s) for s in seens]
             assert np.argmax(ws) == np.argmin(ds)
             order = np.argsort(ds)
@@ -342,7 +352,7 @@ class TestGradient:
                 np.sqrt(s.alpha_bars[batch.t - 1])[:, None] * batch.m0
                 + np.sqrt(1 - s.alpha_bars[batch.t - 1])[:, None] * batch.eps,
                 np.stack([embed_condition(Coordinate(*c), arch.bounds, 1) for c in batch.cond_locs]),
-                np.stack([embed_time(int(t), s.T, 4) for t in batch.t]),
+                embed_time_table(s.T, 4)[batch.t - 1],
             ],
             axis=1,
         )

@@ -127,7 +127,7 @@ class TestTrain:
         samples = [Fingerprint(rng.uniform(0.2, 1.0, len(CONST)), c) for c in seen for _ in range(6)]
         data = make_dataset(samples, len(CONST), NormalizationParams())
         split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 1.5)))
-        m0, locs, unseen_xy = data.rss_matrix(), data.coords_matrix(), split.unseen_coords()
+        m0, locs, unseen_xy = data.rss, data.coords_matrix(), split.unseen_coords()
         dx = unseen_xy[:, 0][None, :] - locs[:, 0][:, None]
         dy = unseen_xy[:, 1][None, :] - locs[:, 1][:, None]
         mass = VicinityKernel(1.0).weight(np.sqrt(dx * dx + dy * dy)).sum(axis=1)
@@ -241,7 +241,7 @@ class TestGenerateUnseenMap:
         res, split, p = self._trained()
         a = generate_unseen_map(res.network, split, res.schedule, 5, seed=4, norm_params=p)
         b = generate_unseen_map(res.network, split, res.schedule, 5, seed=4, norm_params=p)
-        assert np.array_equal(a.rss_matrix(), b.rss_matrix())
+        assert np.array_equal(a.rss, b.rss)
 
     def test_equals_per_location_sample_calls(self):
         # all locations are sampled in one batch, yet each one's output is
@@ -255,7 +255,7 @@ class TestGenerateUnseenMap:
             for fp in sample(res.network, loc, res.schedule, 6, child, p.detect_floor)
         ]
         assert [s.location for s in ds.samples] == [fp.location for fp in expected]
-        assert ds.rss_matrix().tobytes() == np.stack([fp.rss for fp in expected]).tobytes()
+        assert ds.rss.tobytes() == np.stack([fp.rss for fp in expected]).tobytes()
 
 
 class TestCheckpoint:

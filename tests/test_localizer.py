@@ -3,7 +3,7 @@ import pytest
 
 from fpsynth import localizer
 from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
-from fpsynth.errors import ConfigError, RangeError, ShapeError, SizeError
+from fpsynth.errors import ConfigError, ParseError, RangeError, ShapeError, SizeError
 from fpsynth.localizer import (
     KnnLocalizer,
     LocalizerHyperparams,
@@ -264,3 +264,17 @@ class TestReportFile:
         assert loaded.mean_error_m == report.mean_error_m
         assert loaded.median_error_m == report.median_error_m
         assert loaded.error_cdf == report.error_cdf
+
+    @pytest.mark.parametrize(
+        "rows, bad_line",
+        [
+            (["3.0", "error_m,cumulative_fraction"], 2),  # a summary row with one field
+            (["3.0,2.0", "error_m,cumulative_fraction", "1.0,0.5", "2.0,x"], 5),
+            (["3.0,2.0", "error_m,cumulative_fraction", "1.0,0.5,0.7"], 4),
+        ],
+    )
+    def test_malformed_row_names_line(self, tmp_path, rows, bad_line):
+        path = tmp_path / "report.csv"
+        path.write_text("\n".join(["mean_error_m,median_error_m", *rows]) + "\n")
+        with pytest.raises(ParseError, match=f"line {bad_line}:"):
+            load_report(path)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fpsynth.baselines import knn_spatial_interpolate
+from fpsynth.baselines import interpolate_locations
 from fpsynth.config import ExperimentConfig, SyntheticSpec
 from fpsynth.dataset import save_dataset
 from fpsynth.diffusion import DiffusionTrainConfig
@@ -89,7 +89,7 @@ class TestBuildData:
         cfg = tiny_cfg()
         train_pool, test_set = build_data(cfg)
         assert not np.array_equal(
-            train_pool.rss_matrix()[: len(test_set)], test_set.rss_matrix()
+            train_pool.rss[: len(test_set)], test_set.rss
         )
 
     def test_file_holdout(self, tmp_path, tiny_dataset):
@@ -136,13 +136,13 @@ class TestRunExperiment:
         seen = train_pool.subset_at(split.seen)
         got = _interpolated_map(seen, split, cfg)
         expected = [
-            knn_spatial_interpolate(seen, loc, cfg.interpolator_k)
+            (interpolate_locations(seen, [loc], cfg.interpolator_k)[0], loc)
             for loc in split.unseen
             for _ in range(3)
         ]
         assert got.locations == split.unseen
-        assert [fp.location for fp in got.samples] == [fp.location for fp in expected]
-        assert np.array_equal(got.rss_matrix(), np.stack([fp.rss for fp in expected]))
+        assert [fp.location for fp in got.samples] == [loc for _, loc in expected]
+        assert np.array_equal(got.rss, np.stack([rss for rss, _ in expected]))
 
     def test_feedforward_variant_runs(self):
         cfg = tiny_cfg(

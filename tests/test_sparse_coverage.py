@@ -23,7 +23,7 @@ def sparse_config_file(tmp_path):
 
 
 def _in_codomain(ds) -> bool:
-    v = ds.rss_matrix()
+    v = ds.rss
     f = ds.norm_params.detect_floor
     return bool(np.all((v == 0.0) | ((v >= f) & (v <= 1.0))))
 
@@ -31,7 +31,7 @@ def _in_codomain(ds) -> bool:
 def test_detection_rate_is_partial(sparse_config_file):
     train_pool, test_set = pipeline.build_data(resolve_config(sparse_config_file))
     for ds in (train_pool, test_set):
-        rate = float(np.mean(ds.rss_matrix() > 0.0))
+        rate = float(np.mean(ds.rss > 0.0))
         assert 0.3 <= rate <= 0.8
 
 
@@ -59,14 +59,14 @@ def test_every_stage_keeps_the_codomain(sparse_config_file, monkeypatch, augment
         assert datasets[name], name
         for ds in datasets[name]:
             assert _in_codomain(ds), name
-    merged = datasets["merge_datasets"][0].rss_matrix()
+    merged = datasets["merge_datasets"][0].rss
     assert 0.0 < float(np.mean(merged > 0.0)) < 1.0
 
     # replicas follow their originals, grouped per source; none revives a zero
     (aug,) = datasets["augment_seen"]
     r = cfg.augment.replicas_per_sample
     n = len(aug) // (1 + r)
-    rss = aug.rss_matrix()
+    rss = aug.rss
     originals, replicas = rss[:n], rss[n:].reshape(n, r, -1)
     assert np.any(originals == 0.0)
     assert np.all(replicas[np.broadcast_to(originals[:, None, :] == 0.0, replicas.shape)] == 0.0)

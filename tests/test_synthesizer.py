@@ -83,7 +83,7 @@ class TestAugmentSeen:
         out = augment_seen(tiny_dataset, split, cfg)
         kept = [s for s in tiny_dataset.samples if s.location in set(split.seen)]
         assert len(out) == len(kept)
-        assert np.array_equal(out.rss_matrix(), np.stack([s.rss for s in kept]))
+        assert np.array_equal(out.rss, np.stack([s.rss for s in kept]))
 
     def test_output_size_arithmetic(self, tiny_dataset):
         split = _split_of(tiny_dataset, 2)
@@ -101,7 +101,7 @@ class TestAugmentSeen:
         cfg = AugmentationConfig(seed=99)
         a = augment_seen(tiny_dataset, split, cfg)
         b = augment_seen(tiny_dataset, split, cfg)
-        assert np.array_equal(a.rss_matrix(), b.rss_matrix())
+        assert np.array_equal(a.rss, b.rss)
 
     def test_zero_preservation_and_validity(self, tiny_dataset):
         split = _split_of(tiny_dataset, 0)
@@ -127,11 +127,11 @@ class TestAugmentSeen:
         out = augment_seen(tiny_dataset, split, cfg)
         src = tiny_dataset.subset_at(split.seen)
         expected = augment_replicas(
-            src.rss_matrix(), 11, 5, 0.3, 0.4, tiny_dataset.norm_params.detect_floor
+            src.rss, 11, 5, 0.3, 0.4, tiny_dataset.norm_params.detect_floor
         )
         n = len(src)
-        assert out.rss_matrix()[:n].tobytes() == src.rss_matrix().tobytes()
-        assert out.rss_matrix()[n:].tobytes() == expected.tobytes()
+        assert out.rss[:n].tobytes() == src.rss.tobytes()
+        assert out.rss[n:].tobytes() == expected.tobytes()
         assert [s.location for s in out.samples] == [s.location for s in src.samples] + [
             s.location for s in src.samples for _ in range(5)
         ]
