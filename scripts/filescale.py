@@ -5,7 +5,8 @@ of a public survey file, and measure the memory of one training epoch.
 A seeded survey of 20,000 fingerprints x 520 APs (2,000 locations x 10
 samples, about half the readings "not detected") and a 2,000-query test draw
 from the same world are written to a temporary directory. Each operation is
-then timed REPEATS times and the median reported:
+then timed REPEATS times and the median reported, with the minor page faults
+(`ru_minflt`) of each call:
 
 * save: `save_dataset` of the loaded survey;
 * load: `load_dataset` of the survey file;
@@ -95,14 +96,21 @@ def environment() -> dict:
     }
 
 
-def timed(fn, repeats: int) -> tuple[float, list[float], object]:
-    """(median seconds, every sample, the last result) of `repeats` calls of fn."""
-    samples, result = [], None
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def timed(fn, repeats: int) -> tuple[float, list[float], list[int], object]:
+    """(median seconds, every sample, each call's minor page faults, the last
+    result) of `repeats` calls of fn."""
+    samples, faults, result = [], [], None
     for _ in range(repeats):
+        f0 = minor_faults()
         t0 = time.perf_counter()
         result = fn()
         samples.append(time.perf_counter() - t0)
-    return statistics.median(samples), samples, result
+        faults.append(minor_faults() - f0)
+    return statistics.median(samples), samples, faults, result
 
 
 def main() -> None:
@@ -121,8 +129,8 @@ def main() -> None:
     timings: dict[str, dict] = {}
 
     def record(name, fn):
-        median, samples, result = timed(fn, REPEATS)
-        timings[name] = {"median_s": median, "samples_s": samples}
+        median, samples, faults, result = timed(fn, REPEATS)
+        timings[name] = {"median_s": median, "samples_s": samples, "minor_faults": faults}
         return result
 
     with tempfile.TemporaryDirectory() as tmp:

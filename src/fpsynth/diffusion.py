@@ -87,11 +87,6 @@ def forward_diffuse(m0: np.ndarray, t: int, eps: np.ndarray, schedule: NoiseSche
     return np.sqrt(ab) * m0 + np.sqrt(1.0 - ab) * eps
 
 
-def _forward_diffuse_batch(m0, t_arr, eps, schedule):
-    ab = schedule.alpha_bars[t_arr - 1][:, None]
-    return np.sqrt(ab) * m0 + np.sqrt(1.0 - ab) * eps
-
-
 # ---------------------------------------------------------------------------
 # Vicinity kernel
 
@@ -175,8 +170,21 @@ def embed_time_table(T: int, dim: int) -> np.ndarray:
 # The vicinity-weighted loss
 
 
-def _assemble_input(mt: np.ndarray, cond: np.ndarray, temb: np.ndarray) -> np.ndarray:
-    return np.concatenate([mt, cond, temb], axis=1)
+def _assemble_input(x, m0, t_arr, eps, cond, time_table, schedule) -> np.ndarray:
+    """Write each row's denoiser input [M_t | condition | time row] into `x`.
+
+    M_t = sqrt(ab_t) * M0 + sqrt(1 - ab_t) * eps is the forward process's
+    marginal (`forward_diffuse` per row); `eps` is scaled in place.
+    """
+    a, c = m0.shape[1], m0.shape[1] + cond.shape[1]
+    ab = schedule.alpha_bars[t_arr - 1][:, None]
+    mt = x[:, :a]
+    np.multiply(np.sqrt(ab), m0, out=mt)
+    np.multiply(np.sqrt(1.0 - ab), eps, out=eps)
+    mt += eps
+    x[:, a:c] = cond
+    x[:, c:] = time_table[t_arr - 1]
+    return x
 
 
 @dataclass(frozen=True)
@@ -209,27 +217,35 @@ def _loss_terms(net, batch, kernel, schedule):
     if t_arr.min() < 1 or t_arr.max() > schedule.T:
         raise RangeError(f"batch steps outside [1, {schedule.T}]")
     d = _pair_distances(np.asarray(batch.cond_locs), np.asarray(batch.seen_locs))
-    mt = _forward_diffuse_batch(np.asarray(batch.m0), t_arr, np.asarray(batch.eps), schedule)
+    m0 = np.asarray(batch.m0)
     cond = embed_condition_batch(batch.cond_locs, net.arch.bounds, net.arch.cond_freqs)
-    temb = embed_time_table(schedule.T, net.arch.time_dim)[t_arr - 1]
-    x = _assemble_input(mt, cond, temb)
+    time_table = embed_time_table(schedule.T, net.arch.time_dim)
+    x = np.empty((m0.shape[0], m0.shape[1] + cond.shape[1] + time_table.shape[1]))
+    eps = np.array(batch.eps, dtype=np.float64)  # a copy: scaled in place
+    _assemble_input(x, m0, t_arr, eps, cond, time_table, schedule)
     return x, kernel.weight(d)
 
 
-def _weighted_sq_error(w: np.ndarray, r: np.ndarray) -> float:
-    return float(np.mean(w * np.sum(r * r, axis=1)))
+def _weighted_sq_error(w: np.ndarray, r: np.ndarray, sq=None) -> float:
+    sq = np.multiply(r, r, out=sq)
+    return float(np.mean(w * np.sum(sq, axis=1)))
 
 
-def _weighted_loss_and_grad(net: DenoiserNetwork, x: np.ndarray, m0: np.ndarray, w: np.ndarray):
+def _weighted_loss_and_grad(
+    net: DenoiserNetwork, x: np.ndarray, m0: np.ndarray, w: np.ndarray, ws=None, scratch=None
+):
     """mean_b(w_b * ||net(x_b) - m0_b||^2) and its gradient w.r.t. net.theta.
 
     The one loss that training minimizes (with the importance weights) and
-    that `spatial_loss_and_grad` exposes (with the kernel weights).
+    that `spatial_loss_and_grad` exposes (with the kernel weights). A loop
+    passes its workspace `ws` and a `scratch` array shaped like `m0` so that
+    nothing is allocated; the residual overwrites the network output.
     """
-    out, cache = net.forward_cached(x)
-    r = out - m0
-    dout = (2.0 / r.shape[0]) * w[:, None] * r
-    return _weighted_sq_error(w, r), net.backward(cache, dout)
+    out, cache = net.forward_cached(x, ws)
+    r = np.subtract(out, m0, out=out)
+    loss = _weighted_sq_error(w, r, scratch)
+    dout = np.multiply((2.0 / r.shape[0]) * w[:, None], r, out=scratch)
+    return loss, net.backward(cache, dout)
 
 
 def spatial_loss(net, batch: LossBatch, kernel: VicinityKernel, schedule: NoiseSchedule) -> float:
@@ -355,7 +371,8 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
     Per step: draw a minibatch of seen samples; per sample draw a uniform
     timestep, a noise vector, and one unseen condition with probability
     proportional to its vicinity weight; minimize the corrected weighted
-    squared error. Deterministic given cfg.seed.
+    squared error. Deterministic given cfg.seed. A minibatch loss that is
+    not finite raises RangeError naming the step.
     """
     if len(data) == 0:
         raise SizeError("training data is empty")
@@ -401,23 +418,41 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
 
     cond_table = embed_condition_batch(unseen_xy, bounds, cfg.cond_freqs)
     time_table = embed_time_table(schedule.T, cfg.time_dim)
+    # One set of step buffers for the whole run; a smaller last batch uses
+    # their leading rows.
+    rows = min(cfg.batch_size, n)
+    ws = net.workspace(rows)
+    x_buf = np.empty((rows, arch.input_dim))
+    m0_buf, eps_buf, sq_buf = (np.empty((rows, a)) for _ in range(3))
+    cdf_buf = np.empty((rows, u))
+    below_buf = np.empty((rows, u), dtype=bool)
+    idx_buf = np.empty(rows, dtype=np.int64)
+    draws_buf = np.empty(rows)
     trace: list[tuple[int, float]] = []
     step = 0
-    for _epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             j = perm[lo : lo + cfg.batch_size]
             b = j.shape[0]
             t_arr = rng.integers(1, schedule.T + 1, size=b)
-            eps = rng.standard_normal((b, a))
-            draws = rng.random(b)
-            i_idx = np.minimum((cdf[j] < draws[:, None]).sum(axis=1), u - 1)
-            m0_j = m0[j]
-            mt = _forward_diffuse_batch(m0_j, t_arr, eps, schedule)
-            x = _assemble_input(mt, cond_table[i_idx], time_table[t_arr - 1])
-            loss, grad = _weighted_loss_and_grad(net, x, m0_j, mass[j])
-            opt.step(net.theta, grad)
+            eps = rng.standard_normal(out=eps_buf[:b])
+            draws = rng.random(out=draws_buf[:b])
+            # the sampled condition: how many cdf entries lie below the draw
+            cdf_j = np.take(cdf, j, axis=0, out=cdf_buf[:b])
+            below = np.less(cdf_j, draws[:, None], out=below_buf[:b])
+            i_idx = np.minimum(np.sum(below, axis=1, out=idx_buf[:b]), u - 1, out=idx_buf[:b])
+            m0_j = np.take(m0, j, axis=0, out=m0_buf[:b])
+            cond = cond_table[i_idx]
+            x = _assemble_input(x_buf[:b], m0_j, t_arr, eps, cond, time_table, schedule)
+            loss, grad = _weighted_loss_and_grad(net, x, m0_j, mass[j], ws, sq_buf[:b])
             step += 1
+            if not math.isfinite(loss):
+                raise RangeError(
+                    f"training diverged: minibatch loss is {loss} "
+                    f"at step {step} (epoch {epoch + 1})"
+                )
+            opt.step(net.theta, grad)
             trace.append((step, loss))
         opt.lr *= cfg.lr_decay
     return TrainResult(network=net, trace=trace, schedule=schedule, sigma_w=sigma_w)
@@ -462,9 +497,10 @@ def _reverse_diffuse(
         inp[u, :, a:c] = embed_condition(loc, arch.bounds, arch.cond_freqs)
     x[...] = noise
     time_table = embed_time_table(schedule.T, arch.time_dim)
+    ws = net.workspace(inp.shape[:-1])
     for t in range(schedule.T, 0, -1):
         inp[:, :, c:] = time_table[t - 1]
-        x0 = net.forward(inp)
+        x0, _ = net.forward_cached(inp, ws)
         np.clip(x0, 0.0, 1.0, out=x0)
         ab_t = schedule.alpha_bars[t - 1]
         ab_prev = schedule.alpha_bars[t - 2] if t > 1 else 1.0

@@ -125,19 +125,24 @@ class KnnLocalizer:
 
 
 class FeedforwardLocalizer:
-    """MLP regressor RSS -> (x, y); variant tag 'feedforward'."""
+    """MLP regressor RSS -> (x, y); variant tag 'feedforward'.
+
+    Every query runs in one reused 1-row workspace, so one model must not
+    predict from two threads at once.
+    """
 
     variant = "feedforward"
 
     def __init__(self, mlp: Mlp):
         self.mlp = mlp
+        self._ws = mlp.workspace(1)
 
     def predict(self, rss: np.ndarray) -> Coordinate:
         rss = np.asarray(rss, dtype=np.float64)
         if rss.shape != (self.mlp.dims[0],):
             raise ShapeError(f"query must have shape ({self.mlp.dims[0]},), got {rss.shape}")
-        xy = self.mlp.forward(rss[None, :])[0]
-        return Coordinate(float(xy[0]), float(xy[1]))
+        xy, _ = self.mlp.forward_cached(rss[None, :], self._ws)
+        return Coordinate(float(xy[0, 0]), float(xy[0, 1]))
 
     def predict_batch(self, queries) -> list[Coordinate]:
         # One forward per row: a multi-row BLAS product may give a row other bits.
@@ -171,14 +176,23 @@ def _fit_feedforward(train, hp: LocalizerHyperparams, seed) -> FeedforwardLocali
     rng = np.random.default_rng(seed)
     mlp = Mlp.create((a, *hp.hidden, 2), "silu", rng)
     opt = AdamOptimizer(mlp.theta.shape[0], hp.learning_rate)
-    for _epoch in range(hp.epochs):
+    # one workspace and input buffer for the whole fit; a smaller last batch
+    # uses their leading rows
+    rows = min(hp.batch_size, n)
+    ws = mlp.workspace(rows)
+    x_buf = np.empty((rows, a))
+    for epoch in range(hp.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, hp.batch_size):
             j = perm[lo : lo + hp.batch_size]
-            out, cache = mlp.forward_cached(x[j])
-            r = out - y[j]
-            dout = (2.0 / j.shape[0]) * r
+            b = j.shape[0]
+            xb = np.take(x, j, axis=0, out=x_buf[:b])
+            out, cache = mlp.forward_cached(xb, ws)
+            r = np.subtract(out, y[j], out=out)
+            dout = np.multiply(2.0 / b, r, out=r)
             opt.step(mlp.theta, mlp.backward(cache, dout))
+        if not np.isfinite(mlp.theta).all():
+            raise RangeError(f"feedforward localizer training diverged in epoch {epoch + 1}")
     return FeedforwardLocalizer(mlp)
 
 

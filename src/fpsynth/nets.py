@@ -15,12 +15,22 @@ sizes (tens to hundreds of rows) a second thread also saves no time. Other
 products, such as the kNN prefilter, keep the library's threading. Where no
 OpenBLAS thread API is found (another BLAS, or no `/proc/self/maps` to find
 it in), the pin does nothing and the bits follow that library's threading.
+
+Every call computes into a `Workspace`, the buffers of every layer for one
+leading input shape. A training or sampling loop makes one and passes it to
+each call, so a step allocates no layer-sized array; what a call returns stays
+valid until the next call on the same workspace. Public calls without a
+workspace make a fresh one, so their results alias nothing. The bits are those
+of fresh arrays: each element goes through the same ufunc or GEMM in the same
+order, and `out=` only moves where the result lands.
 """
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,29 +38,53 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows. Per entry this computes 1/(1+exp(-x)) for
-    # x >= 0 and exp(x)/(1+exp(x)) otherwise, without boolean indexing.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(x, out=None, e=None):
+    """The logistic function of `x`, written into `out` with `e` as scratch.
+
+    exp(-|x|) never overflows. Per entry this computes 1/(1+exp(-x)) for
+    x >= 0 and exp(x)/(1+exp(x)) otherwise: the numerator max(e, x >= 0) is 1
+    where x >= 0 (there e <= 1) and e elsewhere, and NaN where x is NaN.
+    """
+    if out is None:
+        out = np.empty_like(x)
+    e = np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0.0, out=out)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
-def _silu_forward(z):
-    s = _sigmoid(z)
-    return z * s, s
+# Activations work in place on workspace buffers: forward(z, a, s, tmp) writes
+# the activation into `a` and what the derivative needs into `s`;
+# backward(z, a, s, d, tmp) multiplies `d` by the derivative. `tmp` is scratch.
 
 
-def _silu_backward(z, s):
-    return s * (1.0 + z * (1.0 - s))
+def _silu_forward(z, a, s, tmp):
+    _sigmoid(z, s, tmp)
+    np.multiply(z, s, out=a)
 
 
-def _tanh_forward(z):
-    a = np.tanh(z)
-    return a, a
+def _silu_backward(z, a, s, d, tmp):
+    # s * (1 + z * (1 - s))
+    np.subtract(1.0, s, out=tmp)
+    tmp *= z
+    tmp += 1.0
+    tmp *= s
+    d *= tmp
 
 
-def _tanh_backward(z, a):
-    return 1.0 - a * a
+def _tanh_forward(z, a, s, tmp):
+    np.tanh(z, out=a)
+
+
+def _tanh_backward(z, a, s, d, tmp):
+    # 1 - a * a
+    np.multiply(a, a, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    d *= tmp
 
 
 ACTIVATIONS = {"silu": (_silu_forward, _silu_backward), "tanh": (_tanh_forward, _tanh_backward)}
@@ -217,6 +251,62 @@ def _xavier_theta(layer_shapes, seed) -> np.ndarray:
     return theta
 
 
+class Workspace:
+    """Buffers for one network's calls at one leading input shape, reused.
+
+    `z[l]` holds layer l's pre-activation (the last one is the network's
+    output), `a[l]` and `s[l]` hidden layer l's activation and the value its
+    derivative needs, and `tmp[l]` scratch of hidden layer l's width (views of
+    one buffer). The backward buffers are made on the first backward call:
+    `d[l]`, the gradient at hidden layer l's pre-activation, and `grad`, the
+    flat parameter gradient, with one (weight, bias) view per layer.
+
+    A workspace is its own backward cache: the arrays a call returns and the
+    cache stay valid until the next call on the same workspace, which
+    overwrites them. The cache refers to the input, not a copy. A 2-D input
+    with fewer rows than the workspace, such as a smaller last batch, runs on
+    the leading rows of the same buffers.
+    """
+
+    def __init__(self, layout, lead: tuple[int, ...]):
+        self.lead = lead
+        self._layout = layout
+        widths = [shape[0] for _w, _b, shape in layout]
+        hidden = widths[:-1]
+        rows = math.prod(lead)
+        self.x = None
+        self.z = [np.empty(lead + (w,)) for w in widths]
+        self.a = [np.empty(lead + (w,)) for w in hidden]
+        self.s = [np.empty(lead + (w,)) for w in hidden]
+        scratch = np.empty(rows * max(hidden, default=0))
+        self.tmp = [scratch[: rows * w].reshape(lead + (w,)) for w in hidden]
+        self.d = None
+        self.grad = None
+        self._grads = None
+
+    def _backward_buffers(self):
+        if self.grad is None:
+            self.d = [np.empty_like(a) for a in self.a]
+            self.grad = np.empty(self._layout[-1][1].stop)
+            self._grads = [
+                (self.grad[w].reshape(shape), self.grad[b]) for w, b, shape in self._layout
+            ]
+        return self.d, self._grads
+
+    def _head(self, lead: tuple[int, ...]) -> "Workspace":
+        """The leading rows of these buffers, for a 2-D input with fewer rows."""
+        if len(lead) != 1 or len(self.lead) != 1 or lead[0] > self.lead[0]:
+            raise ShapeError(f"input rows {lead} do not fit a workspace for {self.lead}")
+        rows = lead[0]
+        self._backward_buffers()
+        sub = copy.copy(self)
+        sub.lead = lead
+        sub.x = None
+        for name in ("z", "a", "s", "tmp", "d"):
+            setattr(sub, name, [buf[:rows] for buf in getattr(self, name)])
+        return sub
+
+
 class _FlatMlp:
     """Fully connected network over one flat float64 parameter vector.
 
@@ -227,6 +317,9 @@ class _FlatMlp:
     of hidden layer 3 (their widths must match). `DenoiserNetwork` and `Mlp`
     both compute through `_forward` and `_backward`; each keeps its own
     `forward_cached` and `backward` as its public entry points.
+
+    Every call computes into a `Workspace` (see the module docstring): a loop
+    makes one with `workspace(lead)` and passes it to each call.
     """
 
     def __init__(self, layer_shapes, activation: str, skip: bool, theta: np.ndarray):
@@ -240,13 +333,18 @@ class _FlatMlp:
         self._layout = layout
         self._views = [(theta[w].reshape(shape), theta[b]) for w, b, shape in layout]
 
+    def workspace(self, lead) -> Workspace:
+        """Buffers for inputs of leading shape `lead`: a row count, or a tuple such as (U, n)."""
+        lead = (int(lead),) if np.ndim(lead) == 0 else tuple(int(v) for v in lead)
+        return Workspace(self._layout, lead)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, _ = self.forward_cached(x)
         return out
 
     @_one_blas_thread
-    def _forward(self, x):
-        """Output and backward cache for a `(..., batch, in)` input.
+    def _forward(self, x, ws):
+        """Output and backward cache (the workspace) for a `(..., batch, in)` input.
 
         A stacked input such as `(U, n, in)` runs one `n`-row product per
         leading index, so each stack entry gets exactly the bits that a
@@ -258,42 +356,52 @@ class _FlatMlp:
         in_dim = self._layout[0][2][1]
         if x.ndim < 2 or x.shape[-1] != in_dim:
             raise ShapeError(f"input must be (..., batch, {in_dim}), got {x.shape}")
+        if ws is None:
+            ws = Workspace(self._layout, x.shape[:-1])
+        elif x.shape[:-1] != ws.lead:
+            ws = ws._head(x.shape[:-1])
         act, _ = self._act
-        last = len(self._views) - 1
-        zs, ss, acts = [], [], [x]
+        a = ws.x = x
         for li, (w, b) in enumerate(self._views):
-            z = acts[-1] @ w.T + b
+            z = ws.z[li]
+            np.matmul(a, w.T, out=z)
+            z += b
             if self._skip and li == 2:
-                z += acts[1]
-            a, s = act(z) if li < last else (z, None)
-            zs.append(z)
-            ss.append(s)
-            acts.append(a)
-        return acts[-1], (zs, ss, acts)
+                z += ws.a[0]
+            if li < len(ws.a):
+                a = ws.a[li]
+                act(z, a, ws.s[li], ws.tmp[li])
+        return z, ws
 
     @_one_blas_thread
-    def _backward(self, cache, dout):
-        """Gradient of sum(dout * out) w.r.t. theta, from the cache of a 2-D input."""
-        zs, ss, acts = cache
-        if acts[0].ndim != 2:
-            raise ShapeError(f"backward needs the cache of a 2-D input, got {acts[0].shape}")
+    def _backward(self, ws, dout):
+        """Gradient of sum(dout * out) w.r.t. theta, from the cache of a 2-D input.
+
+        Returns the workspace's gradient buffer.
+        """
+        if ws.x is None or ws.x.ndim != 2:
+            shape = None if ws.x is None else ws.x.shape
+            raise ShapeError(f"backward needs the cache of a 2-D forward call, got {shape}")
+        dout = np.asarray(dout, dtype=np.float64)
+        if dout.shape != ws.z[-1].shape:
+            raise ShapeError(f"dout must have shape {ws.z[-1].shape}, got {dout.shape}")
         _, dact = self._act
-        # every entry is written below: the layout tiles theta exactly
-        grad = np.empty_like(self.theta)
+        d_bufs, grads = ws._backward_buffers()
         d = dout  # gradient w.r.t. the current layer's pre-activation
         for li in range(len(self._views) - 1, -1, -1):
-            wsl, bsl, _ = self._layout[li]
-            grad[wsl] = (d.T @ acts[li]).ravel()
-            grad[bsl] = d.sum(axis=0)
+            gw, gb = grads[li]
+            np.matmul(d.T, ws.a[li - 1] if li else ws.x, out=gw)
+            np.add.reduce(d, axis=0, out=gb)
             if li == 0:
                 break
-            if self._skip and li == 2:
-                dskip = d
-            da = d @ self._views[li][0]
+            da = d_bufs[li - 1]
+            np.matmul(d, self._views[li][0], out=da)
             if self._skip and li == 1:
-                da += dskip
-            d = da * dact(zs[li - 1], ss[li - 1])
-        return grad
+                da += d_bufs[2]  # the skip from hidden layer 1 into hidden layer 3
+            dact(ws.z[li - 1], ws.a[li - 1], ws.s[li - 1], da, ws.tmp[li - 1])
+            d = da
+        # every entry was written: the layout tiles theta exactly
+        return ws.grad
 
 
 class DenoiserNetwork(_FlatMlp):
@@ -328,9 +436,10 @@ class DenoiserNetwork(_FlatMlp):
         net._views[3][1][:] = value
         return net
 
-    def forward_cached(self, x: np.ndarray):
-        """Output and backward cache for a `(..., batch, input_dim)` input."""
-        return self._forward(x)
+    def forward_cached(self, x: np.ndarray, ws: Workspace | None = None):
+        """Output and backward cache for a `(..., batch, input_dim)` input,
+        computed in `ws` (see `Workspace`) or in a fresh workspace."""
+        return self._forward(x, ws)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout * out) w.r.t. the flat parameter vector (2-D cache only)."""
@@ -358,9 +467,10 @@ class Mlp(_FlatMlp):
         dims = tuple(int(d) for d in dims)
         return cls(dims, activation, _xavier_theta(_dims_shapes(dims), seed))
 
-    def forward_cached(self, x: np.ndarray):
-        """Output and backward cache for a `(..., batch, dims[0])` input."""
-        return self._forward(x)
+    def forward_cached(self, x: np.ndarray, ws: Workspace | None = None):
+        """Output and backward cache for a `(..., batch, dims[0])` input,
+        computed in `ws` (see `Workspace`) or in a fresh workspace."""
+        return self._forward(x, ws)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout * out) w.r.t. the flat parameter vector (2-D cache only)."""

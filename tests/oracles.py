@@ -82,6 +82,29 @@ def masked_sigmoid(x):
     return out
 
 
+def silu(z):
+    """SiLU and its saved sigmoid, out of place."""
+    s = masked_sigmoid(z)
+    return z * s, s
+
+
+def silu_derivative(z, s):
+    return s * (1.0 + z * (1.0 - s))
+
+
+def tanh(z):
+    a = np.tanh(z)
+    return a, a
+
+
+def tanh_derivative(z, a):
+    return 1.0 - a * a
+
+
+# activation name -> (forward returning (a, saved), derivative from (z, saved))
+ACTIVATIONS = {"silu": (silu, silu_derivative), "tanh": (tanh, tanh_derivative)}
+
+
 def adam_step(theta, m, v, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One out-of-place Adam update at step t (1-based); returns (theta, m, v)."""
     m = beta1 * m + (1.0 - beta1) * grad

@@ -118,6 +118,34 @@ class TestFailureModes:
         assert "error [generate]" in capsys.readouterr().err
         assert not (tmp_path / "gen.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_is_a_stage_tagged_error(self, tiny_config_file, tmp_path, capsys):
+        c = tiny_config_file
+        split, aug = tmp_path / "split.csv", tmp_path / "aug.csv"
+        model, trace = tmp_path / "model.ckpt", tmp_path / "trace.csv"
+        run_ok(["split", "-c", c, "-o", str(split)])
+        run_ok(["augment", "-c", c, "--split", str(split), "-o", str(aug)])
+        capsys.readouterr()
+        code = main(["train-diffusion", "-c", c, "--data", str(aug), "--split", str(split),
+                     "-o", str(model), "--trace", str(trace),
+                     "--set", "diffusion.learning_rate=1e300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error [train-diffusion] training diverged" in err
+        assert "Traceback" not in err
+        assert not model.exists() and not trace.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_localizer_fit_is_a_stage_tagged_error(self, tiny_config_file, tmp_path,
+                                                             capsys):
+        report = tmp_path / "r.csv"
+        code = main(["pipeline", "-c", tiny_config_file, "-o", str(report),
+                     "--set", "localizer.variant=feedforward",
+                     "--set", "localizer.learning_rate=1e300"])
+        assert code == 2
+        assert "error [evaluate] feedforward localizer training diverged" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("flag", ["--data", "-c", "--split", "--model", "data.file.path"])
     def test_missing_input_file_is_an_error_not_a_traceback(
         self, flag, tiny_config_file, tmp_path, capsys

@@ -16,7 +16,7 @@ from fpsynth.diffusion import (
     save_loss_trace,
     train,
 )
-from fpsynth.errors import ConfigError, ConsistencyError, CoverageError, SizeError
+from fpsynth.errors import ConfigError, ConsistencyError, CoverageError, RangeError, SizeError
 from fpsynth.initializer import LocationSplit
 from fpsynth.nets import DenoiserArch, DenoiserNetwork
 
@@ -137,8 +137,8 @@ class TestTrain:
         calls = []
         checked = diffusion._weighted_loss_and_grad
 
-        def spy(net, x, m0_b, w):
-            loss, grad = checked(net, x, m0_b, w)
+        def spy(net, x, m0_b, w, *buffers):
+            loss, grad = checked(net, x, m0_b, w, *buffers)
             calls.append((m0_b.copy(), w.copy(), loss))
             return loss, grad
 
@@ -149,6 +149,36 @@ class TestTrain:
             j = [row_of[row.tobytes()] for row in m0_b]
             assert np.array_equal(w, mass[j])
             assert loss == returned
+
+
+    def test_reused_step_buffers_equal_fresh_calls(self, monkeypatch):
+        # 42 samples in batches of 16: the last batch of 10 runs on the
+        # leading rows of the step buffers
+        rng = np.random.default_rng(31)
+        seen = [Coordinate(float(x), float(y)) for x in range(3) for y in range(2)]
+        samples = [
+            Fingerprint(rng.uniform(0.2, 1.0, len(CONST)), c) for c in seen for _ in range(7)
+        ]
+        data = make_dataset(samples, len(CONST), NormalizationParams())
+        split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 1.5)))
+        cfg = quick_cfg(epochs=3, sigma_w=1.0)
+        reused = train(data, split, cfg)
+        checked = diffusion._weighted_loss_and_grad
+
+        def fresh(net, x, m0_b, w, *buffers):
+            return checked(net, x.copy(), m0_b.copy(), w)
+
+        monkeypatch.setattr(diffusion, "_weighted_loss_and_grad", fresh)
+        unbuffered = train(data, split, cfg)
+        assert len(reused.trace) == 3 * 3
+        assert reused.trace == unbuffered.trace
+        assert reused.network.theta.tobytes() == unbuffered.network.theta.tobytes()
+
+    def test_non_finite_loss_raises_naming_the_step(self):
+        data, split = constant_setup(48)
+        with pytest.raises(RangeError, match=r"diverged.* step 2 \(epoch 1\)"):
+            with np.errstate(all="ignore"):
+                train(data, split, quick_cfg(epochs=2, learning_rate=1e300))
 
 
 class TestConditionCdf:

@@ -181,6 +181,16 @@ class TestFeedforward:
         b = fit_localizer(train, "feedforward", hp, seed=5)
         assert np.array_equal(a.mlp.theta, b.mlp.theta)
 
+    def test_diverged_fit_raises_naming_the_epoch(self):
+        rng = np.random.default_rng(3)
+        entries = [(rng.uniform(0.1, 1, 2).tolist(), (float(i), 1.0)) for i in range(5)]
+        # one step per epoch: the first moves theta by about 1e300, still
+        # finite; the second overflows
+        hp = LocalizerHyperparams(epochs=3, learning_rate=1e300)
+        with pytest.raises(RangeError, match="diverged in epoch 2"):
+            with np.errstate(all="ignore"):
+                fit_localizer(ds_of(entries), "feedforward", hp, seed=0)
+
     def test_unknown_variant(self):
         train = ds_of([([0.5, 0.5], (0.0, 0.0))])
         with pytest.raises(ConfigError):

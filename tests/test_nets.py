@@ -1,17 +1,19 @@
 import os
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import adam_step, masked_sigmoid, skip_mlp_backward, skip_mlp_forward
 
 import fpsynth.nets as nets
 from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
-from fpsynth.diffusion import DiffusionTrainConfig, train
+from fpsynth.diffusion import DiffusionTrainConfig, _reverse_diffuse, build_schedule, train
 from fpsynth.errors import ConfigError, ShapeError
 from fpsynth.initializer import LocationSplit
-from fpsynth.nets import ACTIVATIONS, AdamOptimizer, DenoiserArch, DenoiserNetwork, Mlp, _sigmoid
+from fpsynth.nets import AdamOptimizer, DenoiserArch, DenoiserNetwork, Mlp, _sigmoid
 
 
 class TestDenoiserArch:
@@ -114,7 +116,7 @@ class TestSkipKernelBits:
     @pytest.mark.parametrize("activation", ["silu", "tanh"])
     def test_2d_forward_and_backward(self, activation):
         net = self._net(activation)
-        act, dact = ACTIVATIONS[activation]
+        act, dact = oracles.ACTIVATIONS[activation]
         rng = np.random.default_rng(13)
         x = rng.standard_normal((64, net.arch.input_dim))
         dout = rng.standard_normal((64, net.arch.ap_count))
@@ -130,8 +132,152 @@ class TestSkipKernelBits:
     def test_stacked_forward(self):
         net = self._net()
         x = np.random.default_rng(14).standard_normal((50, 8, net.arch.input_dim))
-        ref_out, _ = skip_mlp_forward(net._views, ACTIVATIONS["silu"][0], x)
+        ref_out, _ = skip_mlp_forward(net._views, oracles.ACTIVATIONS["silu"][0], x)
         assert bits_equal(net.forward(x), ref_out)
+
+
+def make_net(kind, activation):
+    if kind == "denoiser":
+        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128),
+                            activation=activation)
+        net = DenoiserNetwork.create(arch, 21)
+    else:
+        net = Mlp.create((30, 64, 48, 2), activation, 21)
+    net.theta += np.random.default_rng(22).normal(0, 0.05, net.theta.shape[0])
+    return net
+
+
+def in_out_dims(net):
+    shapes = net._layout
+    return shapes[0][2][1], shapes[-1][2][0]
+
+
+@pytest.mark.parametrize("activation", ["silu", "tanh"])
+@pytest.mark.parametrize("kind", ["denoiser", "mlp"])
+class TestWorkspace:
+    """Calls through a reused workspace give the bits of calls with fresh buffers."""
+
+    def _fresh(self, net, x, dout):
+        out, cache = net.forward_cached(x)
+        return out.copy(), net.backward(cache, dout).copy()
+
+    def _draw(self, net, rng, rows):
+        in_dim, out_dim = in_out_dims(net)
+        return rng.standard_normal((rows, in_dim)), rng.standard_normal((rows, out_dim))
+
+    def test_dirtied_workspace_equals_fresh(self, kind, activation):
+        net = make_net(kind, activation)
+        rng = np.random.default_rng(23)
+        ws = net.workspace(64)
+        x, dout = self._draw(net, rng, 64)
+        out, cache = net.forward_cached(x, ws)
+        net.backward(cache, dout)
+        x, dout = self._draw(net, rng, 64)
+        want_out, want_grad = self._fresh(net, x, dout)
+        out, cache = net.forward_cached(x, ws)
+        assert bits_equal(out, want_out)
+        assert bits_equal(net.backward(cache, dout), want_grad)
+
+    def test_partial_last_batch_equals_fresh(self, kind, activation):
+        net = make_net(kind, activation)
+        rng = np.random.default_rng(24)
+        ws = net.workspace(64)
+        x, dout = self._draw(net, rng, 64)
+        out, cache = net.forward_cached(x, ws)
+        net.backward(cache, dout)
+        x, dout = self._draw(net, rng, 23)
+        want_out, want_grad = self._fresh(net, x, dout)
+        out, cache = net.forward_cached(x, ws)
+        assert bits_equal(out, want_out)
+        assert bits_equal(net.backward(cache, dout), want_grad)
+        # full batches still work after the leading rows were used alone
+        x, dout = self._draw(net, rng, 64)
+        want_out, want_grad = self._fresh(net, x, dout)
+        out, cache = net.forward_cached(x, ws)
+        assert bits_equal(out, want_out)
+        assert bits_equal(net.backward(cache, dout), want_grad)
+
+    def test_stacked_leading_shape_equals_fresh(self, kind, activation):
+        net = make_net(kind, activation)
+        rng = np.random.default_rng(25)
+        in_dim, _ = in_out_dims(net)
+        ws = net.workspace((50, 8))
+        net.forward_cached(rng.standard_normal((50, 8, in_dim)), ws)
+        x = rng.standard_normal((50, 8, in_dim))
+        want = net.forward(x)
+        got, _ = net.forward_cached(x, ws)
+        assert bits_equal(got, want)
+
+    def test_calls_without_a_workspace_alias_nothing(self, kind, activation):
+        net = make_net(kind, activation)
+        rng = np.random.default_rng(26)
+        x1, d1 = self._draw(net, rng, 8)
+        x2, d2 = self._draw(net, rng, 8)
+        out1, cache1 = net.forward_cached(x1)
+        grad1 = net.backward(cache1, d1)
+        kept = out1.copy(), grad1.copy()
+        out2, cache2 = net.forward_cached(x2)
+        net.backward(cache2, d2)
+        assert bits_equal(out1, kept[0])
+        assert bits_equal(grad1, kept[1])
+
+    def test_input_must_fit_the_workspace(self, kind, activation):
+        net = make_net(kind, activation)
+        in_dim, _ = in_out_dims(net)
+        ws = net.workspace(16)
+        with pytest.raises(ShapeError):
+            net.forward_cached(np.zeros((17, in_dim)), ws)
+        with pytest.raises(ShapeError):
+            net.forward_cached(np.zeros((2, 8, in_dim)), ws)
+        stacked = net.workspace((2, 8))
+        with pytest.raises(ShapeError):
+            net.forward_cached(np.zeros((2, 7, in_dim)), stacked)
+
+
+class TestAllocations:
+    def test_reused_workspace_step_allocates_no_layer_array(self):
+        # DenoiserArch's default widths (256, 128, 256). The largest allocation
+        # left is numpy's ufunc buffer for the broadcast bias add, at most
+        # 8,192 float64 (64 KB), half of one (64, 256) layer array.
+        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16)
+        net = DenoiserNetwork.create(arch, 27)
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((64, arch.input_dim))
+        dout = rng.standard_normal((64, arch.ap_count))
+        ws = net.workspace(64)
+
+        def step():
+            out, cache = net.forward_cached(x, ws)
+            net.backward(cache, dout)
+
+        step()  # warm-up: the first backward makes the gradient buffers
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * max(arch.hidden) * 8
+
+    def test_sampler_memory_does_not_grow_with_steps(self):
+        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128),
+                            bounds=(0.0, 0.0, 9.0, 9.0))
+        net = DenoiserNetwork.create(arch, 29)
+        locs = [Coordinate(float(i), 1.0) for i in range(6)]
+
+        def peak(T):
+            schedule = build_schedule(T, 1e-4, 0.02)
+            tracemalloc.start()
+            try:
+                _reverse_diffuse(net, locs, schedule, 8, list(range(6)), 0.1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(5)  # warm-up
+        # the time-embedding table, T x time_dim float64, is the only array
+        # whose size depends on T
+        assert peak(50) <= peak(5) + (50 - 5) * arch.time_dim * 8
 
 
 class TestMlp:
@@ -194,8 +340,19 @@ class TestSigmoid:
         assert np.array_equal(_sigmoid(x).view(np.uint64), masked_sigmoid(x).view(np.uint64))
 
     def test_bits_match_masked_reference_at_edges(self):
-        x = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300])
-        assert np.array_equal(_sigmoid(x).view(np.uint64), masked_sigmoid(x).view(np.uint64))
+        x = np.array([0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 800.0, -800.0, 1e-300, -1e-300,
+                      5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan])
+        got, want = _sigmoid(x), masked_sigmoid(x)
+        # NaN stays NaN; its sign bit carries no meaning
+        nan = np.isnan(x)
+        assert np.isnan(got[nan]).all()
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+    def test_reused_buffers_equal_fresh_call(self):
+        x = np.random.default_rng(2).standard_normal((64, 128)) * 30.0
+        out, scratch = np.full_like(x, np.nan), np.full_like(x, -7.0)
+        assert _sigmoid(x, out, scratch) is out
+        assert bits_equal(out, _sigmoid(x))
 
 
 @pytest.fixture
@@ -239,13 +396,13 @@ class TestBlasThreadPin:
         act, dact = net._act
         counts = []
 
-        def spy_act(z):
+        def spy_act(*buffers):
             counts.append(blas_threads())
-            return act(z)
+            act(*buffers)
 
-        def spy_dact(z, s):
+        def spy_dact(*buffers):
             counts.append(blas_threads())
-            return dact(z, s)
+            dact(*buffers)
 
         net._act = (spy_act, spy_dact)
         rng = np.random.default_rng(5)
