@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import FingerprintDataset
+from .dataset import FingerprintDataset, distances
 from .errors import SizeError
 
 
@@ -32,10 +32,7 @@ def interpolate_locations(seen_data: FingerprintDataset, targets, k: int = 3) ->
     floor = seen_data.norm_params.detect_floor
     out = np.empty((len(targets), seen_data.ap_count))
     for i, target in enumerate(targets):
-        # the same float operations as Coordinate.distance_to
-        dx = xy[:, 0] - target.x
-        dy = xy[:, 1] - target.y
-        d = np.sqrt(dx * dx + dy * dy)
+        d = distances(xy, (target.x, target.y))
         nearest = np.argsort(d, kind="stable")[:k]
         if d[nearest[0]] == 0.0:
             blended = means[nearest[0]]

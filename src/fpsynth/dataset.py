@@ -39,6 +39,27 @@ class Coordinate:
         return math.sqrt(dx * dx + dy * dy)
 
 
+def distances(a, b) -> np.ndarray:
+    """Euclidean distances between broadcast `(..., 2)` point arrays.
+
+    Both sides are made float64 first; then the float operations of
+    `Coordinate.distance_to`, in place in two buffers of the broadcast shape.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def coords_array(points) -> np.ndarray:
+    """The positions of a sequence of Coordinates as a float64 `(n, 2)` array."""
+    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+
+
 @dataclass(frozen=True)
 class NormalizationParams:
     """Affine map between raw dBm readings and the normalized [0, 1] scale.
@@ -218,7 +239,7 @@ class FingerprintDataset:
         return self.location_coords()[self.loc_index]
 
     def location_coords(self) -> np.ndarray:
-        return np.array([[c.x, c.y] for c in self.locations], dtype=np.float64).reshape(-1, 2)
+        return coords_array(self.locations)
 
     def take(self, rows) -> "FingerprintDataset":
         """The samples at integer positions `rows`, in that order, with their
@@ -348,11 +369,7 @@ def generate_synthetic(
     if samples_per_location < 1:
         raise ConfigError(f"samples_per_location must be >= 1, got {samples_per_location}")
     rng = np.random.default_rng(seed)
-    ap_xy = np.array([[c.x, c.y] for c in env.ap_positions])
-    grid_xy = np.array([[c.x, c.y] for c in grid])
-    dx = grid_xy[:, 0][:, None] - ap_xy[:, 0][None, :]
-    dy = grid_xy[:, 1][:, None] - ap_xy[:, 1][None, :]
-    d = np.sqrt(dx * dx + dy * dy)
+    d = distances(coords_array(grid)[:, None], coords_array(env.ap_positions)[None])
     d_eff = np.maximum(d, env.reference_distance_m)
     mean_rss = env.tx_power_dbm - 10.0 * env.path_loss_exponent * np.log10(
         d_eff / env.reference_distance_m

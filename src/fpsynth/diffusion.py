@@ -12,8 +12,11 @@ The double sum over pairs is estimated by importance sampling: for each seen
 sample in a minibatch one unseen condition is drawn with probability
 proportional to its kernel weight, and the pair's loss term is scaled by the
 sample's total kernel mass, keeping the estimator's expectation proportional
-to the full sum. `spatial_loss` scores any explicit batch of pairs, so the
-tests check it against an exact enumeration of every pair.
+to the full sum. A pair's weight depends on the seen sample only through its
+location, so the masses and the condition distributions are tabulated once
+per seen location and each step reads its samples' rows. `spatial_loss`
+scores any explicit batch of pairs, so the tests check it against an exact
+enumeration of every pair.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Coordinate, Fingerprint, FingerprintDataset, NormalizationParams
+from .dataset import Coordinate, Fingerprint, FingerprintDataset, NormalizationParams, distances
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -35,7 +38,7 @@ from .errors import (
     ShapeError,
     SizeError,
 )
-from .initializer import LocationSplit, _distance_matrix
+from .initializer import LocationSplit
 from .nets import AdamOptimizer, DenoiserArch, DenoiserNetwork
 
 
@@ -76,15 +79,22 @@ def _check_step(t: int, T: int) -> None:
         raise RangeError(f"step index t={t} outside [1, {T}]")
 
 
+def _forward_marginal(m0, eps, ab, out=None) -> np.ndarray:
+    """sqrt(ab)*M0 + sqrt(1-ab)*eps into `out`; `eps` is scaled in place."""
+    out = np.multiply(np.sqrt(ab), m0, out=out)
+    np.multiply(np.sqrt(1.0 - ab), eps, out=eps)
+    out += eps
+    return out
+
+
 def forward_diffuse(m0: np.ndarray, t: int, eps: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
     """Closed-form marginal of the forward process: sqrt(ab_t)*M0 + sqrt(1-ab_t)*eps."""
     _check_step(t, schedule.T)
     m0 = np.asarray(m0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
+    eps = np.array(eps, dtype=np.float64)  # a copy: scaled in place
     if m0.shape != eps.shape:
         raise ShapeError(f"m0 {m0.shape} and eps {eps.shape} must match")
-    ab = schedule.alpha_bars[t - 1]
-    return np.sqrt(ab) * m0 + np.sqrt(1.0 - ab) * eps
+    return _forward_marginal(m0, eps, schedule.alpha_bars[t - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +122,6 @@ class VicinityKernel:
         if self.form == "gaussian":
             return np.exp(-(d * d) / (2.0 * self.sigma_w * self.sigma_w))
         return np.where(d <= self.sigma_w, 1.0, 0.0)
-
-
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    dx = a[:, 0] - b[:, 0]
-    dy = a[:, 1] - b[:, 1]
-    return np.sqrt(dx * dx + dy * dy)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +177,11 @@ def embed_time_table(T: int, dim: int) -> np.ndarray:
 def _assemble_input(x, m0, t_arr, eps, cond, time_table, schedule) -> np.ndarray:
     """Write each row's denoiser input [M_t | condition | time row] into `x`.
 
-    M_t = sqrt(ab_t) * M0 + sqrt(1 - ab_t) * eps is the forward process's
-    marginal (`forward_diffuse` per row); `eps` is scaled in place.
+    M_t is the forward process's marginal at the row's step, computed by the
+    same kernel as `forward_diffuse`; `eps` is scaled in place.
     """
     a, c = m0.shape[1], m0.shape[1] + cond.shape[1]
-    ab = schedule.alpha_bars[t_arr - 1][:, None]
-    mt = x[:, :a]
-    np.multiply(np.sqrt(ab), m0, out=mt)
-    np.multiply(np.sqrt(1.0 - ab), eps, out=eps)
-    mt += eps
+    _forward_marginal(m0, eps, schedule.alpha_bars[t_arr - 1][:, None], out=x[:, :a])
     x[:, a:c] = cond
     x[:, c:] = time_table[t_arr - 1]
     return x
@@ -216,7 +216,7 @@ def _loss_terms(net, batch, kernel, schedule):
     t_arr = np.asarray(batch.t, dtype=np.int64)
     if t_arr.min() < 1 or t_arr.max() > schedule.T:
         raise RangeError(f"batch steps outside [1, {schedule.T}]")
-    d = _pair_distances(np.asarray(batch.cond_locs), np.asarray(batch.seen_locs))
+    d = distances(batch.cond_locs, batch.seen_locs)
     m0 = np.asarray(batch.m0)
     cond = embed_condition_batch(batch.cond_locs, net.arch.bounds, net.arch.cond_freqs)
     time_table = embed_time_table(schedule.T, net.arch.time_dim)
@@ -318,7 +318,7 @@ def median_nn_distance(coords: np.ndarray) -> float:
         raise ConfigError("need at least two locations for a nearest-neighbor distance")
     nearest = np.empty(len(coords))
     for start in range(0, len(coords), _NN_BLOCK):
-        d = _distance_matrix(coords, slice(start, start + _NN_BLOCK))
+        d = distances(coords[start : start + _NN_BLOCK, None], coords[None])
         own = np.arange(len(d))
         d[own, start + own] = np.inf
         nearest[start : start + len(d)] = d.min(axis=1)
@@ -337,32 +337,19 @@ def _training_bounds(split: LocationSplit) -> tuple[float, float, float, float]:
     return float(xmin), float(ymin), float(xmax), float(ymax)
 
 
-# Sample rows per block of the (N, U) kernel weights in `_condition_cdf`.
-_CDF_BLOCK = 512
-
-
 def _condition_cdf(
-    sample_locs: np.ndarray, unseen_xy: np.ndarray, kernel: VicinityKernel
+    location_xy: np.ndarray, unseen_xy: np.ndarray, kernel: VicinityKernel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each sample's total kernel mass over the unseen locations, and its
+    """Each location's total kernel mass over the unseen locations, and its
     cumulative distribution over them (weights over mass; zero-mass rows stay 0).
 
-    Built in blocks of rows: every quantity is a per-row computation, so the
-    bits equal a whole-matrix pass, but the distances and weights exist for
-    one block at a time and `cdf` is the only (N, U) array.
+    The weights depend on a sample only through its location, so a sample's
+    row is its location's row: one `(L, U)` table serves every sample.
     """
-    n = sample_locs.shape[0]
-    mass = np.empty(n)
-    cdf = np.empty((n, unseen_xy.shape[0]))
-    for lo in range(0, n, _CDF_BLOCK):
-        rows = slice(lo, lo + _CDF_BLOCK)
-        dx = unseen_xy[:, 0][None, :] - sample_locs[rows, 0][:, None]
-        dy = unseen_xy[:, 1][None, :] - sample_locs[rows, 1][:, None]
-        wmat = kernel.weight(np.sqrt(dx * dx + dy * dy))
-        mass[rows] = wmat.sum(axis=1)
-        safe_mass = np.where(mass[rows] > 0.0, mass[rows], 1.0)
-        np.cumsum(wmat / safe_mass[:, None], axis=1, out=cdf[rows])
-    return mass, cdf
+    wmat = kernel.weight(distances(location_xy[:, None], unseen_xy[None]))
+    mass = wmat.sum(axis=1)
+    safe_mass = np.where(mass > 0.0, mass, 1.0)
+    return mass, np.cumsum(wmat / safe_mass[:, None], axis=1)
 
 
 def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainConfig) -> TrainResult:
@@ -385,7 +372,6 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
 
     schedule = build_schedule(cfg.T, cfg.beta_start, cfg.beta_end)
     m0 = data.rss
-    sample_locs = data.coords_matrix()
     unseen_xy = split.unseen_coords()
     n, a = m0.shape
     u = unseen_xy.shape[0]
@@ -396,8 +382,9 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
         sigma_w = AUTO_SIGMA_FACTOR * median_nn_distance(split.seen_coords())
     kernel = VicinityKernel(sigma_w, cfg.kernel)
 
-    mass, cdf = _condition_cdf(sample_locs, unseen_xy, kernel)
-    if not np.any(mass > 0.0):
+    # rows indexed by location; a location no sample uses cannot supervise
+    mass, cdf = _condition_cdf(data.location_coords(), unseen_xy, kernel)
+    if not np.any(mass[data.loc_index] > 0.0):
         raise CoverageError(
             "no unseen location lies within kernel support of any seen sample; "
             "the split cannot supervise generation"
@@ -427,34 +414,38 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
     cdf_buf = np.empty((rows, u))
     below_buf = np.empty((rows, u), dtype=bool)
     idx_buf = np.empty(rows, dtype=np.int64)
+    loc_buf = np.empty(rows, dtype=data.loc_index.dtype)
     draws_buf = np.empty(rows)
     trace: list[tuple[int, float]] = []
     step = 0
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            j = perm[lo : lo + cfg.batch_size]
-            b = j.shape[0]
-            t_arr = rng.integers(1, schedule.T + 1, size=b)
-            eps = rng.standard_normal(out=eps_buf[:b])
-            draws = rng.random(out=draws_buf[:b])
-            # the sampled condition: how many cdf entries lie below the draw
-            cdf_j = np.take(cdf, j, axis=0, out=cdf_buf[:b])
-            below = np.less(cdf_j, draws[:, None], out=below_buf[:b])
-            i_idx = np.minimum(np.sum(below, axis=1, out=idx_buf[:b]), u - 1, out=idx_buf[:b])
-            m0_j = np.take(m0, j, axis=0, out=m0_buf[:b])
-            cond = cond_table[i_idx]
-            x = _assemble_input(x_buf[:b], m0_j, t_arr, eps, cond, time_table, schedule)
-            loss, grad = _weighted_loss_and_grad(net, x, m0_j, mass[j], ws, sq_buf[:b])
-            step += 1
-            if not math.isfinite(loss):
-                raise RangeError(
-                    f"training diverged: minibatch loss is {loss} "
-                    f"at step {step} (epoch {epoch + 1})"
-                )
-            opt.step(net.theta, grad)
-            trace.append((step, loss))
-        opt.lr *= cfg.lr_decay
+    # a diverging run overflows; the finiteness check raises for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(n)
+            for lo in range(0, n, cfg.batch_size):
+                j = perm[lo : lo + cfg.batch_size]
+                b = j.shape[0]
+                t_arr = rng.integers(1, schedule.T + 1, size=b)
+                eps = rng.standard_normal(out=eps_buf[:b])
+                draws = rng.random(out=draws_buf[:b])
+                # the sampled condition: how many cdf entries lie below the draw
+                loc_j = np.take(data.loc_index, j, out=loc_buf[:b])
+                cdf_j = np.take(cdf, loc_j, axis=0, out=cdf_buf[:b])
+                below = np.less(cdf_j, draws[:, None], out=below_buf[:b])
+                i_idx = np.minimum(np.sum(below, axis=1, out=idx_buf[:b]), u - 1, out=idx_buf[:b])
+                m0_j = np.take(m0, j, axis=0, out=m0_buf[:b])
+                cond = cond_table[i_idx]
+                x = _assemble_input(x_buf[:b], m0_j, t_arr, eps, cond, time_table, schedule)
+                loss, grad = _weighted_loss_and_grad(net, x, m0_j, mass[loc_j], ws, sq_buf[:b])
+                step += 1
+                if not math.isfinite(loss):
+                    raise RangeError(
+                        f"training diverged: minibatch loss is {loss} "
+                        f"at step {step} (epoch {epoch + 1})"
+                    )
+                opt.step(net.theta, grad)
+                trace.append((step, loss))
+            opt.lr *= cfg.lr_decay
     return TrainResult(network=net, trace=trace, schedule=schedule, sigma_w=sigma_w)
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Coordinate
+from .dataset import Coordinate, coords_array, distances
 from .errors import ConsistencyError, ParseError, SizeError
 
 
@@ -53,10 +53,10 @@ class LocationSplit:
             raise ConsistencyError("seen and unseen sets overlap")
 
     def seen_coords(self) -> np.ndarray:
-        return np.array([[c.x, c.y] for c in self.seen], dtype=np.float64).reshape(-1, 2)
+        return coords_array(self.seen)
 
     def unseen_coords(self) -> np.ndarray:
-        return np.array([[c.x, c.y] for c in self.unseen], dtype=np.float64).reshape(-1, 2)
+        return coords_array(self.unseen)
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,6 @@ class DensityParams:
 def _check_distinct(points) -> None:
     if len({(p.x, p.y) for p in points}) != len(points):
         raise ConsistencyError("points must be distinct")
-
-
-def _distance_matrix(xy: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """Euclidean distances from the points `xy[rows]` to every point of `xy`."""
-    # sqrt(dx * dx + dy * dy), computed in place: the same operations with two
-    # (rows, n) buffers instead of five. Integer coordinates keep their exact
-    # integer sums; only the square root makes them float64.
-    dx = xy[rows, 0][:, None] - xy[:, 0][None, :]
-    dy = xy[rows, 1][:, None] - xy[:, 1][None, :]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx if dx.dtype == np.float64 else None)
 
 
 def _knn_stats(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +95,8 @@ def neighbor_density(points, k: int) -> list[float]:
     _check_distinct(points)
     if len(points) <= k:
         raise SizeError(f"need more than k={k} points, got {len(points)}")
-    xy = np.array([[p.x, p.y] for p in points])
-    return _knn_stats(_distance_matrix(xy), k)[0].tolist()
+    xy = coords_array(points)
+    return _knn_stats(distances(xy[:, None], xy[None]), k)[0].tolist()
 
 
 def select_unseen_density(points, n_unseen: int, params: DensityParams = DensityParams()) -> LocationSplit:
@@ -130,8 +117,8 @@ def select_unseen_density(points, n_unseen: int, params: DensityParams = Density
             f"n_unseen={n_unseen} must leave at least k_neighbors+1="
             f"{k + 1} of {n} points seen"
         )
-    xy = np.array([[p.x, p.y] for p in points])
-    dist = _distance_matrix(xy)
+    xy = coords_array(points)
+    dist = distances(xy[:, None], xy[None])
     dens, kth = _knn_stats(dist, k)
     # Position of each point in (x, y) order, compared as Python compares the
     # coordinates: the tie-break key as one integer.
@@ -182,7 +169,7 @@ def select_unseen_grid(points, n_unseen: int) -> LocationSplit:
     if not 0 <= n_unseen <= n - 1:
         raise SizeError(f"n_unseen={n_unseen} must be in [0, {n - 1}]")
     n_seen = n - n_unseen
-    xy = np.array([[p.x, p.y] for p in points])
+    xy = coords_array(points)
     xmin, ymin = xy.min(axis=0)
     xmax, ymax = xy.max(axis=0)
     g = math.isqrt(n_seen)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Coordinate, FingerprintDataset
+from .dataset import Coordinate, FingerprintDataset, coords_array, distances
 from .errors import ConfigError, ParseError, RangeError, ShapeError, SizeError
 from .nets import AdamOptimizer, Mlp
 
@@ -102,13 +102,14 @@ class KnnLocalizer:
         approx *= -2.0
         approx += self._sq_norms
         approx += qq[:, None]
-        kth = np.partition(approx, self.k - 1, axis=1)[:, self.k - 1]
+        # each row's k-th smallest, a row at a time: no (block, N) copy
+        kth = np.array([np.partition(row, self.k - 1)[self.k - 1] for row in approx])
         delta = (8 * (qb.shape[1] + 2) * _UNIT_ROUNDOFF) * (self._max_sq_norm + qq)
-        keep = approx <= (kth + 3.0 * delta)[:, None]
+        cut = kth + 3.0 * delta
         preds = []
-        for query, mask in zip(qb, keep):
+        for query, row, c in zip(qb, approx, cut):
             # ascending indices, so the stable argsort breaks ties as a full scan does
-            cand = np.flatnonzero(mask)
+            cand = np.flatnonzero(row <= c)
             diff = self.rss[cand] - query
             d = np.sqrt(np.sum(diff * diff, axis=1))
             order = np.argsort(d, kind="stable")[: self.k]
@@ -181,18 +182,20 @@ def _fit_feedforward(train, hp: LocalizerHyperparams, seed) -> FeedforwardLocali
     rows = min(hp.batch_size, n)
     ws = mlp.workspace(rows)
     x_buf = np.empty((rows, a))
-    for epoch in range(hp.epochs):
-        perm = rng.permutation(n)
-        for lo in range(0, n, hp.batch_size):
-            j = perm[lo : lo + hp.batch_size]
-            b = j.shape[0]
-            xb = np.take(x, j, axis=0, out=x_buf[:b])
-            out, cache = mlp.forward_cached(xb, ws)
-            r = np.subtract(out, y[j], out=out)
-            dout = np.multiply(2.0 / b, r, out=r)
-            opt.step(mlp.theta, mlp.backward(cache, dout))
-        if not np.isfinite(mlp.theta).all():
-            raise RangeError(f"feedforward localizer training diverged in epoch {epoch + 1}")
+    # a diverging fit overflows; the finiteness check raises for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hp.epochs):
+            perm = rng.permutation(n)
+            for lo in range(0, n, hp.batch_size):
+                j = perm[lo : lo + hp.batch_size]
+                b = j.shape[0]
+                xb = np.take(x, j, axis=0, out=x_buf[:b])
+                out, cache = mlp.forward_cached(xb, ws)
+                r = np.subtract(out, y[j], out=out)
+                dout = np.multiply(2.0 / b, r, out=r)
+                opt.step(mlp.theta, mlp.backward(cache, dout))
+            if not np.isfinite(mlp.theta).all():
+                raise RangeError(f"feedforward localizer training diverged in epoch {epoch + 1}")
     return FeedforwardLocalizer(mlp)
 
 
@@ -213,12 +216,7 @@ def evaluate(model: LocalizationModel, test: FingerprintDataset) -> Localization
     if len(test) == 0:
         raise SizeError("test dataset is empty")
     preds = model.predict_batch(test.rss)
-    pred_xy = np.array([(p.x, p.y) for p in preds], dtype=np.float64).reshape(-1, 2)
-    true_xy = test.coords_matrix()
-    # the float operations of Coordinate.distance_to
-    dx = pred_xy[:, 0] - true_xy[:, 0]
-    dy = pred_xy[:, 1] - true_xy[:, 1]
-    arr = np.sqrt(dx * dx + dy * dy)
+    arr = distances(coords_array(preds), test.coords_matrix())
     values, counts = np.unique(arr, return_counts=True)
     fractions = np.cumsum(counts) / arr.shape[0]
     cdf = tuple((float(v), float(f)) for v, f in zip(values, fractions))

@@ -20,6 +20,18 @@ def run_ok(argv):
     assert main(argv) == 0
 
 
+def run_process(argv, **env):
+    """`fpsynth argv` in a fresh interpreter that imports this checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from fpsynth.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True,
+    )
+
+
 class TestSubcommandSmoke:
     def test_synth_env(self, tiny_config_file, tmp_path):
         out = tmp_path / "data.csv"
@@ -118,32 +130,29 @@ class TestFailureModes:
         assert "error [generate]" in capsys.readouterr().err
         assert not (tmp_path / "gen.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverged_training_is_a_stage_tagged_error(self, tiny_config_file, tmp_path, capsys):
+    def test_diverged_training_is_a_stage_tagged_error(self, tiny_config_file, tmp_path):
+        # stderr is the error line alone: no numpy warning before it
         c = tiny_config_file
         split, aug = tmp_path / "split.csv", tmp_path / "aug.csv"
         model, trace = tmp_path / "model.ckpt", tmp_path / "trace.csv"
         run_ok(["split", "-c", c, "-o", str(split)])
         run_ok(["augment", "-c", c, "--split", str(split), "-o", str(aug)])
-        capsys.readouterr()
-        code = main(["train-diffusion", "-c", c, "--data", str(aug), "--split", str(split),
-                     "-o", str(model), "--trace", str(trace),
-                     "--set", "diffusion.learning_rate=1e300"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error [train-diffusion] training diverged" in err
-        assert "Traceback" not in err
+        proc = run_process(["train-diffusion", "-c", c, "--data", str(aug), "--split", str(split),
+                            "-o", str(model), "--trace", str(trace),
+                            "--set", "diffusion.learning_rate=1e300"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error [train-diffusion] training diverged")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert not model.exists() and not trace.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverged_localizer_fit_is_a_stage_tagged_error(self, tiny_config_file, tmp_path,
-                                                             capsys):
+    def test_diverged_localizer_fit_is_a_stage_tagged_error(self, tiny_config_file, tmp_path):
         report = tmp_path / "r.csv"
-        code = main(["pipeline", "-c", tiny_config_file, "-o", str(report),
-                     "--set", "localizer.variant=feedforward",
-                     "--set", "localizer.learning_rate=1e300"])
-        assert code == 2
-        assert "error [evaluate] feedforward localizer training diverged" in capsys.readouterr().err
+        proc = run_process(["pipeline", "-c", tiny_config_file, "-o", str(report),
+                            "--set", "localizer.variant=feedforward",
+                            "--set", "localizer.learning_rate=1e300"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error [evaluate] feedforward localizer training diverged")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert not report.exists()
 
     @pytest.mark.parametrize("flag", ["--data", "-c", "--split", "--model", "data.file.path"])
@@ -268,18 +277,14 @@ class TestDeterminism:
         run_ok(["synth-env", *common, "-o", str(data)])
         run_ok(["split", *common, "--data", str(data), "-o", str(split)])
         run_ok(["augment", *common, "--data", str(data), "--split", str(split), "-o", str(aug)])
-        src = str(Path(__file__).resolve().parent.parent / "src")
         checkpoints = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
             ckpt = tmp_path / f"model_{threads}.ckpt"
-            subprocess.run(
-                [sys.executable, "-c", "import sys; from fpsynth.cli import main; "
-                 "sys.exit(main(sys.argv[1:]))", "train-diffusion", *common, "--data", str(aug),
-                 "--split", str(split), "-o", str(ckpt), "--trace", str(tmp_path / "trace.csv")],
-                env=env, check=True, capture_output=True,
-            )
+            run_process(
+                ["train-diffusion", *common, "--data", str(aug), "--split", str(split),
+                 "-o", str(ckpt), "--trace", str(tmp_path / "trace.csv")],
+                OPENBLAS_NUM_THREADS=threads,
+            ).check_returncode()
             checkpoints.append(ckpt.read_bytes())
         assert checkpoints[0] == checkpoints[1]
 

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import fpsynth.diffusion as diffusion
-from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
+from fpsynth.dataset import (
+    Coordinate,
+    Fingerprint,
+    FingerprintDataset,
+    NormalizationParams,
+    make_dataset,
+)
 from fpsynth.diffusion import (
     DiffusionTrainConfig,
     VicinityKernel,
@@ -104,6 +110,17 @@ class TestTrain:
         with pytest.raises(CoverageError):
             train(data, far, quick_cfg(epochs=1, kernel="hard", sigma_w=1.0))
 
+    def test_coverage_counts_only_locations_with_samples(self):
+        # (5, 5) is the only location within reach of the unseen one, and no
+        # sample is there
+        seen = (Coordinate(0.0, 0.0), Coordinate(5.0, 5.0))
+        data = FingerprintDataset(
+            np.tile(CONST, (4, 1)), np.zeros(4, dtype=np.intp), seen, NormalizationParams()
+        )
+        split = LocationSplit(seen=seen, unseen=(Coordinate(5.5, 5.0),))
+        with pytest.raises(CoverageError):
+            train(data, split, quick_cfg(epochs=1, kernel="hard", sigma_w=1.0))
+
     def test_auto_sigma_needs_two_seen(self):
         data, split = constant_setup()
         with pytest.raises(ConfigError):
@@ -177,15 +194,23 @@ class TestTrain:
     def test_non_finite_loss_raises_naming_the_step(self):
         data, split = constant_setup(48)
         with pytest.raises(RangeError, match=r"diverged.* step 2 \(epoch 1\)"):
-            with np.errstate(all="ignore"):
-                train(data, split, quick_cfg(epochs=2, learning_rate=1e300))
+            train(data, split, quick_cfg(epochs=2, learning_rate=1e300))
 
 
 class TestConditionCdf:
     @pytest.mark.parametrize("form", ["gaussian", "hard"])
-    def test_blocks_equal_the_dense_formula(self, monkeypatch, form):
+    def test_rows_equal_the_dense_per_sample_formula(self, form):
+        # 203 samples at 40 locations, some of them unused: sample j's row of
+        # the dense (N, U) computation is the table's row loc_index[j]
         rng = np.random.default_rng(5)
-        locs = rng.random((203, 2)) * 20.0
+        xy = rng.random((40, 2)) * 20.0
+        data = FingerprintDataset(
+            np.zeros((203, 1)),
+            rng.integers(0, 40, 203),
+            tuple(Coordinate(x, y) for x, y in xy.tolist()),
+            NormalizationParams(),
+        )
+        locs = data.coords_matrix()
         unseen_xy = rng.random((37, 2)) * 20.0
         kernel = VicinityKernel(1.5, form)
         dx = unseen_xy[:, 0][None, :] - locs[:, 0][:, None]
@@ -195,10 +220,10 @@ class TestConditionCdf:
         cdf = np.cumsum(wmat / np.where(mass > 0.0, mass, 1.0)[:, None], axis=1)
         if form == "hard":
             assert (mass == 0.0).any() and (mass > 0.0).any()
-        monkeypatch.setattr(diffusion, "_CDF_BLOCK", 16)  # 13 blocks, the last of 11 rows
-        got_mass, got_cdf = diffusion._condition_cdf(locs, unseen_xy, kernel)
-        assert got_mass.tobytes() == mass.tobytes()
-        assert got_cdf.tobytes() == cdf.tobytes()
+        got_mass, got_cdf = diffusion._condition_cdf(data.location_coords(), unseen_xy, kernel)
+        assert got_mass.shape == (40,) and got_cdf.shape == (40, 37)
+        assert got_mass[data.loc_index].tobytes() == mass.tobytes()
+        assert got_cdf[data.loc_index].tobytes() == cdf.tobytes()
 
 
 class TestMedianNnDistance:

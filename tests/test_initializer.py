@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsynth.dataset import Coordinate
+from fpsynth.dataset import Coordinate, distances
 from fpsynth.errors import ConsistencyError, ParseError, SizeError
 from fpsynth.initializer import (
     DensityParams,
-    _distance_matrix,
     LocationSplit,
     load_split,
     neighbor_density,
@@ -45,12 +44,24 @@ def lattice_sets(draw):
 
 
 def test_distance_matrix_bits_match_the_formula():
-    xy = np.random.default_rng(2).random((60, 2)) * 30.0
-    dx = xy[:, 0][:, None] - xy[:, 0][None, :]
-    dy = xy[:, 1][:, None] - xy[:, 1][None, :]
-    want = np.sqrt(dx * dx + dy * dy)
-    assert _distance_matrix(xy).tobytes() == want.tobytes()
-    assert _distance_matrix(xy, slice(7, 40)).tobytes() == want[7:40].tobytes()
+    # the distance matrix the density split ranks, against the scalar
+    # Coordinate.distance_to, pair by pair
+    xy = np.random.default_rng(2).random((60, 2)) * 30.0 - 15.0
+    xy[:4] = [[-0.0, 0.0], [0.0, -0.0], [-0.0, 3.0], [4.0, -0.0]]
+    pts = [Coordinate(x, y) for x, y in xy.tolist()]
+    want = np.array([[p.distance_to(q) for q in pts] for p in pts])
+    assert distances(xy[:, None], xy[None]).tobytes() == want.tobytes()
+    assert distances(xy[None], xy[:, None]).tobytes() == want.tobytes()  # swapped
+    assert distances(xy[7:40, None], xy[None]).tobytes() == want[7:40].tobytes()
+    paired = distances(xy[:30], xy[30:])
+    assert paired.tobytes() == np.diagonal(want[:30, 30:]).tobytes()
+    assert distances(xy[30:], xy[:30]).tobytes() == paired.tobytes()
+    # integer coordinates give float64, bit-equal to their float twins
+    ints = np.random.default_rng(3).integers(-50, 50, (25, 2))
+    got = distances(ints[:, None], ints[None])
+    assert got.dtype == np.float64
+    ipts = [Coordinate(x, y) for x, y in ints.tolist()]
+    assert got.tobytes() == np.array([[p.distance_to(q) for q in ipts] for p in ipts]).tobytes()
 
 
 def test_integer_coordinates_equal_their_float_twins():
