@@ -1,38 +1,35 @@
 """Command-line interface.
 
 Every subcommand reads one flat-text config file (all keys optional) plus
-`--set key=value` overrides and a `--seed` shortcut, writes machine-readable
-files, and prints a short human summary. Exit code 0 on success; failures
-print a stage-tagged message on stderr and exit nonzero.
+`--set key=value` overrides and a `--seed` shortcut, runs one stage function
+of `pipeline` on its input files, writes machine-readable files, and prints a
+short human summary. Exit code 0 on success; failures print a stage-tagged
+message on stderr and exit nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .config import resolve_config
 from .dataset import load_dataset, merge_datasets, save_dataset
-from .diffusion import (
-    generate_unseen_map,
-    load_checkpoint,
-    save_checkpoint,
-    save_loss_trace,
-    train,
-)
+from .diffusion import load_checkpoint, save_checkpoint, save_loss_trace
 from .errors import FpsynthError, StageError
 from .initializer import load_split, save_split
-from .localizer import evaluate, fit_localizer, save_report
+from .localizer import save_report
 from .pipeline import (
+    augment,
     build_data,
     compute_split,
+    generate,
+    localize,
     run_experiment,
     save_sweep,
-    stage_seed,
     sweep_ratio,
+    train_generator,
+    train_pool,
 )
-from .synthesizer import augment_seen
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -107,24 +104,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_train_pool(cfg, data_file):
-    if data_file is not None:
-        return load_dataset(data_file, cfg.norm)
-    train_pool, _ = build_data(cfg)
-    return train_pool
-
-
-def _cmd_synth_env(args) -> None:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
+def _cmd_synth_env(args, cfg) -> None:
     train_pool, test_set = build_data(cfg)
     ds = test_set if args.test else train_pool
     save_dataset(ds, args.output)
     print(f"wrote {len(ds)} samples at {len(ds.locations)} locations to {args.output}")
 
 
-def _cmd_split(args) -> None:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
-    pool = _load_train_pool(cfg, args.data)
+def _cmd_split(args, cfg) -> None:
+    pool = train_pool(cfg, args.data)
     split = compute_split(cfg, pool.locations)
     save_split(split, args.output)
     print(
@@ -133,22 +121,16 @@ def _cmd_split(args) -> None:
     )
 
 
-def _cmd_augment(args) -> None:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
-    pool = _load_train_pool(cfg, args.data)
+def _cmd_augment(args, cfg) -> None:
     split = load_split(args.split_file)
-    aug_cfg = replace(cfg.augment, seed=stage_seed(cfg.seed, "augment"))
-    aug = augment_seen(pool, split, aug_cfg)
+    aug = augment(cfg, train_pool(cfg, args.data), split)
     save_dataset(aug, args.output)
     print(f"augmented {len(split.seen)} seen locations to {len(aug)} samples -> {args.output}")
 
 
-def _cmd_train_diffusion(args) -> None:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
+def _cmd_train_diffusion(args, cfg) -> None:
     data = load_dataset(args.data, cfg.norm)
-    split = load_split(args.split_file)
-    diff_cfg = replace(cfg.diffusion, seed=stage_seed(cfg.seed, "train"))
-    result = train(data, split, diff_cfg)
+    result = train_generator(cfg, data, load_split(args.split_file))
     save_checkpoint(result.network, result.schedule, args.output)
     save_loss_trace(result.trace, args.trace)
     print(
@@ -157,26 +139,19 @@ def _cmd_train_diffusion(args) -> None:
     )
 
 
-def _cmd_generate(args) -> None:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
+def _cmd_generate(args, cfg) -> None:
     net, schedule = load_checkpoint(args.model)
     split = load_split(args.split_file)
-    ds = generate_unseen_map(
-        net, split, schedule, cfg.samples_per_unseen, stage_seed(cfg.seed, "generate"), cfg.norm
-    )
+    ds = generate(cfg, net, schedule, split)
     save_dataset(ds, args.output)
     print(f"generated {len(ds)} samples at {len(split.unseen)} unseen locations -> {args.output}")
 
 
-def _cmd_evaluate(args) -> None:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
+def _cmd_evaluate(args, cfg) -> None:
     parts = [load_dataset(f, cfg.norm) for f in args.train_files]
     fingerprint_map = merge_datasets(*parts) if len(parts) > 1 else parts[0]
     _, test_set = build_data(cfg)
-    model = fit_localizer(
-        fingerprint_map, cfg.localizer_variant, cfg.localizer, stage_seed(cfg.seed, "fit")
-    )
-    report = evaluate(model, test_set)
+    report = localize(cfg, fingerprint_map, test_set)
     save_report(report, args.output)
     print(
         f"evaluated {len(test_set)} test samples: mean {report.mean_error_m:.3f} m, "
@@ -184,8 +159,7 @@ def _cmd_evaluate(args) -> None:
     )
 
 
-def _cmd_pipeline(args) -> None:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
+def _cmd_pipeline(args, cfg) -> None:
     result = run_experiment(cfg)
     save_report(result.report, args.output)
     print(
@@ -196,8 +170,7 @@ def _cmd_pipeline(args) -> None:
     )
 
 
-def _cmd_sweep(args) -> None:
-    cfg = resolve_config(args.config, args.overrides, args.seed)
+def _cmd_sweep(args, cfg) -> None:
     try:
         fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
     except ValueError as e:
@@ -227,7 +200,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        cfg = resolve_config(args.config, args.overrides, args.seed)
+        _COMMANDS[args.command](args, cfg)
     except StageError as e:
         print(f"error {e}", file=sys.stderr)
         return 2
@@ -240,3 +214,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

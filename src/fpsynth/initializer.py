@@ -170,38 +170,35 @@ def select_unseen_grid(points, n_unseen: int) -> LocationSplit:
         raise SizeError(f"n_unseen={n_unseen} must be in [0, {n - 1}]")
     n_seen = n - n_unseen
     xy = coords_array(points)
+    x, y = xy[:, 0], xy[:, 1]
     xmin, ymin = xy.min(axis=0)
     xmax, ymax = xy.max(axis=0)
     g = math.isqrt(n_seen)
     if g * g < n_seen:
         g += 1
     seen_idx: list[int] = []
-    seen_set: set[int] = set()
+    mind2 = np.full(n, np.inf)  # squared distance to the nearest seen point; -inf once seen
+
+    def take(i: int) -> None:
+        seen_idx.append(i)
+        dx, dy = x[i] - x, y[i] - y
+        np.minimum(mind2, dx * dx + dy * dy, out=mind2)
+        mind2[i] = -np.inf
+
     for iy in range(g):
         for ix in range(g):
             if len(seen_idx) >= n_seen:
                 break
             cx = xmin + (ix + 0.5) * (xmax - xmin) / g
             cy = ymin + (iy + 0.5) * (ymax - ymin) / g
-            d2 = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2
-            best = min(range(n), key=lambda i: (d2[i], points[i].x, points[i].y))
-            if best not in seen_set:
-                seen_set.add(best)
-                seen_idx.append(best)
+            best = int(np.lexsort((y, x, (x - cx) ** 2 + (y - cy) ** 2))[0])
+            if mind2[best] != -np.inf:
+                take(best)
     while len(seen_idx) < n_seen:
-        chosen_xy = xy[seen_idx]
-        cand = [i for i in range(n) if i not in seen_set]
-        mind2 = {}
-        for i in cand:
-            dx = chosen_xy[:, 0] - xy[i, 0]
-            dy = chosen_xy[:, 1] - xy[i, 1]
-            mind2[i] = float(np.min(dx * dx + dy * dy))
-        best = min(cand, key=lambda i: (-mind2[i], points[i].x, points[i].y))
-        seen_set.add(best)
-        seen_idx.append(best)
+        take(int(np.lexsort((y, x, -mind2))[0]))
     return LocationSplit(
         seen=tuple(points[i] for i in seen_idx),
-        unseen=tuple(points[i] for i in range(n) if i not in seen_set),
+        unseen=tuple(points[i] for i in np.flatnonzero(mind2 != -np.inf).tolist()),
     )
 
 

@@ -5,10 +5,10 @@ samples -> train the diffusion generator (if selected) -> generate the unseen
 map -> merge into the full fingerprint map -> fit the localizer -> evaluate on
 the held-out test set.
 
-Every stochastic stage draws its seed deterministically from the experiment
-seed, so a monolithic run and the equivalent staged CLI run (which passes
-datasets through files) produce identical results; datasets are canonicalized
-through the file codec at stage boundaries to keep that exact.
+Each stage is one function here that draws its seed from the experiment seed.
+`run_experiment` composes them and each CLI subcommand is file I/O around one,
+so a staged run equals the monolithic one; `run_experiment` canonicalizes a
+dataset through the file codec wherever the staged run writes a file.
 
 Test protocol: for the synthetic source, an independent draw at ALL grid
 locations with a fresh seed; for file sources, a per-location holdout of
@@ -161,32 +161,56 @@ def _interpolated_map(aug, split, cfg) -> FingerprintDataset:
     return FingerprintDataset(rss, index, tuple(split.unseen), aug.norm_params)
 
 
+def _consumed_pool(cfg: ExperimentConfig, pool: FingerprintDataset) -> FingerprintDataset:
+    """A synthetic pool is canonicalized, as `synth-env` writes it and `--data` reads it back;
+    a file pool was decoded by `load_dataset` already, and the codec is not idempotent."""
+    return canonicalize_dataset(pool) if cfg.source == "synthetic" else pool
+
+
+def train_pool(cfg: ExperimentConfig, data_file=None) -> FingerprintDataset:
+    """The pool that `compute_split` and `augment` read: a dataset file, or the config's source."""
+    if data_file is not None:
+        return load_dataset(data_file, cfg.norm)
+    return _consumed_pool(cfg, build_data(cfg)[0])
+
+
+def augment(cfg: ExperimentConfig, pool, split: LocationSplit) -> FingerprintDataset:
+    return augment_seen(pool, split, replace(cfg.augment, seed=stage_seed(cfg.seed, "augment")))
+
+
+def train_generator(cfg: ExperimentConfig, aug, split: LocationSplit) -> TrainResult:
+    return train(aug, split, replace(cfg.diffusion, seed=stage_seed(cfg.seed, "train")))
+
+
+def generate(cfg: ExperimentConfig, network, schedule, split: LocationSplit) -> FingerprintDataset:
+    return generate_unseen_map(
+        network, split, schedule, cfg.samples_per_unseen, stage_seed(cfg.seed, "generate"), cfg.norm
+    )
+
+
+def localize(cfg: ExperimentConfig, fingerprint_map, test_set) -> LocalizationReport:
+    model = fit_localizer(
+        fingerprint_map, cfg.localizer_variant, cfg.localizer, stage_seed(cfg.seed, "fit")
+    )
+    return evaluate(model, test_set)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full pipeline once. Deterministic given cfg (wall time aside)."""
     t0 = time.perf_counter()
     with _stage("data"):
-        train_pool, test_set = build_data(cfg)
+        pool, test_set = build_data(cfg)
+        pool = _consumed_pool(cfg, pool)
     with _stage("split"):
-        split = compute_split(cfg, train_pool.locations)
+        split = compute_split(cfg, pool.locations)
     with _stage("augment"):
-        aug_cfg = replace(cfg.augment, seed=stage_seed(cfg.seed, "augment"))
-        aug = canonicalize_dataset(augment_seen(train_pool, split, aug_cfg))
+        aug = canonicalize_dataset(augment(cfg, pool, split))
     generated: FingerprintDataset | None = None
     if split.unseen and cfg.augmenter == "diffusion":
         with _stage("train-diffusion"):
-            diff_cfg = replace(cfg.diffusion, seed=stage_seed(cfg.seed, "train"))
-            result: TrainResult = train(aug, split, diff_cfg)
+            result = train_generator(cfg, aug, split)
         with _stage("generate"):
-            generated = canonicalize_dataset(
-                generate_unseen_map(
-                    result.network,
-                    split,
-                    result.schedule,
-                    cfg.samples_per_unseen,
-                    stage_seed(cfg.seed, "generate"),
-                    cfg.norm,
-                )
-            )
+            generated = canonicalize_dataset(generate(cfg, result.network, result.schedule, split))
     elif split.unseen and cfg.augmenter == "interpolator":
         with _stage("generate"):
             generated = canonicalize_dataset(_interpolated_map(aug, split, cfg))
@@ -194,10 +218,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     with _stage("evaluate"):
         fingerprint_map = merge_datasets(aug, generated) if generated is not None else aug
         del aug, generated  # the merged map holds its own copy; free the parts before fitting
-        model = fit_localizer(
-            fingerprint_map, cfg.localizer_variant, cfg.localizer, stage_seed(cfg.seed, "fit")
-        )
-        report = evaluate(model, test_set)
+        report = localize(cfg, fingerprint_map, test_set)
     return ExperimentResult(
         report=report,
         collection_overhead_min=collection_overhead(len(split.seen), cfg.minutes_per_location),

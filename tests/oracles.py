@@ -72,6 +72,43 @@ def rerank_density_split(points, n_unseen, k, batch=1):
     return [points[i] for i in remaining], [points[i] for i in unseen_idx]
 
 
+def scan_grid_split(points, n_unseen):
+    """The per-pick scan form of the grid-center split: each cell's nearest
+    point and each farthest-point fill pick is a `min` over every candidate,
+    with squared distances recomputed against the whole chosen set.
+
+    points: list of Coordinate; returns (seen, unseen) as Coordinate lists.
+    """
+    n = len(points)
+    n_seen = n - n_unseen
+    xy = np.array([[p.x, p.y] for p in points], dtype=np.float64)
+    xmin, ymin = xy.min(axis=0)
+    xmax, ymax = xy.max(axis=0)
+    g = math.isqrt(n_seen)
+    if g * g < n_seen:
+        g += 1
+    seen_idx = []
+    for iy in range(g):
+        for ix in range(g):
+            if len(seen_idx) >= n_seen:
+                break
+            cx = xmin + (ix + 0.5) * (xmax - xmin) / g
+            cy = ymin + (iy + 0.5) * (ymax - ymin) / g
+            d2 = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2
+            best = min(range(n), key=lambda i: (d2[i], points[i].x, points[i].y))
+            if best not in seen_idx:
+                seen_idx.append(best)
+    while len(seen_idx) < n_seen:
+        chosen_xy = xy[seen_idx]
+        mind2 = {}
+        for i in (i for i in range(n) if i not in seen_idx):
+            dx = chosen_xy[:, 0] - xy[i, 0]
+            dy = chosen_xy[:, 1] - xy[i, 1]
+            mind2[i] = float(np.min(dx * dx + dy * dy))
+        seen_idx.append(min(mind2, key=lambda i: (-mind2[i], points[i].x, points[i].y)))
+    return [points[i] for i in seen_idx], [points[i] for i in range(n) if i not in seen_idx]
+
+
 def masked_sigmoid(x):
     """Logistic function evaluated separately on the x >= 0 and x < 0 entries."""
     out = np.empty_like(x)

@@ -20,16 +20,15 @@ def run_ok(argv):
     assert main(argv) == 0
 
 
-def run_process(argv, **env):
+MAIN = ("-c", "import sys; from fpsynth.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def run_process(argv, entry=MAIN, **env):
     """`fpsynth argv` in a fresh interpreter that imports this checkout's src/."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from fpsynth.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", *argv],
-        env=env, capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True, text=True)
 
 
 class TestSubcommandSmoke:
@@ -290,8 +289,18 @@ class TestDeterminism:
 
 
 class TestComposition:
-    def test_staged_equals_pipeline(self, tiny_config_file, tmp_path):
-        c = tiny_config_file
+    @pytest.mark.parametrize("handoff", ["config-source", "data-file", "file-source"])
+    def test_staged_equals_pipeline(self, handoff, tiny_config_file, tmp_path):
+        # config-source: split and augment build the synthetic pool themselves;
+        # data-file: they read synth-env's file via --data;
+        # file-source: the config's source is that file (data.source=file)
+        data = tmp_path / "data.csv"
+        run_ok(["synth-env", "-c", tiny_config_file, "-o", str(data)])
+        cfg = ["-c", tiny_config_file]
+        if handoff == "file-source":
+            cfg += ["--set", "data.source=file", "--set", f"data.file.path={data}",
+                  "--set", "data.file.test_fraction=0.34"]
+        pool = ["--data", str(data)] if handoff == "data-file" else []
         split = tmp_path / "split.csv"
         aug = tmp_path / "aug.csv"
         model = tmp_path / "model.ckpt"
@@ -300,15 +309,15 @@ class TestComposition:
         staged = tmp_path / "staged.csv"
         mono = tmp_path / "mono.csv"
 
-        run_ok(["split", "-c", c, "-o", str(split)])
-        run_ok(["augment", "-c", c, "--split", str(split), "-o", str(aug)])
+        run_ok(["split", *cfg, *pool, "-o", str(split)])
+        run_ok(["augment", *cfg, *pool, "--split", str(split), "-o", str(aug)])
         run_ok(
-            ["train-diffusion", "-c", c, "--data", str(aug), "--split", str(split),
+            ["train-diffusion", *cfg, "--data", str(aug), "--split", str(split),
              "-o", str(model), "--trace", str(trace)]
         )
-        run_ok(["generate", "-c", c, "--model", str(model), "--split", str(split), "-o", str(gen)])
-        run_ok(["evaluate", "-c", c, "--train", str(aug), "--train", str(gen), "-o", str(staged)])
-        run_ok(["pipeline", "-c", c, "-o", str(mono)])
+        run_ok(["generate", *cfg, "--model", str(model), "--split", str(split), "-o", str(gen)])
+        run_ok(["evaluate", *cfg, "--train", str(aug), "--train", str(gen), "-o", str(staged)])
+        run_ok(["pipeline", *cfg, "-o", str(mono)])
 
         a = load_report(staged)
         b = load_report(mono)
@@ -317,6 +326,14 @@ class TestComposition:
         cdf_a, cdf_b = np.array(a.error_cdf), np.array(b.error_cdf)
         assert cdf_a.shape == cdf_b.shape
         assert np.allclose(cdf_a, cdf_b, atol=1e-6)
-        # stage boundaries canonicalize through the file codec, so the staged
-        # run reproduces the monolithic one exactly, not just within tolerance
+        # the pipeline canonicalizes through the file codec wherever the
+        # staged run writes a file, so the staged run reproduces the
+        # monolithic one exactly, not just within tolerance
         assert staged.read_bytes() == mono.read_bytes()
+
+    def test_python_m_runs_the_cli(self, tiny_config_file, tmp_path):
+        out = tmp_path / "split.csv"
+        proc = run_process(["split", "-c", tiny_config_file, "-o", str(out)],
+                           entry=("-m", "fpsynth.cli"))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().startswith("x,y,role\n")

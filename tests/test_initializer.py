@@ -17,7 +17,12 @@ from fpsynth.initializer import (
     select_unseen_grid,
     select_unseen_random,
 )
-from oracles import brute_density_split, brute_knn_densities, rerank_density_split
+from oracles import (
+    brute_density_split,
+    brute_knn_densities,
+    rerank_density_split,
+    scan_grid_split,
+)
 
 
 def line_points(n):
@@ -244,6 +249,27 @@ class TestGridSelection:
         split = select_unseen_grid(pts, 6)
         assert set(split.seen) | set(split.unseen) == set(pts)
         assert len(split.seen) == 5
+
+    @pytest.mark.parametrize("kind", ["lattice", "uniform", "shuffled-lattice", "half-lattice"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_scan_oracle_at_every_n_unseen(self, kind, seed):
+        # integer lattices tie on cell distances and farthest-point distances,
+        # which the (x, y) order must break exactly as the scan does
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            xy = rng.random((int(rng.integers(2, 40)), 2)) * 20.0
+        else:
+            w, h = rng.integers(2, 8, size=2)
+            xy = np.array(list(itertools.product(range(w), range(h))), dtype=float)
+            if kind == "half-lattice":
+                xy = xy[rng.random(len(xy)) < 0.5]
+            if kind != "lattice":
+                xy = xy[rng.permutation(len(xy))]
+        pts = [Coordinate(x, y) for x, y in xy.tolist()]
+        for n_unseen in range(len(pts)):
+            split = select_unseen_grid(pts, n_unseen)
+            seen, unseen = scan_grid_split(pts, n_unseen)
+            assert (list(split.seen), list(split.unseen)) == (seen, unseen), n_unseen
 
 
 class TestSplitType:

@@ -5,7 +5,7 @@ import pytest
 
 from fpsynth.baselines import interpolate_locations
 from fpsynth.config import ExperimentConfig, SyntheticSpec
-from fpsynth.dataset import save_dataset
+from fpsynth.dataset import load_dataset, save_dataset
 from fpsynth.diffusion import DiffusionTrainConfig
 from fpsynth.errors import SizeError, StageError
 from fpsynth.localizer import LocalizerHyperparams
@@ -18,6 +18,7 @@ from fpsynth.pipeline import (
     stage_seed,
     sweep_ratio,
     synthetic_grid,
+    train_pool,
 )
 from fpsynth.synthesizer import AugmentationConfig
 
@@ -100,6 +101,33 @@ class TestBuildData:
         assert len(train_pool) == 4
         assert len(test_set) == 4
         assert len(train_pool) + len(test_set) == len(tiny_dataset)
+
+
+def same_bits(a, b) -> bool:
+    return (
+        a.rss.tobytes() == b.rss.tobytes()
+        and np.array_equal(a.loc_index, b.loc_index)
+        and a.locations == b.locations
+        and a.norm_params == b.norm_params
+    )
+
+
+class TestTrainPool:
+    def test_synthetic_pool_is_the_saved_pool_read_back(self, tmp_path):
+        # what `fpsynth synth-env` writes and `--data` reads back, bit for bit
+        cfg = tiny_cfg()
+        path = tmp_path / "data.csv"
+        save_dataset(build_data(cfg)[0], path)
+        assert same_bits(train_pool(cfg), load_dataset(path, cfg.norm))
+        assert same_bits(train_pool(cfg, path), load_dataset(path, cfg.norm))
+
+    def test_file_pool_is_not_canonicalized_again(self, tmp_path):
+        cfg = tiny_cfg()
+        path = tmp_path / "data.csv"
+        save_dataset(build_data(cfg)[0], path)
+        file_cfg = tiny_cfg(source="file", file_path=str(path), file_test_fraction=0.34)
+        pool = build_data(file_cfg)[0]
+        assert same_bits(train_pool(file_cfg), pool)
 
 
 class TestRunExperiment:
