@@ -17,9 +17,12 @@ then timed REPEATS times and the median reported, with the minor page faults
 * evaluate: fitting the kNN localizer on the merged map and `evaluate` on the
   2,000 test queries.
 
-Last, the diffusion arm, on the samples of every other location conditioned
-on the other 1,000 locations:
+Last, the two generator arms, on the samples of every other location with
+the other 1,000 locations unseen:
 
+* interpolate: `interpolate_locations` (k=3) of those samples onto the 1,000
+  unseen locations, the interpolator arm's map (the SHA-256 of its bytes is
+  reported as `interpolate_sha256`);
 * train_one_epoch: one epoch of `train()` (default config, 157 steps of 64
   rows), timed with tracing off; one more run under `tracemalloc` reports
   the epoch's peak traced memory (about 24 MB, mostly the 1,000 seen x
@@ -31,10 +34,12 @@ on the other 1,000 locations:
 
     PYTHONPATH=src python3 scripts/filescale.py --out filescale.json
 
-Its peak resident memory is about 565 MB (564 MB measured with numpy 2.4).
+Its peak resident memory is about 570 MB (564 to 574 MB over four runs with
+numpy 2.4).
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -47,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fpsynth.baselines import interpolate_locations
 from fpsynth.dataset import canonicalize_dataset, load_dataset, merge_datasets, save_dataset
 from fpsynth.diffusion import DiffusionTrainConfig, build_schedule, generate_unseen_map, train
 from fpsynth.initializer import LocationSplit, select_unseen_density
@@ -156,6 +162,7 @@ def main() -> None:
     del aug, rest, merged
 
     seen = data.subset_at(split.seen)
+    interpolated = record("interpolate", lambda: interpolate_locations(seen, split.unseen))
     train_cfg = DiffusionTrainConfig(epochs=1, seed=SEED)
     trained = record("train_one_epoch", lambda: train(seen, split, train_cfg))
     tracemalloc.start()
@@ -189,6 +196,7 @@ def main() -> None:
         "timings": timings,
         "train_one_epoch": {"tracemalloc_peak_mb": train_peak_mb},
         "reverse_step_s": reverse_step_s,
+        "interpolate_sha256": hashlib.sha256(interpolated.tobytes()).hexdigest(),
         "mean_error_m": report.mean_error_m,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }

@@ -1,11 +1,16 @@
-"""Reference augmentation strategies to compare the diffusion generator against."""
+"""Reference augmentation strategies to compare the diffusion generator against.
+
+The interpolator is inverse-distance kNN regression in coordinate space, so it
+runs on `KnnLocalizer`'s exact search and blend.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dataset import FingerprintDataset, distances
+from .dataset import FingerprintDataset, coords_array
 from .errors import SizeError
+from .localizer import KnnLocalizer
 
 
 def interpolate_locations(seen_data: FingerprintDataset, targets, k: int = 3) -> np.ndarray:
@@ -13,8 +18,8 @@ def interpolate_locations(seen_data: FingerprintDataset, targets, k: int = 3) ->
     fingerprints at each target, as a `(len(targets), A)` matrix.
 
     The location means are computed once. A target coinciding with a seen
-    location gets that location's mean. Entries that land below detect_floor
-    snap to 0.
+    location gets that location's mean; equidistant locations rank in (x, y)
+    order. Entries that land below detect_floor snap to 0.
     """
     locs = seen_data.locations
     if len(locs) < k:
@@ -27,17 +32,7 @@ def interpolate_locations(seen_data: FingerprintDataset, targets, k: int = 3) ->
     means = sums / counts[:, None]
 
     order = sorted(range(len(locs)), key=lambda i: (locs[i].x, locs[i].y))
-    means = means[order]
     xy = seen_data.location_coords()[order]
+    blended = KnnLocalizer(xy, means[order], k).blend(coords_array(targets))
     floor = seen_data.norm_params.detect_floor
-    out = np.empty((len(targets), seen_data.ap_count))
-    for i, target in enumerate(targets):
-        d = distances(xy, (target.x, target.y))
-        nearest = np.argsort(d, kind="stable")[:k]
-        if d[nearest[0]] == 0.0:
-            blended = means[nearest[0]]
-        else:
-            w = 1.0 / d[nearest]
-            blended = (w[:, None] * means[nearest]).sum(axis=0) / w.sum()
-        out[i] = np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))
-    return out
+    return np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))

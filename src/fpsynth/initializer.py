@@ -228,9 +228,12 @@ def load_split(path) -> LocationSplit:
         if len(parts) != 3:
             raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
         try:
-            c = Coordinate(float(parts[0]), float(parts[1]))
+            x, y = float(parts[0]), float(parts[1])
         except ValueError as e:
             raise ParseError(f"{path}: line {lineno}: non-numeric coordinate ({e})") from e
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"{path}: line {lineno}: non-finite coordinate ({x}, {y})")
+        c = Coordinate(x, y)
         role = parts[2].strip()
         if role == "seen":
             seen.append(c)

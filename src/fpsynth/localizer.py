@@ -1,9 +1,11 @@
 """Downstream localization models used to score fingerprint-map quality.
 
 The kNN variant is the deterministic workhorse: inverse-distance-weighted
-average of the k nearest stored fingerprints in RSS space. The feedforward
-variant regresses coordinates with a small MLP trained by Adam on squared
-coordinate error.
+average of the k nearest stored fingerprints in RSS space. Its exact search
+and blend also serve `baselines.interpolate_locations`, with seen-location
+coordinates as the stored rows and location means as the values. The
+feedforward variant regresses coordinates with a small MLP trained by Adam on
+squared coordinate error.
 """
 
 from __future__ import annotations
@@ -51,7 +53,12 @@ def _query_matrix(queries, dim: int) -> np.ndarray:
 
 
 class KnnLocalizer:
-    """Stores the training fingerprints verbatim; variant tag 'knn'."""
+    """Inverse-distance kNN regression over stored rows; variant tag 'knn'.
+
+    `rss` holds the (N, D) stored rows and `coords` an (N, V) value row for
+    each; `blend` averages the values of a query's k nearest rows. For the
+    localizer they are the training fingerprints and their coordinates.
+    """
 
     variant = "knn"
 
@@ -69,18 +76,21 @@ class KnnLocalizer:
         return self.predict_batch(rss[None, :])[0]
 
     def predict_batch(self, queries) -> list[Coordinate]:
-        """IDW blend of the k nearest stored rows for each row of a (Q, A) matrix.
+        return [Coordinate(x, y) for x, y in self.blend(queries).tolist()]
+
+    def blend(self, queries) -> np.ndarray:
+        """IDW blend of the values of the k nearest stored rows for each row of a (Q, D) matrix.
 
         Equal, bit for bit, to computing every exact distance
         `sqrt(sum((x - q)**2))` and a stable argsort per query.
         """
         q = _query_matrix(queries, self.rss.shape[1])
-        preds: list[Coordinate] = []
+        out = np.empty((q.shape[0], self.coords.shape[1]))
         for lo in range(0, q.shape[0], _QUERY_BLOCK):
-            preds.extend(self._predict_block(q[lo : lo + _QUERY_BLOCK]))
-        return preds
+            self._predict_block(q[lo : lo + _QUERY_BLOCK], out[lo : lo + _QUERY_BLOCK])
+        return out
 
-    def _predict_block(self, qb: np.ndarray) -> list[Coordinate]:
+    def _predict_block(self, qb: np.ndarray, out: np.ndarray) -> None:
         # Prefilter. Let D = |x - q|^2 (real), e = fl(sum(fl(x - q)^2)) the
         # exact formula's value, s = |x|^2 - 2 q.x + |q|^2 from the GEMM, u the
         # unit roundoff and M = |x|^2 + |q|^2, so D <= 2M and |q.x| <= M/2.
@@ -106,8 +116,7 @@ class KnnLocalizer:
         kth = np.array([np.partition(row, self.k - 1)[self.k - 1] for row in approx])
         delta = (8 * (qb.shape[1] + 2) * _UNIT_ROUNDOFF) * (self._max_sq_norm + qq)
         cut = kth + 3.0 * delta
-        preds = []
-        for query, row, c in zip(qb, approx, cut):
+        for query, row, c, dst in zip(qb, approx, cut, out):
             # ascending indices, so the stable argsort breaks ties as a full scan does
             cand = np.flatnonzero(row <= c)
             diff = self.rss[cand] - query
@@ -116,13 +125,10 @@ class KnnLocalizer:
             dk = d[order]
             nearest = cand[order]
             if dk[0] == 0.0:
-                i = int(nearest[0])
-                preds.append(Coordinate(float(self.coords[i, 0]), float(self.coords[i, 1])))
-                continue
-            w = 1.0 / dk
-            xy = (w[:, None] * self.coords[nearest]).sum(axis=0) / w.sum()
-            preds.append(Coordinate(float(xy[0]), float(xy[1])))
-        return preds
+                dst[:] = self.coords[nearest[0]]
+            else:
+                w = 1.0 / dk
+                dst[:] = (w[:, None] * self.coords[nearest]).sum(axis=0) / w.sum()
 
 
 class FeedforwardLocalizer:

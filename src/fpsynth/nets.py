@@ -31,7 +31,7 @@ import copy
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -143,14 +143,7 @@ class DenoiserArch:
         return sum(o * i + o for o, i in self.layer_shapes)
 
     def to_dict(self) -> dict:
-        return {
-            "ap_count": self.ap_count,
-            "cond_freqs": self.cond_freqs,
-            "time_dim": self.time_dim,
-            "hidden": list(self.hidden),
-            "activation": self.activation,
-            "bounds": list(self.bounds),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DenoiserArch":

@@ -75,3 +75,22 @@ class TestInterpolateLocations:
             assert np.array_equal(row, spatial_interpolate(ds, target, 3))
             # a target's row does not depend on the other targets in the call
             assert np.array_equal(row, interpolate_locations(ds, [target], 3)[0])
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 8])
+    def test_lattice_ties_and_blocks_equal_the_oracle(self, k):
+        # A shuffled 20 x 20 lattice, so the dataset's location order is not
+        # the (x, y) order ties break in. Cell centres are four-way ties,
+        # lattice points coincide with a location, and 150 targets take three
+        # query blocks.
+        rng = np.random.default_rng(11)
+        lattice = [(float(x), float(y)) for x in range(20) for y in range(20)]
+        locs = [lattice[i] for i in rng.permutation(len(lattice))]
+        entries = [(rng.uniform(0.1, 1.0, 4).tolist(), loc) for loc in locs + locs[:50]]
+        ds = seen_ds(entries, ap_count=4)
+        cells = rng.integers(0, 19, (50, 2))
+        targets = [Coordinate(x + 0.5, y + 0.5) for x, y in cells.tolist()]
+        targets += [Coordinate(*locs[i]) for i in rng.integers(0, len(locs), 50)]
+        targets += [Coordinate(*(rng.random(2) * 21 - 1)) for _ in range(50)]
+        got = interpolate_locations(ds, targets, k)
+        for row, target in zip(got, targets):
+            assert np.array_equal(row, spatial_interpolate(ds, target, k))

@@ -337,3 +337,15 @@ class TestComposition:
                            entry=("-m", "fpsynth.cli"))
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("x,y,role\n")
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+
+
+class TestScripts:
+    @pytest.mark.parametrize("script", SCRIPTS, ids=[p.name for p in SCRIPTS])
+    def test_help_exits_zero(self, script):
+        # no test imports the scripts, so this is what notices a renamed import
+        proc = run_process(["--help"], entry=(str(script),))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage:")

@@ -296,3 +296,10 @@ class TestSplitType:
         path.write_text("x,y,role\n0,0,visible\n")
         with pytest.raises(ParseError):
             load_split(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_load_non_finite_coordinate_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y,role\n0,0,seen\n{bad},3.0,unseen\n")
+        with pytest.raises(ParseError, match=r"bad\.csv: line 3: non-finite coordinate"):
+            load_split(path)

@@ -132,6 +132,14 @@ class TestKnnBatchBits:
         model = KnnLocalizer(stored, np.array([[0.0, 0.0], [9.0, 9.0]]), 1)
         assert batch_xy(model, q) == oracle_xy(model, q) == [(0.0, 0.0)]
 
+    def test_predict_batch_is_the_blend_rows(self):
+        rng = np.random.default_rng(6)
+        model = KnnLocalizer(rng.random((100, 5)), rng.random((100, 2)) * 20, 3)
+        q = np.concatenate([rng.random((2 * localizer._QUERY_BLOCK, 5)), model.rss[:3]])
+        blended = model.blend(q)
+        assert blended.shape == (q.shape[0], 2)
+        assert batch_xy(model, q) == [tuple(row) for row in blended.tolist()]
+
 
 class TestQueryErrors:
     @pytest.fixture
