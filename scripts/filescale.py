@@ -6,10 +6,13 @@ A seeded survey of 20,000 fingerprints x 520 APs (2,000 locations x 10
 samples, about half the readings "not detected") and a 2,000-query test draw
 from the same world are written to a temporary directory. Each operation is
 then timed REPEATS times and the median reported, with the minor page faults
-(`ru_minflt`) of each call:
+(`ru_minflt`) of each call and the process's peak resident memory
+(`ru_maxrss`, a running maximum) once the operation's repeats are done:
 
 * save: `save_dataset` of the loaded survey;
-* load: `load_dataset` of the survey file;
+* load: `load_dataset` of the survey file; one more call under `tracemalloc`
+  reports its peak traced memory and that peak over the bytes of the matrix
+  it returns (`load.tracemalloc_peak_mb`, `load.peak_over_matrix`);
 * canonicalize: `canonicalize_dataset` of the survey;
 * density_split: `select_unseen_density` of the 2,000 locations, 1,000 unseen;
 * augment: `augment_seen` with one replica per sample at every other location;
@@ -34,8 +37,8 @@ the other 1,000 locations unseen:
 
     PYTHONPATH=src python3 scripts/filescale.py --out filescale.json
 
-Its peak resident memory is about 570 MB (564 to 574 MB over four runs with
-numpy 2.4).
+Its peak resident memory is about 510 MB (508 and 509 MB over two runs with
+numpy 2.4); the `maxrss_mb` of each operation shows where it is reached.
 """
 
 import argparse
@@ -107,6 +110,20 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def maxrss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def traced_peak_mb(fn) -> tuple[float, object]:
+    """(peak traced memory in MB, result) of one call of fn under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6, result
+    finally:
+        tracemalloc.stop()
+
+
 def timed(fn, repeats: int) -> tuple[float, list[float], list[int], object]:
     """(median seconds, every sample, each call's minor page faults, the last
     result) of `repeats` calls of fn."""
@@ -137,13 +154,22 @@ def main() -> None:
 
     def record(name, fn):
         median, samples, faults, result = timed(fn, REPEATS)
-        timings[name] = {"median_s": median, "samples_s": samples, "minor_faults": faults}
+        timings[name] = {
+            "median_s": median,
+            "samples_s": samples,
+            "minor_faults": faults,
+            "maxrss_mb": maxrss_mb(),
+        }
         return result
 
     with tempfile.TemporaryDirectory() as tmp:
         survey_path, test_path = Path(tmp) / "survey.csv", Path(tmp) / "test.csv"
         write_survey(survey_path, rng, ap_xy, survey_rows)
         write_survey(test_path, rng, ap_xy, test_rows)
+        # traced first, while no other dataset is alive, so that it does not set peak_rss_mb
+        load_peak_mb, data = traced_peak_mb(lambda: load_dataset(survey_path))
+        load_peak_over_matrix = load_peak_mb * 1e6 / data.rss.nbytes
+        del data
         data = record("load", lambda: load_dataset(survey_path))
         test_set = load_dataset(test_path)
         record("save", lambda: save_dataset(data, Path(tmp) / "saved.csv"))
@@ -165,10 +191,7 @@ def main() -> None:
     interpolated = record("interpolate", lambda: interpolate_locations(seen, split.unseen))
     train_cfg = DiffusionTrainConfig(epochs=1, seed=SEED)
     trained = record("train_one_epoch", lambda: train(seen, split, train_cfg))
-    tracemalloc.start()
-    train(seen, split, train_cfg)
-    train_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-    tracemalloc.stop()
+    train_peak_mb, _ = traced_peak_mb(lambda: train(seen, split, train_cfg))
 
     def generate(steps):
         schedule = build_schedule(steps, train_cfg.beta_start, train_cfg.beta_end)
@@ -194,11 +217,12 @@ def main() -> None:
         },
         "repeats": REPEATS,
         "timings": timings,
+        "load": {"tracemalloc_peak_mb": load_peak_mb, "peak_over_matrix": load_peak_over_matrix},
         "train_one_epoch": {"tracemalloc_peak_mb": train_peak_mb},
         "reverse_step_s": reverse_step_s,
         "interpolate_sha256": hashlib.sha256(interpolated.tobytes()).hexdigest(),
         "mean_error_m": report.mean_error_m,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": maxrss_mb(),
     }
     text = json.dumps(result, indent=1)
     if args.out:

@@ -150,7 +150,8 @@ def _cmd_generate(args, cfg) -> None:
 def _cmd_evaluate(args, cfg) -> None:
     parts = [load_dataset(f, cfg.norm) for f in args.train_files]
     fingerprint_map = merge_datasets(*parts) if len(parts) > 1 else parts[0]
-    _, test_set = build_data(cfg)
+    del parts  # the merged map holds its own copy; free the parts before fitting
+    test_set = build_data(cfg)[1]
     report = localize(cfg, fingerprint_map, test_set)
     save_report(report, args.output)
     print(

@@ -163,8 +163,11 @@ def _interpolated_map(aug, split, cfg) -> FingerprintDataset:
 
 def _consumed_pool(cfg: ExperimentConfig, pool: FingerprintDataset) -> FingerprintDataset:
     """A synthetic pool is canonicalized, as `synth-env` writes it and `--data` reads it back;
-    a file pool was decoded by `load_dataset` already, and the codec is not idempotent."""
-    return canonicalize_dataset(pool) if cfg.source == "synthetic" else pool
+    a file pool was decoded by `load_dataset` already, and the codec is not idempotent.
+
+    `pool` is handed over: a synthetic one is canonicalized inside its own matrix.
+    """
+    return canonicalize_dataset(pool, in_place=True) if cfg.source == "synthetic" else pool
 
 
 def train_pool(cfg: ExperimentConfig, data_file=None) -> FingerprintDataset:
@@ -203,17 +206,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pool = _consumed_pool(cfg, pool)
     with _stage("split"):
         split = compute_split(cfg, pool.locations)
+    # Each stage output is canonicalized inside its own matrix: nothing else holds it.
     with _stage("augment"):
-        aug = canonicalize_dataset(augment(cfg, pool, split))
+        aug = canonicalize_dataset(augment(cfg, pool, split), in_place=True)
+        del pool  # the augmented data holds its own copy of the seen samples
     generated: FingerprintDataset | None = None
     if split.unseen and cfg.augmenter == "diffusion":
         with _stage("train-diffusion"):
             result = train_generator(cfg, aug, split)
         with _stage("generate"):
-            generated = canonicalize_dataset(generate(cfg, result.network, result.schedule, split))
+            generated = generate(cfg, result.network, result.schedule, split)
+            generated = canonicalize_dataset(generated, in_place=True)
     elif split.unseen and cfg.augmenter == "interpolator":
         with _stage("generate"):
-            generated = canonicalize_dataset(_interpolated_map(aug, split, cfg))
+            generated = canonicalize_dataset(_interpolated_map(aug, split, cfg), in_place=True)
     # augmenter == "none" (or no unseen locations): the map is the seen data alone
     with _stage("evaluate"):
         fingerprint_map = merge_datasets(aug, generated) if generated is not None else aug

@@ -300,6 +300,27 @@ def load_lines(path, params):
     return rss, sample_locations, tuple(distinct), collectors
 
 
+def save_lines(ds, path):
+    """The wide-format writer in one pass: every value decoded by the formula at
+    once, then one line per sample with each float at full `repr` precision."""
+    params, f = ds.norm_params, ds.norm_params.detect_floor
+    v = ds.rss
+    raw = params.rss_min + (v - f) / (1.0 - f) * (params.rss_max - params.rss_min)
+    raw = np.where(v >= f, np.clip(raw, params.rss_min, params.rss_max), params.sentinel_raw)
+    has_collector = any(c is not None for c in ds.collector_ids)
+    width = max(3, len(str(ds.ap_count)))
+    header = [f"AP{i + 1:0{width}d}" for i in range(ds.ap_count)] + ["X", "Y"]
+    lines = [",".join(header + (["COLLECTOR"] if has_collector else []))]
+    for row, j, collector in zip(raw.tolist(), ds.loc_index.tolist(), ds.collector_ids):
+        c = ds.locations[j]
+        fields = [repr(x) for x in row] + [repr(c.x), repr(c.y)]
+        if has_collector:
+            fields.append("" if collector is None else str(collector))
+        lines.append(",".join(fields))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def augment_replicas(rss, seed, replicas, sigma, threshold, detect_floor):
     """Per-source, per-replica noise and dropout: one (A,) draw per replica from
     each source row's own `default_rng(child)`; returns the (N * replicas, A) block."""

@@ -1,4 +1,6 @@
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from fpsynth.dataset import (
     FingerprintDataset,
     NormalizationParams,
     SyntheticEnvironment,
+    canonicalize_dataset,
     denormalize_rss,
     generate_synthetic,
     load_dataset,
@@ -21,7 +24,7 @@ from fpsynth.dataset import (
     save_dataset,
 )
 from fpsynth.errors import ConfigError, ConsistencyError, FpsynthError, ParseError, RangeError
-from oracles import load_lines
+from oracles import load_lines, save_lines
 
 
 class TestNormalize:
@@ -176,6 +179,54 @@ class TestFileRoundTrip:
         loaded = load_dataset(path, params)
         assert loaded.samples[0].collector_id == 3
 
+    def test_file_spanning_several_blocks_has_the_one_pass_bytes(self, params, tmp_path):
+        # 1,001 rows of 200 values are four row blocks of the writer's decoding pass
+        rng = np.random.default_rng(7)
+        n = 1_001
+        collectors = [None if i % 3 else int(i) for i in range(n)]
+        locations = tuple(Coordinate(float(i), -0.5 * i) for i in range(40))
+        ds = FingerprintDataset(
+            _valid_rows(rng, n, 200), rng.integers(0, 40, n), locations, params, collectors
+        )
+        save_dataset(ds, tmp_path / "blocked.csv")
+        save_lines(ds, tmp_path / "one_pass.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "one_pass.csv").read_bytes()
+
+
+class TestCanonicalize:
+    def _dataset(self, params, n=1_001):
+        # 1,001 rows of 200 values are four row blocks of the codec round trip
+        rng = np.random.default_rng(11)
+        locations = tuple(Coordinate(float(i), 0.0) for i in range(20))
+        rss = _valid_rows(rng, n, 200)
+        return FingerprintDataset(rss, rng.integers(0, 20, n), locations, params)
+
+    def test_equals_a_file_round_trip_and_leaves_the_input(self, params, tmp_path):
+        ds = self._dataset(params)
+        before = ds.rss.copy()
+        save_dataset(ds, tmp_path / "ds.csv")
+        expected = load_dataset(tmp_path / "ds.csv", params).rss
+        got = canonicalize_dataset(ds)
+        assert got.rss.tobytes() == expected.tobytes()
+        assert ds.rss.tobytes() == before.tobytes()
+        assert not got.rss.flags.writeable
+
+    def test_in_place_hands_over_the_matrix(self, params):
+        ds = self._dataset(params)
+        expected = canonicalize_dataset(ds).rss
+        matrix = ds.rss
+        got = canonicalize_dataset(ds, in_place=True)
+        assert got.rss is matrix and not matrix.flags.writeable
+        assert got.rss.tobytes() == expected.tobytes()
+
+    def test_in_place_copies_a_view_of_a_read_only_matrix(self, params):
+        base = self._dataset(params, n=40).rss  # read-only
+        view = FingerprintDataset(base[:20], np.zeros(20, dtype=np.intp), (Coordinate(0, 0),), params)
+        assert np.shares_memory(view.rss, base)
+        got = canonicalize_dataset(view, in_place=True)
+        assert not np.shares_memory(got.rss, base)
+        assert got.rss.tobytes() == canonicalize_dataset(view).rss.tobytes()
+
 
 class TestLoader:
     def _write(self, tmp_path, text):
@@ -231,6 +282,34 @@ class TestLoader:
         path = self._write(tmp_path, "AP001,X,Y\n17,0,0\n")
         with pytest.raises(RangeError):
             load_dataset(path, params)
+
+    def test_out_of_range_raw_in_a_later_row_block(self, params, tmp_path):
+        # 300 rows of 520 APs span three row blocks of the range check
+        rows = ["AP" + ",AP".join(f"{i + 1:03d}" for i in range(520)) + ",X,Y"]
+        rows += [",".join(["-50"] * 520 + [str(i), "0"]) for i in range(300)]
+        rows[251] = rows[251].replace("-50", "17", 1)
+        with pytest.raises(RangeError, match="line 252: raw RSS 17.0 outside"):
+            load_dataset(self._write(tmp_path, "\n".join(rows)), params)
+
+    def test_traced_peak_is_under_two_and_a_half_matrices(self, params, tmp_path):
+        # about 2 MB of text: 1,600 rows of 100 readings, half of them the sentinel
+        rng = np.random.default_rng(3)
+        shape = (1_600, 100)
+        raw = np.where(rng.random(shape) < 0.5, 100.0, rng.uniform(-104.0, 0.0, shape))
+        rows = ["AP" + ",AP".join(f"{i + 1:03d}" for i in range(100)) + ",X,Y"]
+        rows += [
+            ",".join(map(repr, r)) + f",{i % 50}.5,{i // 50}.25" for i, r in enumerate(raw.tolist())
+        ]
+        path = self._write(tmp_path, "\n".join(rows) + "\n")
+        assert 1.8e6 < path.stat().st_size < 2.2e6
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.rss.shape == shape
+        assert peak < 2.5 * ds.rss.nbytes
 
     def test_bad_header(self, params, tmp_path):
         path = self._write(tmp_path, "X,Y\n0,0\n")
@@ -288,6 +367,13 @@ CORRUPT_TOKENS = [
     "nan", "Infinity", "-inf", "abc", "", "0x10", "1\x1f", "\x1f-5", "5", "-104.5", "1e-3",
     "1,2", "1__0", "-5 #1", '"-5"',
 ]
+# Line breaks of str.splitlines(); all but the first three do not end a line
+# for a text file's line iterator.
+LINE_BREAKS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
+# The splitlines-only breaks and U+001F, which np.loadtxt strips around a number
+ODD_CHARACTERS = LINE_BREAKS[3:] + ["\x1f"]
 
 
 @st.composite
@@ -311,6 +397,11 @@ def survey_lines(draw, min_rows=0, exotic=st.booleans()):
             fields.append(draw(COLLECTOR_TOKENS))
         lines.append(",".join(fields))
     return lines
+
+
+def _joined(lines, breaks):
+    """The file text of `lines`, each ended by the matching entry of `breaks`."""
+    return "".join(line + end for line, end in zip(lines, breaks))
 
 
 def _load_both(text):
@@ -342,11 +433,39 @@ def _assert_same_dataset(ds, oracle):
 
 class TestLoaderParity:
     @settings(max_examples=200, deadline=None)
-    @given(survey_lines(), st.sampled_from(["", "\n", "\n\n"]))
-    def test_well_formed_file_equals_oracle(self, lines, end):
-        got, oracle = _load_both("\n".join(lines) + end)
+    @given(survey_lines(), st.sampled_from(["", "\n", "\n\n"]), st.data())
+    def test_well_formed_file_equals_oracle(self, lines, end, data):
+        breaks = st.sampled_from(["\n"] * len(LINE_BREAKS) + LINE_BREAKS)
+        ends = data.draw(st.lists(breaks, min_size=len(lines) - 1, max_size=len(lines) - 1))
+        got, oracle = _load_both(_joined(lines, ends + [""]) + end)
         assert not isinstance(oracle, Exception)
         _assert_same_dataset(got, oracle)
+
+    @settings(max_examples=200, deadline=None)
+    @given(survey_lines(min_rows=1), st.data())
+    def test_odd_character_gives_the_oracle_outcome(self, lines, data):
+        # a splitlines-only break or U+001F inside a field, at its edge, or as a row separator
+        odd = data.draw(st.sampled_from(ODD_CHARACTERS))
+        ends = ["\n"] * len(lines)
+        row = data.draw(st.integers(1, len(lines) - 1))
+        if data.draw(st.booleans()):
+            ends[row - 1] = odd
+        else:
+            at = data.draw(st.integers(0, len(lines[row])))
+            lines[row] = lines[row][:at] + odd + lines[row][at:]
+        _assert_same_outcome(_joined(lines, ends))
+
+    @pytest.mark.parametrize(
+        "body", ["", "\n", "\n\n", "   \n\t\n", " ", "\r\n \r\n", "\x0b\n", "\x1c  \u2028"]
+    )
+    @pytest.mark.parametrize("header", ["AP001,AP002,X,Y", "AP001,X,Y,COLLECTOR"])
+    def test_header_and_blank_lines_load_an_empty_dataset(self, header, body):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, oracle = _load_both(header + "\n" + body)
+        assert caught == []
+        _assert_same_dataset(got, oracle)
+        assert len(got) == 0 and got.rss.shape == (0, header.count("AP"))
 
     @settings(max_examples=200, deadline=None)
     @given(survey_lines(min_rows=1, exotic=st.just(False)), st.data())
@@ -413,6 +532,17 @@ class TestFirstBadRow:
         index = rng.integers(0, 7, self.N)
         locations = tuple(Coordinate(float(i), 0.0) for i in range(7))
         with pytest.raises(RangeError, match=rf"^sample {bad} has RSS entry {value}"):
+            FingerprintDataset(rss, index, locations, params)
+
+    @pytest.mark.parametrize("value", [0.05, float("nan")])
+    def test_value_outside_codomain_in_a_later_row_block(self, params, value):
+        # 300 rows of 700 values span four row blocks of the codomain check
+        rng = np.random.default_rng(5)
+        rss = _valid_rows(rng, self.N, 700)
+        rss[250, 699] = value
+        index = rng.integers(0, 7, self.N)
+        locations = tuple(Coordinate(float(i), 0.0) for i in range(7))
+        with pytest.raises(RangeError, match=rf"^sample 250 has RSS entry {value}"):
             FingerprintDataset(rss, index, locations, params)
 
     @pytest.mark.parametrize("seed", range(3))
