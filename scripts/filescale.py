@@ -37,7 +37,7 @@ the other 1,000 locations unseen:
 
     PYTHONPATH=src python3 scripts/filescale.py --out filescale.json
 
-Its peak resident memory is about 510 MB (508 and 509 MB over two runs with
+Its peak resident memory is about 418 MB (417 and 418 MB over two runs with
 numpy 2.4); the `maxrss_mb` of each operation shows where it is reached.
 """
 
@@ -126,9 +126,11 @@ def traced_peak_mb(fn) -> tuple[float, object]:
 
 def timed(fn, repeats: int) -> tuple[float, list[float], list[int], object]:
     """(median seconds, every sample, each call's minor page faults, the last
-    result) of `repeats` calls of fn."""
+    result) of `repeats` calls of fn. Each call runs after the previous call's
+    result is dropped, so only one result is alive at a time."""
     samples, faults, result = [], [], None
     for _ in range(repeats):
+        result = None
         f0 = minor_faults()
         t0 = time.perf_counter()
         result = fn()

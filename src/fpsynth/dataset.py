@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -465,50 +464,48 @@ def load_dataset(path, params: NormalizationParams = NormalizationParams()) -> F
     raw values outside [rss_min, rss_max] that are not the sentinel.
     """
     raw, xy, collectors = _read_rows(path, params)
+    rss = _normalize_array(raw, params)
+    del raw  # the parsed block's last view: it is freed before the locations are built
     keys, index = _index_of(map(tuple, xy.tolist()))
     locations = tuple(Coordinate(x, y) for x, y in keys)
-    return FingerprintDataset(_normalize_array(raw, params), index, locations, params, collectors)
+    return FingerprintDataset(rss, index, locations, params, collectors)
 
 
-# Characters that end a line for str.splitlines() but not for a text file's
-# line iterator, and U+001F, which np.loadtxt strips around a number where
-# float() rejects it. A line holding one is left to the per-line parser.
-# One `in` test per character scans at memchr speed, about ten times faster
-# than a regular expression character class.
+# U+000B, U+000C, U+001C-U+001E, U+0085, U+2028 and U+2029 end a line for
+# str.splitlines() but not for a text file's line iterator; np.loadtxt strips
+# U+001C-U+001F around a number where float() rejects them. An AP, X or Y field
+# holding one is rejected. One `in` test per character scans at memchr speed,
+# about ten times faster than a regular expression character class.
 _NOT_PLAIN = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
-def _plain(line: str) -> bool:
-    return not any(c in line for c in _NOT_PLAIN)
+def _plain(text: str) -> bool:
+    return not any(c in text for c in _NOT_PLAIN)
 
 
 class _NotPlain(Exception):
-    """The streamed parse met a line it cannot take as the per-line parser would."""
+    """The streamed parse met a row that is not plainly valid."""
 
 
 def _read_rows(path, params: NormalizationParams):
     """(raw (N, A), xy (N, 2), collector ids or None) of a wide-format file.
 
     The file is streamed into one np.loadtxt call, so no copy of its text is
-    held. A bad header, or any line that parse cannot take plainly (an
-    undecodable one included), sends the whole file through the per-line
-    parser, which names the first bad line or reads tokens such as "1_000"
-    that float() accepts and np.loadtxt does not.
+    held. If that parse rejects a line, the file is streamed again, line by
+    line, only to raise the first bad line's error.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline()
-            if not header or not _plain(header):
-                raise _NotPlain
-            ap_count, has_collector = _columns(path, header.rstrip("\n"))
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header:
+            raise ParseError(f"{path}: empty file, expected a header row")
+        ap_count, has_collector = _columns(path, header.rstrip("\n"))
+        try:
             return _parse_stream(fh, ap_count, has_collector, params)
-    except (_NotPlain, ParseError, UnicodeDecodeError):
-        pass
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file, expected a header row")
-    ap_count, has_collector = _columns(path, lines[0])
-    return _parse_lines(path, lines, ap_count, has_collector, params)
+        except _NotPlain:
+            pass
+        fh.seek(0)
+        fh.readline()
+        _raise_first_bad_line(path, fh, ap_count, has_collector, params)
 
 
 def _columns(path, header: str) -> tuple[int, bool]:
@@ -540,8 +537,6 @@ def _parse_stream(lines, ap_count: int, has_collector: bool, params: Normalizati
     def rows():
         nonlocal n_rows
         for line in lines:
-            if not _plain(line):
-                raise _NotPlain
             if line.isspace():
                 continue
             if has_collector:
@@ -551,6 +546,8 @@ def _parse_stream(lines, ap_count: int, has_collector: bool, params: Normalizati
                     collectors.append(int(field) if field else None)
                 except ValueError:
                     raise _NotPlain from None
+            if not _plain(line):
+                raise _NotPlain
             n_rows += 1
             yield line
 
@@ -564,7 +561,7 @@ def _parse_stream(lines, ap_count: int, has_collector: bool, params: Normalizati
         raise _NotPlain from None
     if block.shape != (n_rows, ap_count + 2):
         raise _NotPlain
-    raw, xy = block[:, :ap_count], block[:, ap_count:]
+    raw, xy = block[:, :ap_count], block[:, ap_count:].copy()
     if not np.isfinite(xy).all():
         raise _NotPlain
     if _first_bad_row(raw, lambda r: _raw_in_range(r, params)) < n_rows:
@@ -572,44 +569,47 @@ def _parse_stream(lines, ap_count: int, has_collector: bool, params: Normalizati
     return raw, xy, collectors
 
 
-def _parse_lines(path, lines, ap_count: int, has_collector: bool, params: NormalizationParams):
-    """(raw, xy, collectors) parsed line by line; raises ParseError or RangeError
-    naming the first bad line."""
+def _raise_first_bad_line(path, lines, ap_count: int, has_collector: bool, params):
+    """Raise ParseError or RangeError naming the first line of `lines` (the data
+    lines, numbered from 2) that _parse_stream rejects.
+
+    Once a line passes the checks that float() and int() allow, np.loadtxt
+    rejects it only for an AP, X or Y field that holds a character of
+    _NOT_PLAIN, a '_' or, inside its whitespace, a non-ASCII character: the
+    digit separators and Unicode digits that float() reads.
+    """
     n_fields = ap_count + 2 + has_collector
-    raws, xys, collectors = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    for lineno, line in enumerate(lines, start=2):
+        if line.isspace():
             continue
-        parts = line.split(",")
+        where = f"{path}: line {lineno}"
+        parts = line.rstrip("\n").split(",")
         if len(parts) != n_fields:
-            raise ParseError(f"{path}: line {lineno}: expected {n_fields} fields, got {len(parts)}")
+            raise ParseError(f"{where}: expected {n_fields} fields, got {len(parts)}")
         try:
             raw = np.array([float(p) for p in parts[:ap_count]])
-            x = float(parts[ap_count])
-            y = float(parts[ap_count + 1])
+            x, y = float(parts[ap_count]), float(parts[ap_count + 1])
         except ValueError as e:
-            raise ParseError(f"{path}: line {lineno}: non-numeric field ({e})") from e
+            raise ParseError(f"{where}: non-numeric field ({e})") from e
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"{path}: line {lineno}: non-finite coordinate ({x}, {y})")
+            raise ParseError(f"{where}: non-finite coordinate ({x}, {y})")
         bad = ~_raw_in_range(raw, params)
         if bad.any():
             raise RangeError(
-                f"{path}: line {lineno}: raw RSS {raw[bad][0]} outside "
+                f"{where}: raw RSS {raw[bad][0]} outside "
                 f"[{params.rss_min}, {params.rss_max}] and not the sentinel"
             )
-        collector = None
-        if has_collector:
-            field = parts[ap_count + 2].strip()
-            if field:
-                try:
-                    collector = int(field)
-                except ValueError as e:
-                    raise ParseError(f"{path}: line {lineno}: bad collector id {field!r}") from e
-        raws.append(raw)
-        xys.append((x, y))
-        collectors.append(collector)
-    return (
-        np.array(raws).reshape(-1, ap_count),
-        np.array(xys, dtype=np.float64).reshape(-1, 2),
-        collectors if has_collector else None,
-    )
+        field = parts[-1].strip() if has_collector else ""
+        if field:
+            try:
+                int(field)
+            except ValueError as e:
+                raise ParseError(f"{where}: bad collector id {field!r}") from e
+        numbers = parts[: ap_count + 2]
+        text = ",".join(numbers)
+        if _plain(text) and "_" not in text and text.isascii():
+            continue
+        for p in numbers:
+            if not _plain(p) or "_" in p or not p.strip().isascii():
+                raise ParseError(f"{where}: field {p!r} is not a plain ASCII number")
+    raise ParseError(f"{path}: rejected by the streamed parse, but no line is at fault")

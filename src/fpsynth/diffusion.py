@@ -63,10 +63,7 @@ def build_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
         raise ConfigError(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
-    if T == 1:
-        betas = np.array([beta_start])
-    else:
-        betas = np.linspace(beta_start, beta_end, T)
+    betas = np.linspace(beta_start, beta_end, T)
     alphas = 1.0 - betas
     alpha_bars = np.cumprod(alphas)
     for arr in (betas, alphas, alpha_bars):

@@ -311,6 +311,26 @@ class TestLoader:
         assert ds.rss.shape == shape
         assert peak < 2.5 * ds.rss.nbytes
 
+    def test_traced_peak_with_a_bad_last_line_is_under_two_matrices(self, params, tmp_path):
+        # about 2 MB of text, 1,600 rows of 100 readings; the last row's last reading
+        # is out of range, so the streamed parse reads every row before it rejects one
+        rng = np.random.default_rng(4)
+        shape = (1_600, 100)
+        raw = np.where(rng.random(shape) < 0.5, 100.0, rng.uniform(-104.0, 0.0, shape))
+        raw[-1, -1] = 17.0
+        rows = ["AP" + ",AP".join(f"{i + 1:03d}" for i in range(100)) + ",X,Y"]
+        rows += [",".join(map(repr, r)) + f",{i},0" for i, r in enumerate(raw.tolist())]
+        path = self._write(tmp_path, "\n".join(rows) + "\n")
+        assert 1.8e6 < path.stat().st_size < 2.2e6
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError, match="line 1601: raw RSS 17.0 outside"):
+                load_dataset(path, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * raw.nbytes
+
     def test_bad_header(self, params, tmp_path):
         path = self._write(tmp_path, "X,Y\n0,0\n")
         with pytest.raises(ParseError):
@@ -350,7 +370,8 @@ def _tokens(specials, values, exotic):
 
 def raw_tokens(exotic):
     specials = ["100", "1e2", "100.000", "-104", "-0", "0", "-1e-3", "-0.0"]
-    specials += [" 1_00 "] if exotic else []
+    # U+0661 U+0660 U+0660 is float("100"), U+FF15 U+FF10 float("50")
+    specials += [" 1_00 ", "\u0661\u0660\u0660", "-\uff15\uff10"] if exotic else []
     return _tokens(specials, st.one_of(st.just(100.0), st.floats(-104.0, 0.0)), exotic)
 
 
@@ -367,13 +388,11 @@ CORRUPT_TOKENS = [
     "nan", "Infinity", "-inf", "abc", "", "0x10", "1\x1f", "\x1f-5", "5", "-104.5", "1e-3",
     "1,2", "1__0", "-5 #1", '"-5"',
 ]
-# Line breaks of str.splitlines(); all but the first three do not end a line
-# for a text file's line iterator.
-LINE_BREAKS = [
-    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
-]
-# The splitlines-only breaks and U+001F, which np.loadtxt strips around a number
-ODD_CHARACTERS = LINE_BREAKS[3:] + ["\x1f"]
+# The line breaks of a text file's line iterator
+LINE_BREAKS = ["\n", "\r\n", "\r"]
+# The other line breaks of str.splitlines(), and U+001F, which np.loadtxt strips
+# around a number where float() rejects it
+ODD_CHARACTERS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x1f"]
 
 
 @st.composite
@@ -433,7 +452,7 @@ def _assert_same_dataset(ds, oracle):
 
 class TestLoaderParity:
     @settings(max_examples=200, deadline=None)
-    @given(survey_lines(), st.sampled_from(["", "\n", "\n\n"]), st.data())
+    @given(survey_lines(exotic=st.just(False)), st.sampled_from(["", "\n", "\n\n"]), st.data())
     def test_well_formed_file_equals_oracle(self, lines, end, data):
         breaks = st.sampled_from(["\n"] * len(LINE_BREAKS) + LINE_BREAKS)
         ends = data.draw(st.lists(breaks, min_size=len(lines) - 1, max_size=len(lines) - 1))
@@ -441,19 +460,56 @@ class TestLoaderParity:
         assert not isinstance(oracle, Exception)
         _assert_same_dataset(got, oracle)
 
-    @settings(max_examples=200, deadline=None)
-    @given(survey_lines(min_rows=1), st.data())
-    def test_odd_character_gives_the_oracle_outcome(self, lines, data):
-        # a splitlines-only break or U+001F inside a field, at its edge, or as a row separator
-        odd = data.draw(st.sampled_from(ODD_CHARACTERS))
+    @settings(max_examples=300, deadline=None)
+    @given(survey_lines(min_rows=1, exotic=st.just(False)), st.data())
+    def test_odd_character_or_float_only_number_names_its_line(self, lines, data):
+        # in one data row: an odd character inside its AP, X or Y fields or as the
+        # break before the next data row, or an AP, X or Y field spelled as only
+        # float() reads it; an earlier row may hold an ordinary fault
+        rows = [i for i, line in enumerate(lines) if line.strip()][1:]
+        row = data.draw(st.sampled_from(rows))
         ends = ["\n"] * len(lines)
-        row = data.draw(st.integers(1, len(lines) - 1))
-        if data.draw(st.booleans()):
-            ends[row - 1] = odd
+        ap_count = lines[0].count("AP")
+        fields = lines[row].split(",")
+        how = data.draw(st.sampled_from(["inside", "spelling"] + ["break"] * (row + 1 in rows)))
+        if how == "inside":
+            numbers = ",".join(fields[: ap_count + 2])
+            at = data.draw(st.integers(0, len(numbers)))
+            odd = data.draw(st.sampled_from(ODD_CHARACTERS))
+            lines[row] = numbers[:at] + odd + lines[row][at:]
+        elif how == "break":
+            ends[row] = data.draw(st.sampled_from(ODD_CHARACTERS))
         else:
-            at = data.draw(st.integers(0, len(lines[row])))
-            lines[row] = lines[row][:at] + odd + lines[row][at:]
-        _assert_same_outcome(_joined(lines, ends))
+            column = data.draw(st.integers(0, ap_count + 1))
+            tokens = raw_tokens(exotic=True) if column < ap_count else coord_tokens(exotic=True)
+            fields[column] = data.draw(tokens.filter(lambda t: "_" in t or not t.isascii()))
+            lines[row] = ",".join(fields)
+        earlier = rows[: rows.index(row)]
+        if earlier and data.draw(st.booleans()):
+            at = data.draw(st.sampled_from(earlier))
+            fields = lines[at].split(",")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                st.sampled_from(CORRUPT_TOKENS)
+            )
+            lines[at] = ",".join(fields)
+        params = NormalizationParams()
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "survey.csv"
+            path.write_text(_joined(lines[:row], ends), encoding="utf-8")
+            try:
+                load_lines(path, params)
+                before = None
+            except FpsynthError as e:
+                before = e
+            path.write_text(_joined(lines, ends), encoding="utf-8")
+            with pytest.raises(FpsynthError) as got:
+                load_dataset(path, params)
+        if before is not None:  # the ordinary fault on an earlier line
+            assert type(got.value) is type(before)
+            assert str(got.value) == str(before)
+        else:
+            assert type(got.value) is ParseError
+            assert f": line {row + 1}: " in str(got.value)
 
     @pytest.mark.parametrize(
         "body", ["", "\n", "\n\n", "   \n\t\n", " ", "\r\n \r\n", "\x0b\n", "\x1c  \u2028"]
