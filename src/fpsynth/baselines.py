@@ -1,7 +1,7 @@
 """Reference augmentation strategies to compare the diffusion generator against.
 
 The interpolator is inverse-distance kNN regression in coordinate space, so it
-runs on `KnnLocalizer`'s exact search and blend.
+runs on `KnnLocalizer.predict_batch`, its exact search and blend.
 """
 
 from __future__ import annotations
@@ -33,6 +33,6 @@ def interpolate_locations(seen_data: FingerprintDataset, targets, k: int = 3) ->
 
     order = sorted(range(len(locs)), key=lambda i: (locs[i].x, locs[i].y))
     xy = seen_data.location_coords()[order]
-    blended = KnnLocalizer(xy, means[order], k).blend(coords_array(targets))
+    blended = KnnLocalizer(xy, means[order], k).predict_batch(coords_array(targets))
     floor = seen_data.norm_params.detect_floor
     return np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))

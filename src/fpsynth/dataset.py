@@ -255,14 +255,6 @@ class FingerprintDataset:
     def __len__(self) -> int:
         return self.rss.shape[0]
 
-    @property
-    def samples(self) -> tuple[Fingerprint, ...]:
-        """Per-sample Fingerprint view, built on each access (for tests and single-item APIs)."""
-        return tuple(
-            Fingerprint(row, self.locations[j], c)
-            for row, j, c in zip(self.rss, self.loc_index.tolist(), self.collector_ids)
-        )
-
     def coords_matrix(self) -> np.ndarray:
         """Per-sample (x, y) positions as an (N, 2) array."""
         return self.location_coords()[self.loc_index]
@@ -491,21 +483,21 @@ def _read_rows(path, params: NormalizationParams):
     """(raw (N, A), xy (N, 2), collector ids or None) of a wide-format file.
 
     The file is streamed into one np.loadtxt call, so no copy of its text is
-    held. If that parse rejects a line, the file is streamed again, line by
-    line, only to raise the first bad line's error.
+    held. If that parse rejects a line or the file is not valid UTF-8, the file
+    is streamed again, line by line, only to raise the first bad line's error.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        ap_count, has_collector = _columns(path, header.rstrip("\n"))
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header:
+                raise ParseError(f"{path}: empty file, expected a header row")
+            ap_count, has_collector = _columns(path, header.rstrip("\n"))
             return _parse_stream(fh, ap_count, has_collector, params)
-        except _NotPlain:
-            pass
-        fh.seek(0)
-        fh.readline()
-        _raise_first_bad_line(path, fh, ap_count, has_collector, params)
+    except (_NotPlain, UnicodeDecodeError):
+        pass
+    # undecodable bytes come back as U+DC80-U+DCFF, which str.encode rejects
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        _raise_first_bad_line(path, fh, params)
 
 
 def _columns(path, header: str) -> tuple[int, bool]:
@@ -569,20 +561,28 @@ def _parse_stream(lines, ap_count: int, has_collector: bool, params: Normalizati
     return raw, xy, collectors
 
 
-def _raise_first_bad_line(path, lines, ap_count: int, has_collector: bool, params):
-    """Raise ParseError or RangeError naming the first line of `lines` (the data
-    lines, numbered from 2) that _parse_stream rejects.
+def _raise_first_bad_line(path, lines, params):
+    """Raise ParseError or RangeError naming the first line of `lines` (the
+    header, then the data lines) that is not valid UTF-8, or that _columns or
+    _parse_stream rejects.
 
     Once a line passes the checks that float() and int() allow, np.loadtxt
     rejects it only for an AP, X or Y field that holds a character of
     _NOT_PLAIN, a '_' or, inside its whitespace, a non-ASCII character: the
     digit separators and Unicode digits that float() reads.
     """
-    n_fields = ap_count + 2 + has_collector
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in enumerate(lines, start=1):
+        where = f"{path}: line {lineno}"
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{where}: not valid UTF-8") from None
+        if lineno == 1:
+            ap_count, has_collector = _columns(path, line.rstrip("\n"))
+            n_fields = ap_count + 2 + has_collector
+            continue
         if line.isspace():
             continue
-        where = f"{path}: line {lineno}"
         parts = line.rstrip("\n").split(",")
         if len(parts) != n_fields:
             raise ParseError(f"{where}: expected {n_fields} fields, got {len(parts)}")

@@ -38,7 +38,7 @@ from .errors import (
     ShapeError,
     SizeError,
 )
-from .initializer import LocationSplit
+from .initializer import LocationSplit, neighbor_density
 from .nets import AdamOptimizer, DenoiserArch, DenoiserNetwork
 
 
@@ -274,7 +274,6 @@ class DiffusionTrainConfig:
     kernel: str = "gaussian"
     seed: int = 0
     hidden: tuple[int, int, int] = (128, 64, 128)
-    activation: str = "silu"
     cond_freqs: int = 4
     time_dim: int = 16
 
@@ -303,23 +302,6 @@ class TrainResult:
 # location couples to a wide ring of seen samples), which measurably biases
 # the generated fingerprints on grid-like surveys.
 AUTO_SIGMA_FACTOR = 0.6
-
-
-# Rows per block of the distances in `median_nn_distance`.
-_NN_BLOCK = 256
-
-
-def median_nn_distance(coords: np.ndarray) -> float:
-    coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
-    if coords.shape[0] < 2:
-        raise ConfigError("need at least two locations for a nearest-neighbor distance")
-    nearest = np.empty(len(coords))
-    for start in range(0, len(coords), _NN_BLOCK):
-        d = distances(coords[start : start + _NN_BLOCK, None], coords[None])
-        own = np.arange(len(d))
-        d[own, start + own] = np.inf
-        nearest[start : start + len(d)] = d.min(axis=1)
-    return float(np.median(nearest))
 
 
 def _training_bounds(split: LocationSplit) -> tuple[float, float, float, float]:
@@ -376,7 +358,7 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
     if cfg.sigma_w is not None:
         sigma_w = cfg.sigma_w
     else:
-        sigma_w = AUTO_SIGMA_FACTOR * median_nn_distance(split.seen_coords())
+        sigma_w = AUTO_SIGMA_FACTOR * float(np.median(neighbor_density(split.seen, 1)))
     kernel = VicinityKernel(sigma_w, cfg.kernel)
 
     # rows indexed by location; a location no sample uses cannot supervise
@@ -393,7 +375,6 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
         cond_freqs=cfg.cond_freqs,
         time_dim=cfg.time_dim,
         hidden=cfg.hidden,
-        activation=cfg.activation,
         bounds=bounds,
     )
     rng = np.random.default_rng(cfg.seed)
@@ -549,7 +530,7 @@ def generate_unseen_map(
 # ---------------------------------------------------------------------------
 # Checkpoint and loss-trace files
 
-_CKPT_MAGIC = b"FPSYNTH-CKPT-1\n"
+_CKPT_MAGIC = b"FPSYNTH-CKPT-2\n"
 
 
 def save_checkpoint(net: DenoiserNetwork, schedule: NoiseSchedule, path) -> None:

@@ -2,10 +2,12 @@
 
 The kNN variant is the deterministic workhorse: inverse-distance-weighted
 average of the k nearest stored fingerprints in RSS space. Its exact search
-and blend also serve `baselines.interpolate_locations`, with seen-location
-coordinates as the stored rows and location means as the values. The
-feedforward variant regresses coordinates with a small MLP trained by Adam on
-squared coordinate error.
+and blend, `KnnLocalizer.predict_batch`, also serve
+`baselines.interpolate_locations`, with seen-location coordinates as the
+stored rows and location means as the values. The feedforward variant
+regresses coordinates with a small MLP trained by Adam on squared coordinate
+error. Both variants answer a (Q, A) query matrix with the (Q, 2) array that
+`evaluate` scores, and one query with a `Coordinate`.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ class KnnLocalizer:
     """Inverse-distance kNN regression over stored rows; variant tag 'knn'.
 
     `rss` holds the (N, D) stored rows and `coords` an (N, V) value row for
-    each; `blend` averages the values of a query's k nearest rows. For the
-    localizer they are the training fingerprints and their coordinates.
+    each; `predict_batch` averages the values of a query's k nearest rows. For
+    the localizer they are the training fingerprints and their coordinates.
     """
 
     variant = "knn"
@@ -73,13 +75,10 @@ class KnnLocalizer:
         rss = np.asarray(rss, dtype=np.float64)
         if rss.shape != (self.rss.shape[1],):
             raise ShapeError(f"query must have shape ({self.rss.shape[1]},), got {rss.shape}")
-        return self.predict_batch(rss[None, :])[0]
+        return Coordinate(*self.predict_batch(rss[None, :])[0].tolist())
 
-    def predict_batch(self, queries) -> list[Coordinate]:
-        return [Coordinate(x, y) for x, y in self.blend(queries).tolist()]
-
-    def blend(self, queries) -> np.ndarray:
-        """IDW blend of the values of the k nearest stored rows for each row of a (Q, D) matrix.
+    def predict_batch(self, queries) -> np.ndarray:
+        """(Q, V) IDW blends of the values of each query's k nearest stored rows.
 
         Equal, bit for bit, to computing every exact distance
         `sqrt(sum((x - q)**2))` and a stable argsort per query.
@@ -151,9 +150,9 @@ class FeedforwardLocalizer:
         xy, _ = self.mlp.forward_cached(rss[None, :], self._ws)
         return Coordinate(float(xy[0, 0]), float(xy[0, 1]))
 
-    def predict_batch(self, queries) -> list[Coordinate]:
+    def predict_batch(self, queries) -> np.ndarray:
         # One forward per row: a multi-row BLAS product may give a row other bits.
-        return [self.predict(row) for row in _query_matrix(queries, self.mlp.dims[0])]
+        return coords_array(self.predict(row) for row in _query_matrix(queries, self.mlp.dims[0]))
 
 
 LocalizationModel = KnnLocalizer | FeedforwardLocalizer
@@ -181,7 +180,7 @@ def _fit_feedforward(train, hp: LocalizerHyperparams, seed) -> FeedforwardLocali
     y = train.coords_matrix()
     n, a = x.shape
     rng = np.random.default_rng(seed)
-    mlp = Mlp.create((a, *hp.hidden, 2), "silu", rng)
+    mlp = Mlp.create((a, *hp.hidden, 2), rng)
     opt = AdamOptimizer(mlp.theta.shape[0], hp.learning_rate)
     # one workspace and input buffer for the whole fit; a smaller last batch
     # uses their leading rows
@@ -221,8 +220,7 @@ def evaluate(model: LocalizationModel, test: FingerprintDataset) -> Localization
     """Per-sample Euclidean error in meters with mean, median and empirical CDF."""
     if len(test) == 0:
         raise SizeError("test dataset is empty")
-    preds = model.predict_batch(test.rss)
-    arr = distances(coords_array(preds), test.coords_matrix())
+    arr = distances(model.predict_batch(test.rss), test.coords_matrix())
     values, counts = np.unique(arr, return_counts=True)
     fractions = np.cumsum(counts) / arr.shape[0]
     cdf = tuple((float(v), float(f)) for v, f in zip(values, fractions))

@@ -57,9 +57,9 @@ def _sigmoid(x, out=None, e=None):
     return out
 
 
-# Activations work in place on workspace buffers: forward(z, a, s, tmp) writes
-# the activation into `a` and what the derivative needs into `s`;
-# backward(z, a, s, d, tmp) multiplies `d` by the derivative. `tmp` is scratch.
+# The hidden activation, SiLU, works in place on workspace buffers: the forward
+# writes z * sigmoid(z) into `a` and the sigmoid, which the derivative needs,
+# into `s`; the backward multiplies `d` by the derivative. `tmp` is scratch.
 
 
 def _silu_forward(z, a, s, tmp):
@@ -67,27 +67,13 @@ def _silu_forward(z, a, s, tmp):
     np.multiply(z, s, out=a)
 
 
-def _silu_backward(z, a, s, d, tmp):
+def _silu_backward(z, s, d, tmp):
     # s * (1 + z * (1 - s))
     np.subtract(1.0, s, out=tmp)
     tmp *= z
     tmp += 1.0
     tmp *= s
     d *= tmp
-
-
-def _tanh_forward(z, a, s, tmp):
-    np.tanh(z, out=a)
-
-
-def _tanh_backward(z, a, s, d, tmp):
-    # 1 - a * a
-    np.multiply(a, a, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
-    d *= tmp
-
-
-ACTIVATIONS = {"silu": (_silu_forward, _silu_backward), "tanh": (_tanh_forward, _tanh_backward)}
 
 
 @dataclass(frozen=True)
@@ -104,7 +90,6 @@ class DenoiserArch:
     cond_freqs: int = 4
     time_dim: int = 16
     hidden: tuple[int, int, int] = (256, 128, 256)
-    activation: str = "silu"
     bounds: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
 
     def __post_init__(self):
@@ -122,8 +107,6 @@ class DenoiserArch:
             raise ConfigError(
                 f"skip connection needs hidden[0] == hidden[2], got {self.hidden}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
 
     @property
     def cond_dim(self) -> int:
@@ -152,7 +135,6 @@ class DenoiserArch:
             cond_freqs=int(d["cond_freqs"]),
             time_dim=int(d["time_dim"]),
             hidden=tuple(d["hidden"]),
-            activation=str(d["activation"]),
             bounds=tuple(d["bounds"]),
         )
 
@@ -248,7 +230,7 @@ class Workspace:
     """Buffers for one network's calls at one leading input shape, reused.
 
     `z[l]` holds layer l's pre-activation (the last one is the network's
-    output), `a[l]` and `s[l]` hidden layer l's activation and the value its
+    output), `a[l]` and `s[l]` hidden layer l's activation and the sigmoid its
     derivative needs, and `tmp[l]` scratch of hidden layer l's width (views of
     one buffer). The backward buffers are made on the first backward call:
     `d[l]`, the gradient at hidden layer l's pre-activation, and `grad`, the
@@ -304,7 +286,7 @@ class _FlatMlp:
     """Fully connected network over one flat float64 parameter vector.
 
         z_l = a_{l-1} W_l^T + b_l,  a_0 = x
-        a_l = act(z_l) on hidden layers; the last layer is linear
+        a_l = silu(z_l) on hidden layers; the last layer is linear
 
     With `skip`, the output of hidden layer 1 is added to the pre-activation
     of hidden layer 3 (their widths must match). `DenoiserNetwork` and `Mlp`
@@ -315,13 +297,12 @@ class _FlatMlp:
     makes one with `workspace(lead)` and passes it to each call.
     """
 
-    def __init__(self, layer_shapes, activation: str, skip: bool, theta: np.ndarray):
+    def __init__(self, layer_shapes, skip: bool, theta: np.ndarray):
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         layout, total = _layout(layer_shapes)
         if theta.shape != (total,):
             raise ShapeError(f"theta has shape {theta.shape}, the layers need ({total},)")
         self.theta = theta
-        self._act = ACTIVATIONS[activation]
         self._skip = skip
         self._layout = layout
         self._views = [(theta[w].reshape(shape), theta[b]) for w, b, shape in layout]
@@ -353,7 +334,6 @@ class _FlatMlp:
             ws = Workspace(self._layout, x.shape[:-1])
         elif x.shape[:-1] != ws.lead:
             ws = ws._head(x.shape[:-1])
-        act, _ = self._act
         a = ws.x = x
         for li, (w, b) in enumerate(self._views):
             z = ws.z[li]
@@ -363,7 +343,7 @@ class _FlatMlp:
                 z += ws.a[0]
             if li < len(ws.a):
                 a = ws.a[li]
-                act(z, a, ws.s[li], ws.tmp[li])
+                _silu_forward(z, a, ws.s[li], ws.tmp[li])
         return z, ws
 
     @_one_blas_thread
@@ -378,7 +358,6 @@ class _FlatMlp:
         dout = np.asarray(dout, dtype=np.float64)
         if dout.shape != ws.z[-1].shape:
             raise ShapeError(f"dout must have shape {ws.z[-1].shape}, got {dout.shape}")
-        _, dact = self._act
         d_bufs, grads = ws._backward_buffers()
         d = dout  # gradient w.r.t. the current layer's pre-activation
         for li in range(len(self._views) - 1, -1, -1):
@@ -391,7 +370,7 @@ class _FlatMlp:
             np.matmul(d, self._views[li][0], out=da)
             if self._skip and li == 1:
                 da += d_bufs[2]  # the skip from hidden layer 1 into hidden layer 3
-            dact(ws.z[li - 1], ws.a[li - 1], ws.s[li - 1], da, ws.tmp[li - 1])
+            _silu_backward(ws.z[li - 1], ws.s[li - 1], da, ws.tmp[li - 1])
             d = da
         # every entry was written: the layout tiles theta exactly
         return ws.grad
@@ -400,15 +379,15 @@ class _FlatMlp:
 class DenoiserNetwork(_FlatMlp):
     """Skip-connected MLP predicting the clean RSS vector from a noisy one.
 
-        h1 = act(W1 x + b1)
-        h2 = act(W2 h1 + b2)
-        h3 = act(W3 h2 + b3 + h1)   # skip
+        h1 = silu(W1 x + b1)
+        h2 = silu(W2 h1 + b2)
+        h3 = silu(W3 h2 + b3 + h1)   # skip
         out = W4 h3 + b4
     """
 
     def __init__(self, arch: DenoiserArch, theta: np.ndarray):
         self.arch = arch
-        super().__init__(arch.layer_shapes, arch.activation, True, theta)
+        super().__init__(arch.layer_shapes, True, theta)
 
     @classmethod
     def create(cls, arch: DenoiserArch, seed) -> "DenoiserNetwork":
@@ -444,21 +423,18 @@ def _dims_shapes(dims) -> tuple[tuple[int, int], ...]:
 
 
 class Mlp(_FlatMlp):
-    """Plain sequential MLP (activation on hidden layers, linear output)."""
+    """Plain sequential MLP (SiLU on hidden layers, linear output)."""
 
-    def __init__(self, dims: tuple[int, ...], activation: str, theta: np.ndarray):
+    def __init__(self, dims: tuple[int, ...], theta: np.ndarray):
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise ConfigError(f"dims must be at least (in, out) positive sizes, got {dims}")
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {activation!r}")
         self.dims = tuple(int(d) for d in dims)
-        self.activation = activation
-        super().__init__(_dims_shapes(self.dims), activation, False, theta)
+        super().__init__(_dims_shapes(self.dims), False, theta)
 
     @classmethod
-    def create(cls, dims, activation: str, seed) -> "Mlp":
+    def create(cls, dims, seed) -> "Mlp":
         dims = tuple(int(d) for d in dims)
-        return cls(dims, activation, _xavier_theta(_dims_shapes(dims), seed))
+        return cls(dims, _xavier_theta(_dims_shapes(dims), seed))
 
     def forward_cached(self, x: np.ndarray, ws: Workspace | None = None):
         """Output and backward cache for a `(..., batch, dims[0])` input,

@@ -129,19 +129,6 @@ def silu_derivative(z, s):
     return s * (1.0 + z * (1.0 - s))
 
 
-def tanh(z):
-    a = np.tanh(z)
-    return a, a
-
-
-def tanh_derivative(z, a):
-    return 1.0 - a * a
-
-
-# activation name -> (forward returning (a, saved), derivative from (z, saved))
-ACTIVATIONS = {"silu": (silu, silu_derivative), "tanh": (tanh, tanh_derivative)}
-
-
 def adam_step(theta, m, v, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One out-of-place Adam update at step t (1-based); returns (theta, m, v)."""
     m = beta1 * m + (1.0 - beta1) * grad
@@ -151,39 +138,38 @@ def adam_step(theta, m, v, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return theta - lr * mhat / (np.sqrt(vhat) + eps), m, v
 
 
-def skip_mlp_forward(views, act, x):
-    """The explicit 4-layer skip-connected forward; returns (out, cache).
+def skip_mlp_forward(views, x):
+    """The explicit 4-layer skip-connected SiLU forward; returns (out, cache).
 
-    `views` are the four (W, b) pairs, `act` an activation's forward
-    function returning (a, saved).
+    `views` are the four (W, b) pairs.
     """
     (w1, b1), (w2, b2), (w3, b3), (w4, b4) = views
     z1 = x @ w1.T + b1
-    a1, s1 = act(z1)
+    a1, s1 = silu(z1)
     z2 = a1 @ w2.T + b2
-    a2, s2 = act(z2)
+    a2, s2 = silu(z2)
     z3 = a2 @ w3.T + b3 + a1
-    a3, s3 = act(z3)
+    a3, s3 = silu(z3)
     out = a3 @ w4.T + b4
     return out, (x, z1, s1, a1, z2, s2, a2, z3, s3, a3)
 
 
-def skip_mlp_backward(views, dact, cache, dout):
+def skip_mlp_backward(views, cache, dout):
     """Per-layer (dW, db) of sum(dout * out) for `skip_mlp_forward`, in layer order."""
     x, z1, s1, a1, z2, s2, a2, z3, s3, a3 = cache
     (w1, _), (w2, _), (w3, _), (w4, _) = views
     dW4 = dout.T @ a3
     db4 = dout.sum(axis=0)
     da3 = dout @ w4
-    dz3 = da3 * dact(z3, s3)
+    dz3 = da3 * silu_derivative(z3, s3)
     dW3 = dz3.T @ a2
     db3 = dz3.sum(axis=0)
     da2 = dz3 @ w3
-    dz2 = da2 * dact(z2, s2)
+    dz2 = da2 * silu_derivative(z2, s2)
     dW2 = dz2.T @ a1
     db2 = dz2.sum(axis=0)
     da1 = dz2 @ w2 + dz3  # skip path
-    dz1 = da1 * dact(z1, s1)
+    dz1 = da1 * silu_derivative(z1, s1)
     dW1 = dz1.T @ x
     db1 = dz1.sum(axis=0)
     return [(dW1, db1), (dW2, db2), (dW3, db3), (dW4, db4)]
@@ -206,12 +192,10 @@ def knn_predict(stored, coords, k, query):
 def spatial_interpolate(seen_data, target, k):
     """The IDW blend of the k nearest location means, the means summed per sample."""
     locs = seen_data.locations
-    loc_index = {c: i for i, c in enumerate(locs)}
     sums = np.zeros((len(locs), seen_data.ap_count))
     counts = np.zeros(len(locs))
-    for s in seen_data.samples:
-        i = loc_index[s.location]
-        sums[i] += s.rss
+    for row, i in zip(seen_data.rss, seen_data.loc_index.tolist()):
+        sums[i] += row
         counts[i] += 1
     means = sums / counts[:, None]
     order = sorted(range(len(locs)), key=lambda i: (locs[i].x, locs[i].y))

@@ -154,6 +154,21 @@ class TestFailureModes:
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert not report.exists()
 
+    def test_one_seen_location_needs_an_explicit_sigma_w(self, tiny_config_file, tmp_path, capsys):
+        # the automatic sigma_w is a nearest-neighbour distance, which one
+        # seen location does not have
+        data, split = tmp_path / "data.csv", tmp_path / "split.csv"
+        model = tmp_path / "model.ckpt"
+        data.write_text("AP001,AP002,X,Y\n-50,-60,0,0\n-52,100,0,0\n")
+        split.write_text("x,y,role\n0.0,0.0,seen\n1.0,1.0,unseen\n")
+        argv = ["train-diffusion", "-c", tiny_config_file, "--data", str(data), "--split",
+                str(split), "-o", str(model), "--trace", str(tmp_path / "trace.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error [train-diffusion]")
+        assert not model.exists()
+        run_ok(argv + ["--set", "diffusion.sigma_w=1.0"])
+        assert model.exists()
+
     @pytest.mark.parametrize("flag", ["--data", "-c", "--split", "--model", "data.file.path"])
     def test_missing_input_file_is_an_error_not_a_traceback(
         self, flag, tiny_config_file, tmp_path, capsys
@@ -173,18 +188,30 @@ class TestFailureModes:
         assert err.startswith(f"error [{argv[0]}]")
         assert "missing.file" in err
 
-    @pytest.mark.parametrize("which", ["dataset", "config"])
+    @pytest.mark.parametrize(
+        "which, raw, lineno",
+        [
+            ("dataset", b"seed = 1\n\xff\xfe\n", None),
+            ("config", b"seed = 1\n\xff\xfe\n", None),
+            ("dataset", b"AP001,AP\xe9,X,Y\n-50,100,0,0\n", 1),
+            ("dataset", b"AP001,X,Y\n-50,0,0\n-50,1\xe9,0\n", 3),
+        ],
+        ids=["dataset", "config", "dataset-header", "dataset-body"],
+    )
     def test_non_utf8_input_is_an_error_not_a_traceback(
-        self, which, tiny_config_file, tmp_path, capsys
+        self, which, raw, lineno, tiny_config_file, tmp_path, capsys
     ):
         bad = tmp_path / "bad.file"
-        bad.write_bytes(b"seed = 1\n\xff\xfe\n")
+        bad.write_bytes(raw)
         c = str(bad) if which == "config" else tiny_config_file
         argv = ["split", "-c", c, "-o", str(tmp_path / "out")]
         if which == "dataset":
             argv += ["--data", str(bad)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error [split]")
+        err = capsys.readouterr().err
+        assert err.startswith("error [split]")
+        if lineno is not None:
+            assert err == f"error [split] {bad}: line {lineno}: not valid UTF-8\n"
 
     def test_output_in_missing_directory_is_an_error_not_a_traceback(
         self, tiny_config_file, tmp_path, capsys

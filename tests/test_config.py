@@ -35,8 +35,11 @@ class TestSchema:
         assert cfg.diffusion.T == 200
         assert cfg.localizer.k == 5
 
-    # diffusion.optimizer is no longer a key: Adam is the only optimizer
-    @pytest.mark.parametrize("key", ["frobnicate.level", "diffusion.optimizer"])
+    # diffusion.optimizer and diffusion.activation are no longer keys: Adam is
+    # the only optimizer and SiLU the only hidden activation
+    @pytest.mark.parametrize(
+        "key", ["frobnicate.level", "diffusion.optimizer", "diffusion.activation"]
+    )
     def test_unknown_key_named(self, key):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             build_experiment_config({key: "adam"})

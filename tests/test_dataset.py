@@ -1,3 +1,4 @@
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -124,14 +125,14 @@ class TestSynthetic:
     def test_reference_distance_gives_tx_power(self, params):
         env = self._env()
         ds = generate_synthetic(env, [Coordinate(1.0, 0.0)], 1, seed=0, params=params)
-        raw = denormalize_rss(float(ds.samples[0].rss[0]), params)
+        raw = denormalize_rss(float(ds.rss[0, 0]), params)
         assert raw == pytest.approx(-30.0, abs=1e-9)
 
     def test_log_distance_decade(self, params):
         # n=2, d=10*d0 -> 20 dB below tx power
         env = self._env()
         ds = generate_synthetic(env, [Coordinate(10.0, 0.0)], 1, seed=0, params=params)
-        raw = denormalize_rss(float(ds.samples[0].rss[0]), params)
+        raw = denormalize_rss(float(ds.rss[0, 0]), params)
         assert raw == pytest.approx(-50.0, abs=1e-9)
 
     def test_determinism(self, params):
@@ -152,7 +153,7 @@ class TestSynthetic:
     def test_below_threshold_is_absent(self, params):
         env = self._env(detection_threshold_dbm=-40.0)
         ds = generate_synthetic(env, [Coordinate(100.0, 0.0)], 1, seed=0, params=params)
-        assert ds.samples[0].rss[0] == 0.0
+        assert ds.rss[0, 0] == 0.0
 
     def test_env_validation(self):
         with pytest.raises(ConfigError):
@@ -177,7 +178,7 @@ class TestFileRoundTrip:
         path = tmp_path / "c.csv"
         save_dataset(ds, path)
         loaded = load_dataset(path, params)
-        assert loaded.samples[0].collector_id == 3
+        assert loaded.collector_ids.tolist() == [3]
 
     def test_file_spanning_several_blocks_has_the_one_pass_bytes(self, params, tmp_path):
         # 1,001 rows of 200 values are four row blocks of the writer's decoding pass
@@ -257,7 +258,7 @@ class TestLoader:
             self._write(tmp_path, "AP001,AP002,X,Y\n100,100,0,0\n"), params
         )
         assert len(ds) == 1
-        assert np.array_equal(ds.samples[0].rss, np.zeros(2))
+        assert np.array_equal(ds.rss[0], np.zeros(2))
 
     def test_duplicate_coordinate_collapses(self, params, tmp_path):
         rows = ["AP001,X,Y"]
@@ -334,6 +335,22 @@ class TestLoader:
     def test_bad_header(self, params, tmp_path):
         path = self._write(tmp_path, "X,Y\n0,0\n")
         with pytest.raises(ParseError):
+            load_dataset(path, params)
+
+    @pytest.mark.parametrize(
+        "raw, lineno",
+        [
+            (b"AP001,AP\xe9,X,Y\n-50,100,0,0\n", 1),
+            (b"AP001,X,Y\n-50,0,0\n-50,1\xe9,0\n-50,2,0\n", 3),
+            # past the first decoded chunk: np.loadtxt meets the bad byte
+            (b"AP001,X,Y\n" + b"-50,0,0\n" * 3000 + b"-50,\xe9,0\n", 3002),
+        ],
+        ids=["header", "body", "late-body"],
+    )
+    def test_non_utf8_names_file_and_line(self, params, tmp_path, raw, lineno):
+        path = tmp_path / "in.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line {lineno}: not valid UTF-8$"):
             load_dataset(path, params)
 
 
@@ -660,10 +677,10 @@ class TestColumnarOperations:
     def test_take_renumbers_locations_by_first_appearance(self, tiny_dataset):
         rows = [7, 0, 6, 1]
         sub = tiny_dataset.take(rows)
-        expected = [tiny_dataset.samples[i] for i in rows]
-        assert sub.locations == (expected[0].location, expected[1].location)
-        assert [s.location for s in sub.samples] == [s.location for s in expected]
-        assert np.array_equal(sub.rss, np.stack([s.rss for s in expected]))
+        expected = [tiny_dataset.locations[tiny_dataset.loc_index[i]] for i in rows]
+        assert sub.locations == (expected[0], expected[1])
+        assert [sub.locations[j] for j in sub.loc_index] == expected
+        assert np.array_equal(sub.rss, tiny_dataset.rss[rows])
 
     def test_matrix_is_read_only(self, tiny_dataset):
         with pytest.raises(ValueError):

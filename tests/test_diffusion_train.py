@@ -22,8 +22,8 @@ from fpsynth.diffusion import (
     save_loss_trace,
     train,
 )
-from fpsynth.errors import ConfigError, ConsistencyError, CoverageError, RangeError, SizeError
-from fpsynth.initializer import LocationSplit
+from fpsynth.errors import ConsistencyError, CoverageError, RangeError, SizeError
+from fpsynth.initializer import LocationSplit, neighbor_density
 from fpsynth.nets import DenoiserArch, DenoiserNetwork
 
 CONST = np.array([0.0, 0.9, 0.5, 0.3, 0.7, 0.2, 0.0, 1.0])
@@ -93,9 +93,8 @@ class TestTrain:
     def test_error_names_the_first_sample_off_the_split(self):
         data, split = constant_setup(n_samples=4)
         stray = [Fingerprint(CONST, Coordinate(3.0, 4.0)), Fingerprint(CONST, Coordinate(5.0, 6.0))]
-        mixed = make_dataset(
-            [*data.samples[:2], *stray, *data.samples[2:]], len(CONST), NormalizationParams()
-        )
+        seen = [Fingerprint(row, data.locations[0]) for row in data.rss]
+        mixed = make_dataset([*seen[:2], *stray, *seen[2:]], len(CONST), NormalizationParams())
         with pytest.raises(ConsistencyError, match=r"sample at Coordinate\(x=3\.0, y=4\.0\)"):
             train(mixed, split, quick_cfg(epochs=1))
 
@@ -122,9 +121,12 @@ class TestTrain:
             train(data, split, quick_cfg(epochs=1, kernel="hard", sigma_w=1.0))
 
     def test_auto_sigma_needs_two_seen(self):
+        # one seen location has no nearest neighbour; an explicit sigma_w
+        # needs none, and the same split trains
         data, split = constant_setup()
-        with pytest.raises(ConfigError):
+        with pytest.raises(SizeError):
             train(data, split, quick_cfg(epochs=1, sigma_w=None))
+        assert train(data, split, quick_cfg(epochs=1, sigma_w=1.0)).sigma_w == 1.0
 
     def test_sigma_auto_resolves_from_seen_spacing(self):
         p = NormalizationParams()
@@ -226,10 +228,10 @@ class TestConditionCdf:
         assert got_cdf[data.loc_index].tobytes() == cdf.tobytes()
 
 
-class TestMedianNnDistance:
+class TestAutoSigma:
     @pytest.mark.parametrize("n", [2, 16, 17, 203])
     @pytest.mark.parametrize("lattice", [False, True])
-    def test_blocks_equal_the_dense_formula(self, monkeypatch, n, lattice):
+    def test_nearest_distances_equal_the_dense_formula(self, n, lattice):
         rng = np.random.default_rng(n)
         if lattice:  # many tied nearest distances
             coords = rng.permutation(np.argwhere(np.ones((15, 15))))[:n] * 2.0
@@ -240,8 +242,8 @@ class TestMedianNnDistance:
         d = np.sqrt(dx * dx + dy * dy)
         np.fill_diagonal(d, np.inf)
         want = float(np.median(d.min(axis=1)))
-        monkeypatch.setattr(diffusion, "_NN_BLOCK", 16)  # 203 rows: 13 blocks, the last of 11
-        assert diffusion.median_nn_distance(coords).hex() == want.hex()
+        points = [Coordinate(float(x), float(y)) for x, y in coords]
+        assert float(np.median(neighbor_density(points, 1))).hex() == want.hex()
 
 
 class TestSample:
@@ -290,7 +292,7 @@ class TestGenerateUnseenMap:
         ds = generate_unseen_map(res.network, split, res.schedule, 10, seed=4, norm_params=p)
         assert len(ds) == 30
         assert set(ds.locations) == set(split.unseen)
-        assert all(s.location in set(split.unseen) for s in ds.samples)
+        assert {ds.locations[j] for j in ds.loc_index} <= set(split.unseen)
 
     def test_determinism(self):
         res, split, p = self._trained()
@@ -309,7 +311,7 @@ class TestGenerateUnseenMap:
             for loc, child in zip(split.unseen, children)
             for fp in sample(res.network, loc, res.schedule, 6, child, p.detect_floor)
         ]
-        assert [s.location for s in ds.samples] == [fp.location for fp in expected]
+        assert [ds.locations[j] for j in ds.loc_index] == [fp.location for fp in expected]
         assert ds.rss.tobytes() == np.stack([fp.rss for fp in expected]).tobytes()
 
 
@@ -355,6 +357,14 @@ class TestCheckpoint:
         with pytest.raises(ConsistencyError):
             load_checkpoint(path)
 
+    def test_version_1_file_is_refused(self, tmp_path):
+        # a version-1 file, whose arch held an activation name, is not read
+        # as a SiLU network
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw.replace(b"FPSYNTH-CKPT-2", b"FPSYNTH-CKPT-1", 1))
+        with pytest.raises(ConsistencyError, match="bad magic"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("junk", [b"\0", b"\0" * 8, b"trailing"])
     def test_trailing_bytes_are_a_typed_error(self, tmp_path, junk):
         path, raw = self._saved(tmp_path)
@@ -376,7 +386,7 @@ class TestCheckpoint:
     )
     def test_bad_header_is_a_typed_error(self, tmp_path, edit):
         path, raw = self._saved(tmp_path)
-        off = len(b"FPSYNTH-CKPT-1\n")
+        off = len(b"FPSYNTH-CKPT-2\n")
         (hlen,) = struct.unpack_from("<I", raw, off)
         header = edit(raw[off + 4 : off + 4 + hlen])
         payload = raw[off + 4 + hlen :]

@@ -71,7 +71,7 @@ class TestKnn:
 
 
 def batch_xy(model, queries):
-    return [(p.x, p.y) for p in model.predict_batch(queries)]
+    return [tuple(row) for row in model.predict_batch(queries).tolist()]
 
 
 def oracle_xy(model, queries):
@@ -132,13 +132,13 @@ class TestKnnBatchBits:
         model = KnnLocalizer(stored, np.array([[0.0, 0.0], [9.0, 9.0]]), 1)
         assert batch_xy(model, q) == oracle_xy(model, q) == [(0.0, 0.0)]
 
-    def test_predict_batch_is_the_blend_rows(self):
+    def test_predict_is_the_predict_batch_row(self):
         rng = np.random.default_rng(6)
         model = KnnLocalizer(rng.random((100, 5)), rng.random((100, 2)) * 20, 3)
         q = np.concatenate([rng.random((2 * localizer._QUERY_BLOCK, 5)), model.rss[:3]])
-        blended = model.blend(q)
-        assert blended.shape == (q.shape[0], 2)
-        assert batch_xy(model, q) == [tuple(row) for row in blended.tolist()]
+        blended = model.predict_batch(q)
+        assert blended.shape == (q.shape[0], 2) and blended.dtype == np.float64
+        assert [(p.x, p.y) for p in map(model.predict, q)] == batch_xy(model, q)
 
 
 class TestQueryErrors:
@@ -209,13 +209,18 @@ class PerfectModel:
         self.mapping = mapping
 
     def predict_batch(self, queries):
-        return [self.mapping[tuple(np.round(rss, 6))] for rss in queries]
+        return np.array([self.mapping[tuple(np.round(rss, 6))] for rss in queries])
+
+
+def located(ds):
+    """(rss row, Coordinate) of each sample, in dataset order."""
+    return [(row, ds.locations[j]) for row, j in zip(ds.rss, ds.loc_index)]
 
 
 class TestEvaluate:
     def test_perfect_model_zero_error(self):
         test = ds_of([([0.2, 0.8], (0.0, 0.0)), ([0.9, 0.1], (5.0, 5.0))])
-        mapping = {tuple(np.round(s.rss, 6)): s.location for s in test.samples}
+        mapping = {tuple(np.round(r, 6)): xy for r, xy in zip(test.rss, test.coords_matrix())}
         report = evaluate(PerfectModel(mapping), test)
         assert report.mean_error_m == 0.0
         assert report.median_error_m == 0.0
@@ -226,7 +231,7 @@ class TestEvaluate:
 
         class Origin:
             def predict_batch(self, queries):
-                return [Coordinate(0.0, 0.0)] * len(queries)
+                return np.zeros((len(queries), 2))
 
         report = evaluate(Origin(), test)
         assert report.mean_error_m == pytest.approx(2.0)
@@ -250,8 +255,8 @@ class TestEvaluate:
     def test_knn_equals_oracle_loop(self, tiny_dataset):
         model = fit_localizer(tiny_dataset, "knn", LocalizerHyperparams(k=3))
         errors = tuple(
-            Coordinate(*knn_predict(model.rss, model.coords, 3, s.rss)).distance_to(s.location)
-            for s in tiny_dataset.samples
+            Coordinate(*knn_predict(model.rss, model.coords, 3, row)).distance_to(loc)
+            for row, loc in located(tiny_dataset)
         )
         report = evaluate(model, tiny_dataset)
         assert report.per_sample_errors == errors
@@ -261,7 +266,7 @@ class TestEvaluate:
     def test_feedforward_equals_predict_loop(self, tiny_dataset):
         hp = LocalizerHyperparams(hidden=(8,), epochs=5)
         model = fit_localizer(tiny_dataset, "feedforward", hp)
-        errors = tuple(model.predict(s.rss).distance_to(s.location) for s in tiny_dataset.samples)
+        errors = tuple(model.predict(row).distance_to(loc) for row, loc in located(tiny_dataset))
         assert evaluate(model, tiny_dataset).per_sample_errors == errors
 
     def test_empty_test_set_rejected(self, tiny_dataset, params):

@@ -5,7 +5,6 @@ import types
 import numpy as np
 import pytest
 
-import oracles
 from oracles import adam_step, masked_sigmoid, skip_mlp_backward, skip_mlp_forward
 
 import fpsynth.nets as nets
@@ -90,14 +89,6 @@ class TestDenoiserNetwork:
         with pytest.raises(ShapeError):
             net.backward(cache, out)
 
-    def test_tanh_activation_supported(self):
-        arch = DenoiserArch(ap_count=3, cond_freqs=1, time_dim=4, hidden=(4, 2, 4),
-                            activation="tanh")
-        net = DenoiserNetwork.create(arch, 2)
-        out = net.forward(np.ones((2, arch.input_dim)))
-        assert out.shape == (2, 3)
-        assert np.all(np.isfinite(out))
-
 
 def bits_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -106,25 +97,22 @@ def bits_equal(a, b):
 class TestSkipKernelBits:
     """The shared kernel against the explicit 4-layer skip network in `oracles`."""
 
-    def _net(self, activation="silu"):
-        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128),
-                            activation=activation)
+    def _net(self):
+        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128))
         net = DenoiserNetwork.create(arch, 11)
         net.theta += np.random.default_rng(12).normal(0, 0.05, arch.param_count)
         return net
 
-    @pytest.mark.parametrize("activation", ["silu", "tanh"])
-    def test_2d_forward_and_backward(self, activation):
-        net = self._net(activation)
-        act, dact = oracles.ACTIVATIONS[activation]
+    def test_2d_forward_and_backward(self):
+        net = self._net()
         rng = np.random.default_rng(13)
         x = rng.standard_normal((64, net.arch.input_dim))
         dout = rng.standard_normal((64, net.arch.ap_count))
         out, cache = net.forward_cached(x)
-        ref_out, ref_cache = skip_mlp_forward(net._views, act, x)
+        ref_out, ref_cache = skip_mlp_forward(net._views, x)
         assert bits_equal(out, ref_out)
         grad = net.backward(cache, dout)
-        ref = skip_mlp_backward(net._views, dact, ref_cache, dout)
+        ref = skip_mlp_backward(net._views, ref_cache, dout)
         for (wsl, bsl, _), (dW, db) in zip(net._layout, ref):
             assert bits_equal(grad[wsl], dW.ravel())
             assert bits_equal(grad[bsl], db)
@@ -132,17 +120,16 @@ class TestSkipKernelBits:
     def test_stacked_forward(self):
         net = self._net()
         x = np.random.default_rng(14).standard_normal((50, 8, net.arch.input_dim))
-        ref_out, _ = skip_mlp_forward(net._views, oracles.ACTIVATIONS["silu"][0], x)
+        ref_out, _ = skip_mlp_forward(net._views, x)
         assert bits_equal(net.forward(x), ref_out)
 
 
-def make_net(kind, activation):
+def make_net(kind):
     if kind == "denoiser":
-        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128),
-                            activation=activation)
+        arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128))
         net = DenoiserNetwork.create(arch, 21)
     else:
-        net = Mlp.create((30, 64, 48, 2), activation, 21)
+        net = Mlp.create((30, 64, 48, 2), 21)
     net.theta += np.random.default_rng(22).normal(0, 0.05, net.theta.shape[0])
     return net
 
@@ -152,7 +139,6 @@ def in_out_dims(net):
     return shapes[0][2][1], shapes[-1][2][0]
 
 
-@pytest.mark.parametrize("activation", ["silu", "tanh"])
 @pytest.mark.parametrize("kind", ["denoiser", "mlp"])
 class TestWorkspace:
     """Calls through a reused workspace give the bits of calls with fresh buffers."""
@@ -165,8 +151,8 @@ class TestWorkspace:
         in_dim, out_dim = in_out_dims(net)
         return rng.standard_normal((rows, in_dim)), rng.standard_normal((rows, out_dim))
 
-    def test_dirtied_workspace_equals_fresh(self, kind, activation):
-        net = make_net(kind, activation)
+    def test_dirtied_workspace_equals_fresh(self, kind):
+        net = make_net(kind)
         rng = np.random.default_rng(23)
         ws = net.workspace(64)
         x, dout = self._draw(net, rng, 64)
@@ -178,8 +164,8 @@ class TestWorkspace:
         assert bits_equal(out, want_out)
         assert bits_equal(net.backward(cache, dout), want_grad)
 
-    def test_partial_last_batch_equals_fresh(self, kind, activation):
-        net = make_net(kind, activation)
+    def test_partial_last_batch_equals_fresh(self, kind):
+        net = make_net(kind)
         rng = np.random.default_rng(24)
         ws = net.workspace(64)
         x, dout = self._draw(net, rng, 64)
@@ -197,8 +183,8 @@ class TestWorkspace:
         assert bits_equal(out, want_out)
         assert bits_equal(net.backward(cache, dout), want_grad)
 
-    def test_stacked_leading_shape_equals_fresh(self, kind, activation):
-        net = make_net(kind, activation)
+    def test_stacked_leading_shape_equals_fresh(self, kind):
+        net = make_net(kind)
         rng = np.random.default_rng(25)
         in_dim, _ = in_out_dims(net)
         ws = net.workspace((50, 8))
@@ -208,8 +194,8 @@ class TestWorkspace:
         got, _ = net.forward_cached(x, ws)
         assert bits_equal(got, want)
 
-    def test_calls_without_a_workspace_alias_nothing(self, kind, activation):
-        net = make_net(kind, activation)
+    def test_calls_without_a_workspace_alias_nothing(self, kind):
+        net = make_net(kind)
         rng = np.random.default_rng(26)
         x1, d1 = self._draw(net, rng, 8)
         x2, d2 = self._draw(net, rng, 8)
@@ -221,8 +207,8 @@ class TestWorkspace:
         assert bits_equal(out1, kept[0])
         assert bits_equal(grad1, kept[1])
 
-    def test_input_must_fit_the_workspace(self, kind, activation):
-        net = make_net(kind, activation)
+    def test_input_must_fit_the_workspace(self, kind):
+        net = make_net(kind)
         in_dim, _ = in_out_dims(net)
         ws = net.workspace(16)
         with pytest.raises(ShapeError):
@@ -283,7 +269,7 @@ class TestAllocations:
 class TestMlp:
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        mlp = Mlp.create((4, 6, 5, 2), "silu", 7)
+        mlp = Mlp.create((4, 6, 5, 2), 7)
         mlp.theta += rng.normal(0, 0.4, mlp.theta.shape[0])
         x = rng.standard_normal((3, 4))
         proj = rng.standard_normal((3, 2))
@@ -306,7 +292,7 @@ class TestMlp:
         assert rel < 1e-6
 
     def test_shape_validation(self):
-        mlp = Mlp.create((4, 3, 2), "silu", 0)
+        mlp = Mlp.create((4, 3, 2), 0)
         with pytest.raises(ShapeError):
             mlp.forward(np.zeros((2, 5)))
 
@@ -391,20 +377,19 @@ class TestBlasThreadPin:
             net.backward(stacked, np.zeros((2, 3, net.arch.ap_count)))
         assert blas_threads() == 2
 
-    def test_products_run_on_one_thread(self, blas_threads):
+    def test_products_run_on_one_thread(self, blas_threads, monkeypatch):
         net = self._net()
-        act, dact = net._act
         counts = []
 
-        def spy_act(*buffers):
-            counts.append(blas_threads())
-            act(*buffers)
+        def spy(kernel):
+            def counted(*buffers):
+                counts.append(blas_threads())
+                kernel(*buffers)
 
-        def spy_dact(*buffers):
-            counts.append(blas_threads())
-            dact(*buffers)
+            return counted
 
-        net._act = (spy_act, spy_dact)
+        monkeypatch.setattr(nets, "_silu_forward", spy(nets._silu_forward))
+        monkeypatch.setattr(nets, "_silu_backward", spy(nets._silu_backward))
         rng = np.random.default_rng(5)
         out, cache = net.forward_cached(rng.standard_normal((64, net.arch.input_dim)))
         net.backward(cache, rng.standard_normal(out.shape))

@@ -169,7 +169,7 @@ class TestRunExperiment:
             for _ in range(3)
         ]
         assert got.locations == split.unseen
-        assert [fp.location for fp in got.samples] == [loc for _, loc in expected]
+        assert [got.locations[j] for j in got.loc_index] == [loc for _, loc in expected]
         assert np.array_equal(got.rss, np.stack([rss for rss, _ in expected]))
 
     def test_feedforward_variant_runs(self):

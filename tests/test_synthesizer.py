@@ -81,9 +81,9 @@ class TestAugmentSeen:
         split = _split_of(tiny_dataset, 1)
         cfg = AugmentationConfig(replicas_per_sample=0)
         out = augment_seen(tiny_dataset, split, cfg)
-        kept = [s for s in tiny_dataset.samples if s.location in set(split.seen)]
+        kept = tiny_dataset.rss[tiny_dataset.located_in(split.seen)]
         assert len(out) == len(kept)
-        assert np.array_equal(out.rss, np.stack([s.rss for s in kept]))
+        assert np.array_equal(out.rss, kept)
 
     def test_output_size_arithmetic(self, tiny_dataset):
         split = _split_of(tiny_dataset, 2)
@@ -94,7 +94,7 @@ class TestAugmentSeen:
     def test_outputs_only_at_seen_locations(self, tiny_dataset):
         split = _split_of(tiny_dataset, 2)
         out = augment_seen(tiny_dataset, split, AugmentationConfig())
-        assert {s.location for s in out.samples} <= set(split.seen)
+        assert {out.locations[j] for j in out.loc_index} <= set(split.seen)
 
     def test_determinism(self, tiny_dataset):
         split = _split_of(tiny_dataset, 1)
@@ -108,14 +108,12 @@ class TestAugmentSeen:
         cfg = AugmentationConfig(replicas_per_sample=6, noise_sigma=0.1, seed=1)
         out = augment_seen(tiny_dataset, split, cfg)
         n_src = len(tiny_dataset)
-        originals = out.samples[:n_src]
-        replicas = out.samples[n_src:]
         per_source = cfg.replicas_per_sample
-        for i, rep in enumerate(replicas):
-            src = originals[i // per_source]
-            assert rep.location == src.location  # label preservation
-            src_zeros = set(np.nonzero(src.rss == 0.0)[0])
-            rep_zeros = set(np.nonzero(rep.rss == 0.0)[0])
+        for i in range(n_src, len(out)):
+            src = (i - n_src) // per_source
+            assert out.loc_index[i] == out.loc_index[src]  # label preservation
+            src_zeros = set(np.nonzero(out.rss[src] == 0.0)[0])
+            rep_zeros = set(np.nonzero(out.rss[i] == 0.0)[0])
             assert src_zeros <= rep_zeros  # noise never resurrects an absent AP
 
     def test_replicas_equal_per_replica_draws(self, tiny_dataset):
@@ -132,8 +130,9 @@ class TestAugmentSeen:
         n = len(src)
         assert out.rss[:n].tobytes() == src.rss.tobytes()
         assert out.rss[n:].tobytes() == expected.tobytes()
-        assert [s.location for s in out.samples] == [s.location for s in src.samples] + [
-            s.location for s in src.samples for _ in range(5)
+        src_locs = [src.locations[j] for j in src.loc_index]
+        assert [out.locations[j] for j in out.loc_index] == src_locs + [
+            loc for loc in src_locs for _ in range(5)
         ]
 
     def test_missing_seen_coordinate_raises(self, tiny_dataset):
