@@ -297,6 +297,11 @@ class TrainResult:
     sigma_w: float
 
 
+# The denoiser's parameter dtype in training, and so in sampling and in the
+# checkpoint. The noise draws, the kernel masses and the loss value stay
+# float64, so the random streams do not depend on it.
+_TRAIN_DTYPE = np.float32
+
 # Auto vicinity bandwidth: a fraction of the median seen nearest-neighbor
 # distance. The full median over-smooths the conditional mixture (each unseen
 # location couples to a wide ring of seen samples), which measurably biases
@@ -378,17 +383,19 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
         bounds=bounds,
     )
     rng = np.random.default_rng(cfg.seed)
-    net = DenoiserNetwork.create(arch, rng)
-    opt = AdamOptimizer(arch.param_count, cfg.learning_rate)
+    net = DenoiserNetwork.create(arch, rng, _TRAIN_DTYPE)
+    opt = AdamOptimizer(arch.param_count, cfg.learning_rate, dtype=_TRAIN_DTYPE)
 
     cond_table = embed_condition_batch(unseen_xy, bounds, cfg.cond_freqs)
     time_table = embed_time_table(schedule.T, cfg.time_dim)
     # One set of step buffers for the whole run; a smaller last batch uses
-    # their leading rows.
+    # their leading rows. The network's inputs are in its dtype; the noise
+    # draws are float64.
     rows = min(cfg.batch_size, n)
     ws = net.workspace(rows)
-    x_buf = np.empty((rows, arch.input_dim))
-    m0_buf, eps_buf, sq_buf = (np.empty((rows, a)) for _ in range(3))
+    x_buf = np.empty((rows, arch.input_dim), _TRAIN_DTYPE)
+    m0_buf, sq_buf = (np.empty((rows, a), _TRAIN_DTYPE) for _ in range(2))
+    eps_buf = np.empty((rows, a))
     cdf_buf = np.empty((rows, u))
     below_buf = np.empty((rows, u), dtype=bool)
     idx_buf = np.empty(rows, dtype=np.int64)
@@ -458,7 +465,7 @@ def _reverse_diffuse(
     arch = net.arch
     a, c = arch.ap_count, arch.ap_count + arch.cond_dim
     rngs = [np.random.default_rng(s) for s in seeds]
-    inp = np.empty((len(rngs), n, arch.input_dim))
+    inp = np.empty((len(rngs), n, arch.input_dim), net.theta.dtype)
     noise = np.empty((len(rngs), n, a))
     x = inp[:, :, :a]  # the current M_t lives in the input buffer
     for u, (loc, rng) in enumerate(zip(locs, rngs)):
@@ -486,6 +493,7 @@ def _reverse_diffuse(
                 rng.standard_normal((n, a), out=noise[u])
             noise *= math.sqrt(var)
             x += noise
+    x = x.astype(np.float64)  # the floor is tested at the map's width, not the network's
     return np.where(x < detect_floor, 0.0, np.clip(x, detect_floor, 1.0))
 
 
@@ -530,12 +538,15 @@ def generate_unseen_map(
 # ---------------------------------------------------------------------------
 # Checkpoint and loss-trace files
 
-_CKPT_MAGIC = b"FPSYNTH-CKPT-2\n"
+_CKPT_MAGIC = b"FPSYNTH-CKPT-3\n"
+_CKPT_DTYPES = ("float32", "float64")
 
 
 def save_checkpoint(net: DenoiserNetwork, schedule: NoiseSchedule, path) -> None:
     """Binary container: magic, uint32-LE header length, JSON header (arch +
-    schedule endpoints + param count), then theta as little-endian float64."""
+    schedule endpoints + param count + theta's dtype), then theta little-endian
+    in that dtype."""
+    dtype = net.theta.dtype
     header = json.dumps(
         {
             "arch": net.arch.to_dict(),
@@ -545,10 +556,11 @@ def save_checkpoint(net: DenoiserNetwork, schedule: NoiseSchedule, path) -> None
                 "beta_end": float(schedule.betas[-1]),
             },
             "param_count": int(net.theta.shape[0]),
+            "dtype": dtype.name,
         },
         sort_keys=True,
     ).encode("utf-8")
-    blob = net.theta.astype("<f8").tobytes()
+    blob = net.theta.astype(dtype.newbyteorder("<")).tobytes()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(header)))
@@ -559,9 +571,10 @@ def save_checkpoint(net: DenoiserNetwork, schedule: NoiseSchedule, path) -> None
 def load_checkpoint(path) -> tuple[DenoiserNetwork, NoiseSchedule]:
     """Read a checkpoint written by `save_checkpoint`.
 
-    Every malformed file (truncated anywhere, a bad header, a parameter count
-    that disagrees with the architecture, or trailing bytes) raises
-    ConsistencyError.
+    Every malformed file (truncated anywhere, a bad header, an older version,
+    an unknown dtype, a parameter count that disagrees with the architecture,
+    or trailing bytes) raises ConsistencyError. The network computes in the
+    dtype the file records.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(_CKPT_MAGIC):
@@ -581,6 +594,7 @@ def load_checkpoint(path) -> tuple[DenoiserNetwork, NoiseSchedule]:
         sched = header["schedule"]
         schedule = build_schedule(int(sched["T"]), sched["beta_start"], sched["beta_end"])
         count = header["param_count"]
+        dtype = header["dtype"]
     except (ValueError, KeyError, TypeError, ConfigError) as e:
         # ValueError covers bad UTF-8 and bad JSON
         raise ConsistencyError(f"{path}: malformed checkpoint header ({e!r})") from e
@@ -590,12 +604,15 @@ def load_checkpoint(path) -> tuple[DenoiserNetwork, NoiseSchedule]:
             f"{path}: param_count {count!r} does not match the architecture's "
             f"{arch.param_count}"
         )
-    if len(raw) - off != 8 * count:
+    if dtype not in _CKPT_DTYPES:
+        raise ConsistencyError(f"{path}: unknown parameter dtype {dtype!r}")
+    dtype = np.dtype(dtype)
+    if len(raw) - off != dtype.itemsize * count:
         raise ConsistencyError(
-            f"{path}: expected {8 * count} parameter bytes, found {len(raw) - off}"
+            f"{path}: expected {dtype.itemsize * count} parameter bytes, found {len(raw) - off}"
         )
-    theta = np.frombuffer(raw, dtype="<f8", offset=off, count=count).copy()
-    return DenoiserNetwork(arch, theta), schedule
+    theta = np.frombuffer(raw, dtype=dtype.newbyteorder("<"), offset=off, count=count)
+    return DenoiserNetwork(arch, theta.astype(dtype)), schedule
 
 
 def save_loss_trace(trace, path) -> None:

@@ -1,8 +1,11 @@
 """Small fully connected networks with hand-written backprop.
 
-Everything runs in float64 on a single flat parameter vector so that
-checkpoints are trivially bit-exact and analytic gradients can be checked
-against central finite differences. One forward and one backward (`_FlatMlp`)
+Each network computes on a single flat parameter vector `theta`, in the dtype
+of `theta`: float32 or float64. Workspaces and the optimizer's buffers take
+that dtype too, so one code path runs at either width. The diffusion trainer
+builds its denoiser in float32; the gradient check against central finite
+differences runs the same code at float64, the default of `create`, as does
+the localizer. One forward and one backward (`_FlatMlp`)
 serve both networks: the diffusion denoiser (`DenoiserNetwork`, with a skip
 from hidden layer 1 to hidden layer 3) and the feedforward localizer (`Mlp`,
 no skip).
@@ -227,7 +230,8 @@ def _xavier_theta(layer_shapes, seed) -> np.ndarray:
 
 
 class Workspace:
-    """Buffers for one network's calls at one leading input shape, reused.
+    """Buffers for one network's calls at one leading input shape, in the
+    network's dtype, reused.
 
     `z[l]` holds layer l's pre-activation (the last one is the network's
     output), `a[l]` and `s[l]` hidden layer l's activation and the sigmoid its
@@ -243,17 +247,18 @@ class Workspace:
     the leading rows of the same buffers.
     """
 
-    def __init__(self, layout, lead: tuple[int, ...]):
+    def __init__(self, layout, lead: tuple[int, ...], dtype):
         self.lead = lead
         self._layout = layout
+        self._dtype = dtype
         widths = [shape[0] for _w, _b, shape in layout]
         hidden = widths[:-1]
         rows = math.prod(lead)
         self.x = None
-        self.z = [np.empty(lead + (w,)) for w in widths]
-        self.a = [np.empty(lead + (w,)) for w in hidden]
-        self.s = [np.empty(lead + (w,)) for w in hidden]
-        scratch = np.empty(rows * max(hidden, default=0))
+        self.z = [np.empty(lead + (w,), dtype) for w in widths]
+        self.a = [np.empty(lead + (w,), dtype) for w in hidden]
+        self.s = [np.empty(lead + (w,), dtype) for w in hidden]
+        scratch = np.empty(rows * max(hidden, default=0), dtype)
         self.tmp = [scratch[: rows * w].reshape(lead + (w,)) for w in hidden]
         self.d = None
         self.grad = None
@@ -262,7 +267,7 @@ class Workspace:
     def _backward_buffers(self):
         if self.grad is None:
             self.d = [np.empty_like(a) for a in self.a]
-            self.grad = np.empty(self._layout[-1][1].stop)
+            self.grad = np.empty(self._layout[-1][1].stop, self._dtype)
             self._grads = [
                 (self.grad[w].reshape(shape), self.grad[b]) for w, b, shape in self._layout
             ]
@@ -283,7 +288,7 @@ class Workspace:
 
 
 class _FlatMlp:
-    """Fully connected network over one flat float64 parameter vector.
+    """Fully connected network over one flat parameter vector, computing in its dtype.
 
         z_l = a_{l-1} W_l^T + b_l,  a_0 = x
         a_l = silu(z_l) on hidden layers; the last layer is linear
@@ -295,10 +300,14 @@ class _FlatMlp:
 
     Every call computes into a `Workspace` (see the module docstring): a loop
     makes one with `workspace(lead)` and passes it to each call.
+
+    `theta` keeps a float32 dtype; any other is made float64. Inputs and
+    `dout` are cast to that dtype.
     """
 
     def __init__(self, layer_shapes, skip: bool, theta: np.ndarray):
-        theta = np.ascontiguousarray(theta, dtype=np.float64)
+        theta = np.asarray(theta)
+        theta = np.ascontiguousarray(theta, np.float32 if theta.dtype == np.float32 else np.float64)
         layout, total = _layout(layer_shapes)
         if theta.shape != (total,):
             raise ShapeError(f"theta has shape {theta.shape}, the layers need ({total},)")
@@ -310,7 +319,7 @@ class _FlatMlp:
     def workspace(self, lead) -> Workspace:
         """Buffers for inputs of leading shape `lead`: a row count, or a tuple such as (U, n)."""
         lead = (int(lead),) if np.ndim(lead) == 0 else tuple(int(v) for v in lead)
-        return Workspace(self._layout, lead)
+        return Workspace(self._layout, lead, self.theta.dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, _ = self.forward_cached(x)
@@ -326,12 +335,12 @@ class _FlatMlp:
         would not: OpenBLAS picks its kernel by row count, and a row's result
         then depends on how many rows share the product.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.theta.dtype)
         in_dim = self._layout[0][2][1]
         if x.ndim < 2 or x.shape[-1] != in_dim:
             raise ShapeError(f"input must be (..., batch, {in_dim}), got {x.shape}")
         if ws is None:
-            ws = Workspace(self._layout, x.shape[:-1])
+            ws = Workspace(self._layout, x.shape[:-1], self.theta.dtype)
         elif x.shape[:-1] != ws.lead:
             ws = ws._head(x.shape[:-1])
         a = ws.x = x
@@ -355,7 +364,7 @@ class _FlatMlp:
         if ws.x is None or ws.x.ndim != 2:
             shape = None if ws.x is None else ws.x.shape
             raise ShapeError(f"backward needs the cache of a 2-D forward call, got {shape}")
-        dout = np.asarray(dout, dtype=np.float64)
+        dout = np.asarray(dout, dtype=self.theta.dtype)
         if dout.shape != ws.z[-1].shape:
             raise ShapeError(f"dout must have shape {ws.z[-1].shape}, got {dout.shape}")
         d_bufs, grads = ws._backward_buffers()
@@ -390,9 +399,13 @@ class DenoiserNetwork(_FlatMlp):
         super().__init__(arch.layer_shapes, True, theta)
 
     @classmethod
-    def create(cls, arch: DenoiserArch, seed) -> "DenoiserNetwork":
-        """Xavier-uniform weights, zero biases, deterministic given seed."""
-        return cls(arch, _xavier_theta(arch.layer_shapes, seed))
+    def create(cls, arch: DenoiserArch, seed, dtype=np.float64) -> "DenoiserNetwork":
+        """Xavier-uniform weights, zero biases, deterministic given seed.
+
+        The weights are drawn in float64 and rounded to `dtype`, so every
+        dtype reads the same random stream.
+        """
+        return cls(arch, _xavier_theta(arch.layer_shapes, seed).astype(dtype, copy=False))
 
     @classmethod
     def zeros(cls, arch: DenoiserArch) -> "DenoiserNetwork":
@@ -447,27 +460,35 @@ class Mlp(_FlatMlp):
 
 
 class AdamOptimizer:
-    """Standard Adam on a flat parameter vector, updated in place.
+    """Adam on a flat parameter vector, updated in place, in `dtype`.
 
-    The moments and theta are updated in place through two scratch buffers.
-    Each element sees the same operations in the same order as
-    `theta -= lr * mhat / (sqrt(vhat) + eps)` with `v` accumulating
-    `(1 - beta2) * g * g`, so results are bit-identical to that textbook form.
+    The bias corrections fold into two scalars, the ordering Kingma & Ba give
+    in Section 2 of the Adam paper: with c1 = 1 - beta1^t and
+    c2 = 1 - beta2^t, each step computes
+
+        theta -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))
+
+    which equals the textbook `lr * mhat / (sqrt(vhat) + eps)` in exact
+    arithmetic but not in bits. The moments and theta are updated in place
+    through two scratch buffers; `v` accumulates `(1 - beta2) * g * g`.
     """
 
-    def __init__(self, n_params: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, n_params: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8,
+                 dtype=np.float64):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = np.zeros(n_params)
-        self.v = np.zeros(n_params)
-        self._num = np.empty(n_params)
-        self._den = np.empty(n_params)
+        self.m = np.zeros(n_params, dtype)
+        self.v = np.zeros(n_params, dtype)
+        self._num = np.empty(n_params, dtype)
+        self._den = np.empty(n_params, dtype)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
+        root_c2 = math.sqrt(1.0 - self.beta2**self.t)
+        alpha = self.lr * root_c2 / (1.0 - self.beta1**self.t)
         num, den = self._num, self._den
         self.m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=num)
@@ -476,11 +497,8 @@ class AdamOptimizer:
         np.multiply(grad, 1.0 - self.beta2, out=num)
         num *= grad
         self.v += num
-        np.divide(self.m, 1.0 - self.beta1**self.t, out=num)  # mhat
-        num *= self.lr
-        np.divide(self.v, 1.0 - self.beta2**self.t, out=den)  # vhat
-        np.sqrt(den, out=den)
-        den += self.eps
+        np.sqrt(self.v, out=den)
+        den += self.eps * root_c2
+        np.multiply(self.m, alpha, out=num)
         num /= den
         theta -= num
-

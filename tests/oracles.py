@@ -130,12 +130,16 @@ def silu_derivative(z, s):
 
 
 def adam_step(theta, m, v, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One out-of-place Adam update at step t (1-based); returns (theta, m, v)."""
+    """One out-of-place Adam update at step t (1-based); returns (theta, m, v).
+
+    The bias corrections are folded into the step size and epsilon (Kingma &
+    Ba, Section 2): equal to `lr * mhat / (sqrt(vhat) + eps)` in exact
+    arithmetic.
+    """
     m = beta1 * m + (1.0 - beta1) * grad
     v = beta2 * v + (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1**t)
-    vhat = v / (1.0 - beta2**t)
-    return theta - lr * mhat / (np.sqrt(vhat) + eps), m, v
+    alpha = lr * math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+    return theta - alpha * m / (np.sqrt(v) + eps * math.sqrt(1.0 - beta2**t)), m, v
 
 
 def skip_mlp_forward(views, x):

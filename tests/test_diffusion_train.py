@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -150,7 +151,8 @@ class TestTrain:
         dx = unseen_xy[:, 0][None, :] - locs[:, 0][:, None]
         dy = unseen_xy[:, 1][None, :] - locs[:, 1][:, None]
         mass = VicinityKernel(1.0).weight(np.sqrt(dx * dx + dy * dy)).sum(axis=1)
-        row_of = {row.tobytes(): i for i, row in enumerate(m0)}
+        # the step's m0 rows are in the network's dtype
+        row_of = {row.tobytes(): i for i, row in enumerate(m0.astype(diffusion._TRAIN_DTYPE))}
         assert len(row_of) == len(data)
 
         calls = []
@@ -192,6 +194,29 @@ class TestTrain:
         assert len(reused.trace) == 3 * 3
         assert reused.trace == unbuffered.trace
         assert reused.network.theta.tobytes() == unbuffered.network.theta.tobytes()
+
+    def test_float32_training_tracks_float64(self, monkeypatch):
+        # the same run at both parameter widths: the random streams are the
+        # same, so the gaps are float32 rounding carried through 60 steps.
+        # Bound: 32 float32 epsilons, relative (about 4 were measured).
+        rng = np.random.default_rng(21)
+        seen = [Coordinate(float(x), float(y)) for x in range(3) for y in range(2)]
+        samples = [Fingerprint(rng.uniform(0.2, 1.0, len(CONST)), c) for c in seen for _ in range(6)]
+        data = make_dataset(samples, len(CONST), NormalizationParams())
+        split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 1.5)))
+        cfg = quick_cfg(epochs=20, sigma_w=1.0)
+        narrow = train(data, split, cfg)
+        monkeypatch.setattr(diffusion, "_TRAIN_DTYPE", np.float64)
+        wide = train(data, split, cfg)
+        assert narrow.network.theta.dtype == np.float32
+        assert wide.network.theta.dtype == np.float64
+        tol = 32 * np.finfo(np.float32).eps
+        steps, losses = np.array(narrow.trace).T
+        wide_steps, wide_losses = np.array(wide.trace).T
+        assert np.array_equal(steps, wide_steps) and len(steps) == 60
+        assert np.max(np.abs(losses - wide_losses) / wide_losses) < tol
+        theta_gap = np.abs(narrow.network.theta - wide.network.theta)
+        assert np.max(theta_gap) < tol * np.max(np.abs(wide.network.theta))
 
     def test_non_finite_loss_raises_naming_the_step(self):
         data, split = constant_setup(48)
@@ -316,18 +341,22 @@ class TestGenerateUnseenMap:
 
 
 class TestCheckpoint:
-    def test_bit_exact_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: d.__name__)
+    def test_bit_exact_round_trip(self, tmp_path, dtype):
         arch = DenoiserArch(
             ap_count=8, cond_freqs=2, time_dim=8, hidden=(16, 8, 16),
             bounds=(0.25, -1.5, 38.88888888888889, 40.0),
         )
-        net = DenoiserNetwork.create(arch, seed=5)
+        net = DenoiserNetwork.create(arch, 5, dtype)
         s = build_schedule(64, 2e-4, 0.015)
         path = tmp_path / "model.ckpt"
         save_checkpoint(net, s, path)
         net2, s2 = load_checkpoint(path)
         assert net2.arch == arch
-        assert np.array_equal(net2.theta, net.theta)
+        assert net2.theta.dtype == dtype
+        assert net2.theta.tobytes() == net.theta.tobytes()
+        # the payload holds theta in its own width
+        assert path.read_bytes().endswith(net.theta.astype(np.dtype(dtype).newbyteorder("<")).tobytes())
         assert s2.T == s.T
         assert np.array_equal(s2.betas, s.betas)
 
@@ -361,7 +390,20 @@ class TestCheckpoint:
         # a version-1 file, whose arch held an activation name, is not read
         # as a SiLU network
         path, raw = self._saved(tmp_path)
-        path.write_bytes(raw.replace(b"FPSYNTH-CKPT-2", b"FPSYNTH-CKPT-1", 1))
+        path.write_bytes(raw.replace(b"FPSYNTH-CKPT-3", b"FPSYNTH-CKPT-1", 1))
+        with pytest.raises(ConsistencyError, match="bad magic"):
+            load_checkpoint(path)
+
+    def test_version_2_file_is_refused(self, tmp_path):
+        # version 2 wrote float64 theta and no dtype; it is refused, not guessed
+        path, raw = self._saved(tmp_path)
+        off = len(b"FPSYNTH-CKPT-3\n")
+        (hlen,) = struct.unpack_from("<I", raw, off)
+        header = json.loads(raw[off + 4 : off + 4 + hlen])
+        del header["dtype"]
+        header = json.dumps(header, sort_keys=True).encode()
+        payload = raw[off + 4 + hlen :]
+        path.write_bytes(b"FPSYNTH-CKPT-2\n" + struct.pack("<I", len(header)) + header + payload)
         with pytest.raises(ConsistencyError, match="bad magic"):
             load_checkpoint(path)
 
@@ -381,12 +423,18 @@ class TestCheckpoint:
             lambda h: h.replace(b'"schedule": {"T": 10', b'"schedule": {"T": [10]'),
             lambda h: h.replace(b'"param_count": ', b'"param_count": 1'),
             lambda h: h.replace(b'"T": 10', b'"T": 0'),
+            lambda h: h.replace(b'"dtype"', b'"dtypf"'),
+            lambda h: h.replace(b'"float64"', b'"float16"'),
+            lambda h: h.replace(b'"float64"', b'["float64"]'),
+            lambda h: h.replace(b'"float64"', b'"float32"'),
         ],
-        ids=["json", "utf8", "arch-key", "schedule-type", "param-count", "schedule-value"],
+        ids=["json", "utf8", "arch-key", "schedule-type", "param-count", "schedule-value",
+             "dtype-key", "dtype-unknown", "dtype-type", "dtype-width"],
     )
     def test_bad_header_is_a_typed_error(self, tmp_path, edit):
+        # "dtype-width" names a dtype half the payload's width: a byte-count error
         path, raw = self._saved(tmp_path)
-        off = len(b"FPSYNTH-CKPT-2\n")
+        off = len(b"FPSYNTH-CKPT-3\n")
         (hlen,) = struct.unpack_from("<I", raw, off)
         header = edit(raw[off + 4 : off + 4 + hlen])
         payload = raw[off + 4 + hlen :]

@@ -71,16 +71,30 @@ class TestDenoiserNetwork:
         rel = np.max(np.abs(grad - fd)) / (np.max(np.abs(fd)) + 1e-12)
         assert rel < 1e-6
 
-    def test_stacked_forward_equals_per_slice_calls(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: d.__name__)
+    def test_stacked_forward_equals_per_slice_calls(self, dtype):
         # a stacked input must run one n-row product per slice; flattening it
         # to (U*n, input) changes the bits of the result
         arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128))
-        net = DenoiserNetwork.create(arch, 4)
+        net = DenoiserNetwork.create(arch, 4, dtype)
         x = np.random.default_rng(5).standard_normal((50, 8, arch.input_dim))
         stacked = net.forward(x)
         assert stacked.shape == (50, 8, arch.ap_count)
         per_slice = np.stack([net.forward(xi) for xi in x])
-        assert np.array_equal(stacked.view(np.uint64), per_slice.view(np.uint64))
+        assert bits_equal(stacked, per_slice)
+
+    def test_dtype_follows_theta(self):
+        arch = DenoiserArch(ap_count=3, cond_freqs=1, time_dim=4, hidden=(4, 2, 4))
+        f32 = DenoiserNetwork.create(arch, 0, np.float32)
+        f64 = DenoiserNetwork.create(arch, 0)
+        assert f32.theta.dtype == np.float32 and f64.theta.dtype == np.float64
+        # one random stream: the float32 weights are the float64 ones rounded
+        assert np.array_equal(f32.theta, f64.theta.astype(np.float32))
+        out, cache = f32.forward_cached(np.ones((2, arch.input_dim)))
+        assert out.dtype == np.float32
+        assert f32.backward(cache, np.ones(out.shape)).dtype == np.float32
+        # any other dtype, integers included, computes in float64
+        assert DenoiserNetwork(arch, np.zeros(arch.param_count, np.int64)).theta.dtype == np.float64
 
     def test_backward_rejects_stacked_cache(self):
         arch = DenoiserArch(ap_count=3, cond_freqs=1, time_dim=4, hidden=(4, 2, 4))
@@ -91,23 +105,30 @@ class TestDenoiserNetwork:
 
 
 def bits_equal(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    """Same dtype, shape and bits: each array viewed as unsigned ints of its width."""
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+    )
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: d.__name__)
 class TestSkipKernelBits:
-    """The shared kernel against the explicit 4-layer skip network in `oracles`."""
+    """The shared kernel against the explicit 4-layer skip network in `oracles`,
+    at both widths; the oracle computes in the dtype of its inputs."""
 
-    def _net(self):
+    def _net(self, dtype):
         arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128))
-        net = DenoiserNetwork.create(arch, 11)
-        net.theta += np.random.default_rng(12).normal(0, 0.05, arch.param_count)
+        net = DenoiserNetwork.create(arch, 11, dtype)
+        net.theta += np.random.default_rng(12).normal(0, 0.05, arch.param_count).astype(dtype)
         return net
 
-    def test_2d_forward_and_backward(self):
-        net = self._net()
+    def test_2d_forward_and_backward(self, dtype):
+        net = self._net(dtype)
         rng = np.random.default_rng(13)
-        x = rng.standard_normal((64, net.arch.input_dim))
-        dout = rng.standard_normal((64, net.arch.ap_count))
+        x = rng.standard_normal((64, net.arch.input_dim)).astype(dtype)
+        dout = rng.standard_normal((64, net.arch.ap_count)).astype(dtype)
         out, cache = net.forward_cached(x)
         ref_out, ref_cache = skip_mlp_forward(net._views, x)
         assert bits_equal(out, ref_out)
@@ -117,20 +138,21 @@ class TestSkipKernelBits:
             assert bits_equal(grad[wsl], dW.ravel())
             assert bits_equal(grad[bsl], db)
 
-    def test_stacked_forward(self):
-        net = self._net()
-        x = np.random.default_rng(14).standard_normal((50, 8, net.arch.input_dim))
+    def test_stacked_forward(self, dtype):
+        net = self._net(dtype)
+        x = np.random.default_rng(14).standard_normal((50, 8, net.arch.input_dim)).astype(dtype)
         ref_out, _ = skip_mlp_forward(net._views, x)
         assert bits_equal(net.forward(x), ref_out)
 
 
 def make_net(kind):
-    if kind == "denoiser":
+    if kind.startswith("denoiser"):
         arch = DenoiserArch(ap_count=20, cond_freqs=4, time_dim=16, hidden=(128, 64, 128))
-        net = DenoiserNetwork.create(arch, 21)
+        dtype = np.float32 if kind == "denoiser-float32" else np.float64
+        net = DenoiserNetwork.create(arch, 21, dtype)
     else:
         net = Mlp.create((30, 64, 48, 2), 21)
-    net.theta += np.random.default_rng(22).normal(0, 0.05, net.theta.shape[0])
+    net.theta += np.random.default_rng(22).normal(0, 0.05, net.theta.shape[0]).astype(net.theta.dtype)
     return net
 
 
@@ -139,7 +161,7 @@ def in_out_dims(net):
     return shapes[0][2][1], shapes[-1][2][0]
 
 
-@pytest.mark.parametrize("kind", ["denoiser", "mlp"])
+@pytest.mark.parametrize("kind", ["denoiser", "denoiser-float32", "mlp"])
 class TestWorkspace:
     """Calls through a reused workspace give the bits of calls with fresh buffers."""
 
@@ -305,18 +327,19 @@ class TestOptimizers:
             opt.step(theta, 2.0 * theta)
         assert np.all(np.abs(theta) < 1e-2)
 
-    def test_adam_bits_match_reference(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: d.__name__)
+    def test_adam_bits_match_reference(self, dtype):
         rng = np.random.default_rng(8)
-        theta = rng.standard_normal(300)
-        ref_theta, ref_m, ref_v = theta.copy(), np.zeros(300), np.zeros(300)
-        opt = AdamOptimizer(300, lr=2e-3)
+        theta = rng.standard_normal(300).astype(dtype)
+        ref_theta, ref_m, ref_v = theta.copy(), np.zeros(300, dtype), np.zeros(300, dtype)
+        opt = AdamOptimizer(300, lr=2e-3, dtype=dtype)
         for t in range(1, 6):
-            grad = rng.standard_normal(300) * 10.0 ** rng.integers(-6, 3, 300)
+            grad = (rng.standard_normal(300) * 10.0 ** rng.integers(-6, 3, 300)).astype(dtype)
             ref_theta, ref_m, ref_v = adam_step(ref_theta, ref_m, ref_v, grad, t, opt.lr)
             opt.step(theta, grad)
             opt.lr *= 0.98
         for got, want in ((theta, ref_theta), (opt.m, ref_m), (opt.v, ref_v)):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert bits_equal(got, want)
 
 
 class TestSigmoid:
