@@ -20,7 +20,7 @@ then timed REPEATS times and the median reported, with the minor page faults
 * evaluate: fitting the kNN localizer on the merged map and `evaluate` on the
   2,000 test queries.
 
-Last, the two generator arms, on the samples of every other location with
+Then the two generator arms, on the samples of every other location with
 the other 1,000 locations unseen:
 
 * interpolate: `interpolate_locations` (k=3) of those samples onto the 1,000
@@ -35,10 +35,20 @@ the other 1,000 locations unseen:
   and a 5-step noise schedule. Their difference over 4 is the time of one
   reverse-diffusion step (`reverse_step_s`); the default schedule runs 200.
 
+Last, once the datasets above are dropped, the interpolator arm end to end:
+
+* experiment_interpolator: one `run_experiment` of the default config with
+  `data.source=file` on the survey file and `augmenter.kind=interpolator`
+  (density split, 1,000 unseen locations, 8 train samples per location, 4
+  replicas each); one more run under `tracemalloc` reports its peak traced
+  memory and that peak over the bytes of the final fingerprint map
+  (`experiment_interpolator.peak_over_map`).
+
     PYTHONPATH=src python3 scripts/filescale.py --out filescale.json
 
-Its peak resident memory is about 418 MB (417 and 418 MB over two runs with
-numpy 2.4); the `maxrss_mb` of each operation shows where it is reached.
+Its peak resident memory is about 393 MB (392.6 MB over two runs with numpy
+2.4 on 2 vCPUs); the `maxrss_mb` of each operation shows where it is reached.
+The whole script takes about 70 s there.
 """
 
 import argparse
@@ -56,10 +66,12 @@ from pathlib import Path
 import numpy as np
 
 from fpsynth.baselines import interpolate_locations
+from fpsynth.config import resolve_config
 from fpsynth.dataset import canonicalize_dataset, load_dataset, merge_datasets, save_dataset
 from fpsynth.diffusion import DiffusionTrainConfig, build_schedule, generate_unseen_map, train
 from fpsynth.initializer import LocationSplit, select_unseen_density
 from fpsynth.localizer import evaluate, fit_localizer
+from fpsynth.pipeline import run_experiment
 from fpsynth.synthesizer import AugmentationConfig, augment_seen
 
 LOCATIONS = (50, 40)  # grid columns x rows, 2 m apart
@@ -139,11 +151,8 @@ def timed(fn, repeats: int) -> tuple[float, list[float], list[int], object]:
     return statistics.median(samples), samples, faults, result
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", default=None, help="also write the JSON result here")
-    args = ap.parse_args()
-
+def measure(tmp: Path) -> dict:
+    """Every measurement above, with the survey files written under `tmp`."""
     rng = np.random.default_rng(SEED)
     nx, ny = LOCATIONS
     ix, iy = np.meshgrid(np.arange(nx), np.arange(ny))
@@ -154,8 +163,8 @@ def main() -> None:
 
     timings: dict[str, dict] = {}
 
-    def record(name, fn):
-        median, samples, faults, result = timed(fn, REPEATS)
+    def record(name, fn, repeats=REPEATS):
+        median, samples, faults, result = timed(fn, repeats)
         timings[name] = {
             "median_s": median,
             "samples_s": samples,
@@ -164,18 +173,17 @@ def main() -> None:
         }
         return result
 
-    with tempfile.TemporaryDirectory() as tmp:
-        survey_path, test_path = Path(tmp) / "survey.csv", Path(tmp) / "test.csv"
-        write_survey(survey_path, rng, ap_xy, survey_rows)
-        write_survey(test_path, rng, ap_xy, test_rows)
-        # traced first, while no other dataset is alive, so that it does not set peak_rss_mb
-        load_peak_mb, data = traced_peak_mb(lambda: load_dataset(survey_path))
-        load_peak_over_matrix = load_peak_mb * 1e6 / data.rss.nbytes
-        del data
-        data = record("load", lambda: load_dataset(survey_path))
-        test_set = load_dataset(test_path)
-        record("save", lambda: save_dataset(data, Path(tmp) / "saved.csv"))
-        file_mb = survey_path.stat().st_size / 1e6
+    survey_path, test_path = tmp / "survey.csv", tmp / "test.csv"
+    write_survey(survey_path, rng, ap_xy, survey_rows)
+    write_survey(test_path, rng, ap_xy, test_rows)
+    # traced first, while no other dataset is alive, so that it does not set peak_rss_mb
+    load_peak_mb, data = traced_peak_mb(lambda: load_dataset(survey_path))
+    load_peak_over_matrix = load_peak_mb * 1e6 / data.rss.nbytes
+    del data
+    data = record("load", lambda: load_dataset(survey_path))
+    test_set = load_dataset(test_path)
+    record("save", lambda: save_dataset(data, tmp / "saved.csv"))
+    file_mb = survey_path.stat().st_size / 1e6
     detection_rate = float(np.mean(data.rss > 0.0))
 
     data = record("canonicalize", lambda: canonicalize_dataset(data))
@@ -204,28 +212,57 @@ def main() -> None:
     record("generate_5_steps", generate(5))
     one, five = (timings[k]["median_s"] for k in ("generate_1_step", "generate_5_steps"))
     reverse_step_s = (five - one) / 4
+    input_shape = {
+        "samples": len(data),
+        "ap_count": data.ap_count,
+        "locations": len(data.locations),
+        "detection_rate": detection_rate,
+        "file_mb": file_mb,
+        "map_rows": map_rows,
+        "train_rows": len(seen),
+        "queries": len(test_set),
+    }
+    interpolate_sha256 = hashlib.sha256(interpolated.tobytes()).hexdigest()
+    del data, test_set, seen, trained, interpolated
 
-    result = {
+    cfg = resolve_config(
+        None, ["data.source=file", f"data.file.path={survey_path}", "augmenter.kind=interpolator"]
+    )
+    experiment = record("experiment_interpolator", lambda: run_experiment(cfg), repeats=1)
+    experiment_peak_mb, _ = traced_peak_mb(lambda: run_experiment(cfg))
+    # the map: the augmented train rows of the seen locations, then the generated rows
+    train_per_location = SAMPLES_PER_LOCATION - int(SAMPLES_PER_LOCATION * cfg.file_test_fraction)
+    seen_rows = experiment.n_seen * train_per_location * (1 + cfg.augment.replicas_per_sample)
+    experiment_map_rows = seen_rows + experiment.n_unseen * cfg.samples_per_unseen
+    experiment_map_mb = experiment_map_rows * AP_COUNT * 8 / 1e6
+
+    return {
         "environment": environment(),
-        "input": {
-            "samples": len(data),
-            "ap_count": data.ap_count,
-            "locations": len(data.locations),
-            "detection_rate": detection_rate,
-            "file_mb": file_mb,
-            "map_rows": map_rows,
-            "train_rows": len(seen),
-            "queries": len(test_set),
-        },
+        "input": input_shape,
         "repeats": REPEATS,
         "timings": timings,
         "load": {"tracemalloc_peak_mb": load_peak_mb, "peak_over_matrix": load_peak_over_matrix},
         "train_one_epoch": {"tracemalloc_peak_mb": train_peak_mb},
         "reverse_step_s": reverse_step_s,
-        "interpolate_sha256": hashlib.sha256(interpolated.tobytes()).hexdigest(),
+        "interpolate_sha256": interpolate_sha256,
         "mean_error_m": report.mean_error_m,
+        "experiment_interpolator": {
+            "map_rows": experiment_map_rows,
+            "map_mb": experiment_map_mb,
+            "tracemalloc_peak_mb": experiment_peak_mb,
+            "peak_over_map": experiment_peak_mb / experiment_map_mb,
+            "mean_error_m": experiment.report.mean_error_m,
+        },
         "peak_rss_mb": maxrss_mb(),
     }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", default=None, help="also write the JSON result here")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        result = measure(Path(tmp))
     text = json.dumps(result, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

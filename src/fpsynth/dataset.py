@@ -262,13 +262,23 @@ class FingerprintDataset:
     def location_coords(self) -> np.ndarray:
         return coords_array(self.locations)
 
-    def take(self, rows) -> "FingerprintDataset":
+    def take(self, rows, out=None) -> "FingerprintDataset":
         """The samples at integer positions `rows`, in that order, with their
-        locations renumbered in first-appearance order."""
+        locations renumbered in first-appearance order.
+
+        With `out`, a writable C-contiguous `(len(rows), A)` float64 matrix,
+        the samples' readings are written into it and it becomes the result's
+        matrix (read-only from then on).
+        """
         rows = np.asarray(rows, dtype=np.intp)
         used, index = _index_of(self.loc_index[rows].tolist())
+        if out is None:
+            rss = self.rss[rows]
+        else:  # the lookup above checked `rows`; "wrap" reads them as indexing does,
+            # straight into `out`, where the default mode gathers into a copy first
+            rss = np.take(self.rss, rows, axis=0, out=out, mode="wrap")
         return FingerprintDataset(
-            self.rss[rows],
+            rss,
             index,
             tuple(self.locations[j] for j in used),
             self.norm_params,
@@ -302,8 +312,50 @@ def make_dataset(samples, ap_count: int, params: NormalizationParams) -> Fingerp
     return FingerprintDataset(rss, index, tuple(locations), params, collectors)
 
 
+def _address(m: np.ndarray) -> int:
+    return m.__array_interface__["data"][0]
+
+
+def _tiled_rows(mats) -> np.ndarray | None:
+    """The rows of one buffer that the matrices `mats` fill back to back, as a
+    view of that buffer, or None if they do not.
+
+    That is the case when every matrix with rows is a C-contiguous run of
+    whole rows of the same C-contiguous 2-D buffer and each starts where the
+    one before ends. (numpy does not move an empty slice's data pointer.)
+    """
+    mats = [m for m in mats if len(m)]
+    if not mats:
+        return None
+    base = mats[0].base
+    if not (
+        isinstance(base, np.ndarray)
+        and base.ndim == 2
+        and base.flags.c_contiguous
+        and base.dtype == mats[0].dtype
+        and base.shape[1] == mats[0].shape[1]
+    ):
+        return None
+    row_bytes = base.strides[0]
+    lo, misaligned = divmod(_address(mats[0]) - _address(base), row_bytes)
+    if misaligned:
+        return None
+    end = _address(mats[0])
+    for m in mats:
+        if m.base is not base or not m.flags.c_contiguous or _address(m) != end:
+            return None
+        end += m.nbytes
+    return base[lo : lo + sum(len(m) for m in mats)]
+
+
 def merge_datasets(first: FingerprintDataset, *rest: FingerprintDataset) -> FingerprintDataset:
-    """Concatenate datasets sharing ap_count and normalization (order preserved)."""
+    """Concatenate datasets sharing ap_count and normalization (order preserved).
+
+    When the parts' matrices fill one buffer back to back, as
+    `augment_seen(..., reserve=R)` and a generator writing into its reserved
+    rows leave them, the merged matrix is a view of that buffer: nothing is
+    copied. Any other parts are concatenated into a new matrix.
+    """
     parts = (first, *rest)
     for ds in rest:
         if ds.ap_count != first.ap_count:
@@ -319,8 +371,10 @@ def merge_datasets(first: FingerprintDataset, *rest: FingerprintDataset) -> Fing
         used, local = _index_of(ds.loc_index.tolist())
         numbering = [ids.setdefault(ds.locations[j], len(ids)) for j in used]
         index.append(np.array(numbering, dtype=np.intp)[local])
+    mats = [ds.rss for ds in parts]
+    rss = _tiled_rows(mats)
     return FingerprintDataset(
-        np.concatenate([ds.rss for ds in parts]),
+        np.concatenate(mats) if rss is None else rss,
         np.concatenate(index),
         tuple(ids),
         first.norm_params,
@@ -455,12 +509,31 @@ def load_dataset(path, params: NormalizationParams = NormalizationParams()) -> F
     Raises ParseError (naming the line) on malformed rows and RangeError on
     raw values outside [rss_min, rss_max] that are not the sentinel.
     """
-    raw, xy, collectors = _read_rows(path, params)
-    rss = _normalize_array(raw, params)
-    del raw  # the parsed block's last view: it is freed before the locations are built
+    block, collectors = _read_rows(path, params)
+    ap_count = block.shape[1] - 2
+    xy = block[:, ap_count:].copy()
+    rss = _normalize_ap_columns(block, params)
     keys, index = _index_of(map(tuple, xy.tolist()))
     locations = tuple(Coordinate(x, y) for x, y in keys)
     return FingerprintDataset(rss, index, locations, params, collectors)
+
+
+def _normalize_ap_columns(block: np.ndarray, params: NormalizationParams) -> np.ndarray:
+    """The AP columns of a parsed `(N, A + 2)` block, normalized and moved to
+    the front of the block's own buffer, as an `(N, A)` view of it.
+
+    One row block at a time: its AP columns are normalized in place, then
+    copied to their packed position. That position ends before the next row
+    block starts, so no unread row is overwritten; where it overlaps the rows
+    being copied, numpy copies them to a block-sized temporary first.
+    """
+    n, a = block.shape[0], block.shape[1] - 2
+    flat = block.reshape(-1)
+    for rows in _row_blocks(n, a + 2):
+        ap = block[rows, :a]
+        _normalize_array(ap, params, out=ap)
+        flat[rows.start * a : (rows.start + len(ap)) * a].reshape(-1, a)[...] = ap
+    return flat[: n * a].reshape(n, a)
 
 
 # U+000B, U+000C, U+001C-U+001E, U+0085, U+2028 and U+2029 end a line for
@@ -480,7 +553,8 @@ class _NotPlain(Exception):
 
 
 def _read_rows(path, params: NormalizationParams):
-    """(raw (N, A), xy (N, 2), collector ids or None) of a wide-format file.
+    """(the raw `(N, A + 2)` block of AP readings then X, Y; collector ids or
+    None) of a wide-format file.
 
     The file is streamed into one np.loadtxt call, so no copy of its text is
     held. If that parse rejects a line or the file is not valid UTF-8, the file
@@ -521,7 +595,7 @@ def _raw_in_range(raw: np.ndarray, params: NormalizationParams) -> np.ndarray:
 
 
 def _parse_stream(lines, ap_count: int, has_collector: bool, params: NormalizationParams):
-    """(raw, xy, collectors) of the data rows in the iterable `lines`, parsed by
+    """(block, collectors) of the data rows in the iterable `lines`, parsed by
     one np.loadtxt call; raises _NotPlain for any row that is not plainly valid."""
     collectors = [] if has_collector else None
     n_rows = 0
@@ -546,19 +620,18 @@ def _parse_stream(lines, ap_count: int, has_collector: bool, params: Normalizati
     body = rows()
     first = next(body, None)
     if first is None:  # np.loadtxt warns on an empty input
-        return np.empty((0, ap_count)), np.empty((0, 2)), collectors
+        return np.empty((0, ap_count + 2)), collectors
     try:
         block = np.loadtxt(chain([first], body), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         raise _NotPlain from None
     if block.shape != (n_rows, ap_count + 2):
         raise _NotPlain
-    raw, xy = block[:, :ap_count], block[:, ap_count:].copy()
-    if not np.isfinite(xy).all():
+    if not np.isfinite(block[:, ap_count:]).all():
         raise _NotPlain
-    if _first_bad_row(raw, lambda r: _raw_in_range(r, params)) < n_rows:
+    if _first_bad_row(block[:, :ap_count], lambda r: _raw_in_range(r, params)) < n_rows:
         raise _NotPlain
-    return raw, xy, collectors
+    return block, collectors
 
 
 def _raise_first_bad_line(path, lines, params):

@@ -445,8 +445,10 @@ def _reverse_diffuse(
     n: int,
     seeds,
     detect_floor: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Reverse diffusion for all of `locs` at once; returns `(U, n, A)` fingerprints.
+    """Reverse diffusion for all of `locs` at once; returns `(U, n, A)` fingerprints,
+    written into `out` (a float64 array of that shape) if it is given.
 
     Location u draws its start noise and every step's noise from its own
     `default_rng(seeds[u])`, in the order a one-location run draws them. Each
@@ -493,8 +495,12 @@ def _reverse_diffuse(
                 rng.standard_normal((n, a), out=noise[u])
             noise *= math.sqrt(var)
             x += noise
-    x = x.astype(np.float64)  # the floor is tested at the map's width, not the network's
-    return np.where(x < detect_floor, 0.0, np.clip(x, detect_floor, 1.0))
+    final = np.empty((len(rngs), n, a)) if out is None else out
+    final[...] = x  # the floor is tested at the map's width, not the network's
+    below = final < detect_floor
+    np.clip(final, detect_floor, 1.0, out=final)
+    np.copyto(final, 0.0, where=below)
+    return final
 
 
 def sample(
@@ -517,19 +523,24 @@ def generate_unseen_map(
     samples_per_unseen: int,
     seed,
     norm_params: NormalizationParams = NormalizationParams(),
+    out: np.ndarray | None = None,
 ) -> FingerprintDataset:
     """Sample every unseen location with per-location derived seeds.
 
     Location u's fingerprints equal `sample(net, loc_u, schedule, n, child_u)`
-    with `child_u` the u-th of `SeedSequence(seed).spawn(U)`.
+    with `child_u` the u-th of `SeedSequence(seed).spawn(U)`. With `out`, a
+    writable C-contiguous `(U * samples_per_unseen, A)` float64 matrix, the
+    map is written into it and it becomes the result's matrix.
     """
     if not split.unseen:
         raise SizeError("split has no unseen locations to generate")
-    children = np.random.SeedSequence(seed).spawn(len(split.unseen))
+    u, n = len(split.unseen), samples_per_unseen
+    children = np.random.SeedSequence(seed).spawn(u)
+    out = None if out is None else out.reshape(u, n, net.arch.ap_count)
     final = _reverse_diffuse(
-        net, split.unseen, schedule, samples_per_unseen, children, norm_params.detect_floor
+        net, split.unseen, schedule, n, children, norm_params.detect_floor, out
     )
-    index = np.repeat(np.arange(len(split.unseen)), samples_per_unseen)
+    index = np.repeat(np.arange(u), n)
     return FingerprintDataset(
         final.reshape(index.shape[0], -1), index, tuple(split.unseen), norm_params
     )

@@ -10,6 +10,10 @@ Each stage is one function here that draws its seed from the experiment seed.
 so a staged run equals the monolithic one; `run_experiment` canonicalizes a
 dataset through the file codec wherever the staged run writes a file.
 
+`run_experiment` allocates the fingerprint map once: the augment stage
+reserves the generated rows after the augmented ones, the generate stage
+writes the unseen map into them, and the merge wraps that one buffer.
+
 Test protocol: for the synthetic source, an independent draw at ALL grid
 locations with a fresh seed; for file sources, a per-location holdout of
 `file_test_fraction` of each location's samples (seeded shuffle).
@@ -43,7 +47,7 @@ from .initializer import (
     select_unseen_random,
 )
 from .localizer import LocalizationReport, evaluate, fit_localizer
-from .synthesizer import augment_seen
+from .synthesizer import augment_seen, reserved_rows
 
 
 _STAGES = {
@@ -154,9 +158,13 @@ def compute_split(cfg: ExperimentConfig, locations) -> LocationSplit:
     return select_unseen_grid(locations, n_unseen)
 
 
-def _interpolated_map(aug, split, cfg) -> FingerprintDataset:
+def _interpolated_map(aug, split, cfg, out=None) -> FingerprintDataset:
+    """Each unseen location's interpolated fingerprint, `samples_per_unseen` times,
+    written into `out` (a `(U * samples_per_unseen, A)` float64 matrix) if it is given."""
     n = cfg.samples_per_unseen
-    rss = np.repeat(interpolate_locations(aug, split.unseen, cfg.interpolator_k), n, axis=0)
+    means = interpolate_locations(aug, split.unseen, cfg.interpolator_k)
+    rss = np.empty((len(split.unseen) * n, aug.ap_count)) if out is None else out
+    rss.reshape(len(split.unseen), n, aug.ap_count)[...] = means[:, None, :]
     index = np.repeat(np.arange(len(split.unseen)), n)
     return FingerprintDataset(rss, index, tuple(split.unseen), aug.norm_params)
 
@@ -177,17 +185,24 @@ def train_pool(cfg: ExperimentConfig, data_file=None) -> FingerprintDataset:
     return _consumed_pool(cfg, build_data(cfg)[0])
 
 
-def augment(cfg: ExperimentConfig, pool, split: LocationSplit) -> FingerprintDataset:
-    return augment_seen(pool, split, replace(cfg.augment, seed=stage_seed(cfg.seed, "augment")))
+def augment(
+    cfg: ExperimentConfig, pool, split: LocationSplit, reserve: int = 0
+) -> FingerprintDataset:
+    return augment_seen(
+        pool, split, replace(cfg.augment, seed=stage_seed(cfg.seed, "augment")), reserve
+    )
 
 
 def train_generator(cfg: ExperimentConfig, aug, split: LocationSplit) -> TrainResult:
     return train(aug, split, replace(cfg.diffusion, seed=stage_seed(cfg.seed, "train")))
 
 
-def generate(cfg: ExperimentConfig, network, schedule, split: LocationSplit) -> FingerprintDataset:
+def generate(
+    cfg: ExperimentConfig, network, schedule, split: LocationSplit, out=None
+) -> FingerprintDataset:
+    seed = stage_seed(cfg.seed, "generate")
     return generate_unseen_map(
-        network, split, schedule, cfg.samples_per_unseen, stage_seed(cfg.seed, "generate"), cfg.norm
+        network, split, schedule, cfg.samples_per_unseen, seed, cfg.norm, out
     )
 
 
@@ -206,24 +221,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         pool = _consumed_pool(cfg, pool)
     with _stage("split"):
         split = compute_split(cfg, pool.locations)
-    # Each stage output is canonicalized inside its own matrix: nothing else holds it.
+    # Each stage output is canonicalized inside its own rows: nothing else holds them.
+    generates = bool(split.unseen) and cfg.augmenter != "none"
+    reserve = len(split.unseen) * cfg.samples_per_unseen if generates else 0
     with _stage("augment"):
-        aug = canonicalize_dataset(augment(cfg, pool, split), in_place=True)
+        aug = canonicalize_dataset(augment(cfg, pool, split, reserve), in_place=True)
         del pool  # the augmented data holds its own copy of the seen samples
     generated: FingerprintDataset | None = None
-    if split.unseen and cfg.augmenter == "diffusion":
+    if generates and cfg.augmenter == "diffusion":
         with _stage("train-diffusion"):
             result = train_generator(cfg, aug, split)
         with _stage("generate"):
-            generated = generate(cfg, result.network, result.schedule, split)
+            generated = generate(cfg, result.network, result.schedule, split, reserved_rows(aug))
             generated = canonicalize_dataset(generated, in_place=True)
-    elif split.unseen and cfg.augmenter == "interpolator":
+    elif generates:
         with _stage("generate"):
-            generated = canonicalize_dataset(_interpolated_map(aug, split, cfg), in_place=True)
+            generated = _interpolated_map(aug, split, cfg, reserved_rows(aug))
+            generated = canonicalize_dataset(generated, in_place=True)
     # augmenter == "none" (or no unseen locations): the map is the seen data alone
     with _stage("evaluate"):
         fingerprint_map = merge_datasets(aug, generated) if generated is not None else aug
-        del aug, generated  # the merged map holds its own copy; free the parts before fitting
         report = localize(cfg, fingerprint_map, test_set)
     return ExperimentResult(
         report=report,

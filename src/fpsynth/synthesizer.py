@@ -75,7 +75,7 @@ def drop_weak_transmitters(fp: Fingerprint, threshold: float) -> Fingerprint:
 
 
 def augment_seen(
-    data: FingerprintDataset, split: LocationSplit, cfg: AugmentationConfig
+    data: FingerprintDataset, split: LocationSplit, cfg: AugmentationConfig, reserve: int = 0
 ) -> FingerprintDataset:
     """Originals at seen locations plus `replicas_per_sample` noisy copies each.
 
@@ -84,6 +84,10 @@ def augment_seen(
     at unseen locations are excluded entirely. Each source sample's replicas
     draw one (replicas, A) noise block from the source's own derived RNG
     stream, so output is independent of any parallel scheduling.
+
+    The output matrix is the head of a buffer with `reserve` more rows after
+    it, left unwritten: `reserved_rows` returns them, a generator fills them,
+    and `merge_datasets` then joins the two without a copy.
     """
     seen_set = set(split.seen)
     data_locs = set(data.locations)
@@ -93,6 +97,8 @@ def augment_seen(
             f"split references {len(missing)} seen coordinate(s) absent from the dataset, "
             f"e.g. {sorted(missing)[0]}"
         )
+    if reserve < 0:
+        raise ConfigError(f"reserve must be >= 0, got {reserve}")
     floor = data.norm_params.detect_floor
     if cfg.drop_threshold < floor:
         warnings.warn(
@@ -100,11 +106,12 @@ def augment_seen(
             "dropout will be a no-op",
             stacklevel=2,
         )
-    src = data.subset_at(split.seen)
-    n, a = src.rss.shape
+    keep = np.flatnonzero(data.located_in(split.seen))
+    n, a = keep.shape[0], data.ap_count
     r = cfg.replicas_per_sample
-    rss = np.empty((n * (1 + r), a))
-    rss[:n] = src.rss
+    buf = np.empty((n * (1 + r) + reserve, a))
+    rss = buf[: n * (1 + r)]
+    src = data.take(keep, out=rss[:n])  # the seen samples, gathered into the head
     replicas = rss[n:].reshape(n, r, a)
     for k, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(n)):
         np.random.default_rng(child).standard_normal((r, a), out=replicas[k])
@@ -114,3 +121,8 @@ def augment_seen(
     return FingerprintDataset(
         rss, src.loc_index[rows], src.locations, src.norm_params, src.collector_ids[rows]
     )
+
+
+def reserved_rows(aug: FingerprintDataset) -> np.ndarray:
+    """The writable rows that `augment_seen(..., reserve=R)` left after `aug`'s matrix."""
+    return aug.rss.base[len(aug) :]

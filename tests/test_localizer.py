@@ -110,11 +110,22 @@ class TestKnnBatchBits:
         q = rng.random((5, 4))
         assert batch_xy(model, q) == oracle_xy(model, q)
 
-    def test_ragged_last_block(self):
+    @pytest.mark.parametrize("width, block", [(4, 1), (80, 10), (200, 25), (600, 64)])
+    def test_ragged_last_block(self, width, block, monkeypatch):
+        # a block holds at most width // 8 queries, at least 1 and at most 64, so its
+        # (block, N) approximate distances are at most an eighth of the stored matrix
+        assert localizer._query_block(width) == block
         rng = np.random.default_rng(4)
-        model = KnnLocalizer(rng.random((200, 10)), rng.random((200, 2)), 3)
-        q = rng.random((2 * localizer._QUERY_BLOCK + 7, 10))
+        model = KnnLocalizer(rng.random((200, width)), rng.random((200, 2)), 3)
+        q = rng.random((2 * block + 7, width))
+        sizes = []
+        run_block = model._predict_block
+        monkeypatch.setattr(
+            model, "_predict_block", lambda qb, out: (sizes.append(len(qb)), run_block(qb, out))
+        )
         got = batch_xy(model, q)
+        expected = [block] * (len(q) // block) + ([len(q) % block] if len(q) % block else [])
+        assert sizes == expected
         assert got == oracle_xy(model, q)
         # a block boundary does not change a query's result
         assert got[-7:] == batch_xy(model, q[-7:])
@@ -135,7 +146,7 @@ class TestKnnBatchBits:
     def test_predict_is_the_predict_batch_row(self):
         rng = np.random.default_rng(6)
         model = KnnLocalizer(rng.random((100, 5)), rng.random((100, 2)) * 20, 3)
-        q = np.concatenate([rng.random((2 * localizer._QUERY_BLOCK, 5)), model.rss[:3]])
+        q = np.concatenate([rng.random((2 * localizer._query_block(5) + 1, 5)), model.rss[:3]])
         blended = model.predict_batch(q)
         assert blended.shape == (q.shape[0], 2) and blended.dtype == np.float64
         assert [(p.x, p.y) for p in map(model.predict, q)] == batch_xy(model, q)

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,42 @@ class TestRunExperiment:
         assert got.locations == split.unseen
         assert [got.locations[j] for j in got.loc_index] == [loc for _, loc in expected]
         assert np.array_equal(got.rss, np.stack([rss for rss, _ in expected]))
+
+    def test_interpolated_map_written_into_given_rows(self):
+        cfg = tiny_cfg(augmenter="interpolator", samples_per_unseen=3)
+        train_pool, _ = build_data(cfg)
+        split = compute_split(cfg, train_pool.locations)
+        seen = train_pool.subset_at(split.seen)
+        out = np.empty((len(split.unseen) * 3, seen.ap_count))
+        got = _interpolated_map(seen, split, cfg, out)
+        assert got.rss is out
+        assert out.tobytes() == _interpolated_map(seen, split, cfg).rss.tobytes()
+
+    def test_file_interpolator_run_allocates_the_map_once(self, tmp_path):
+        # 64 locations x 8 samples x 200 APs; 6 samples each stay for training
+        cfg = tiny_cfg(
+            synth=SyntheticSpec(grid_nx=8, grid_ny=8, width_m=35.0, height_m=35.0,
+                                ap_count=200, samples_per_location=8),
+            augment=AugmentationConfig(),
+            unseen_fraction=0.5,
+        )
+        path = tmp_path / "survey.csv"
+        save_dataset(build_data(cfg)[0], path)
+        file_cfg = replace(cfg, source="file", file_path=str(path), file_test_fraction=0.25,
+                           augmenter="interpolator")
+        first = run_experiment(file_cfg)  # traced second: lazy imports add to a first run
+        tracemalloc.start()
+        try:
+            result = run_experiment(file_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.report == first.report
+        row_bytes = 200 * 8
+        augmented = result.n_seen * 6 * (1 + file_cfg.augment.replicas_per_sample) * row_bytes
+        generated = result.n_unseen * file_cfg.samples_per_unseen * row_bytes
+        # a merge that concatenates holds the augmented rows twice, once in the map
+        assert peak < augmented + (augmented + generated)
 
     def test_feedforward_variant_runs(self):
         cfg = tiny_cfg(

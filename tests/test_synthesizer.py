@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fpsynth.dataset import Coordinate, Fingerprint
-from fpsynth.errors import ConsistencyError
+from fpsynth.dataset import Coordinate, Fingerprint, FingerprintDataset, merge_datasets
+from fpsynth.errors import ConfigError, ConsistencyError
 from fpsynth.initializer import LocationSplit
 from fpsynth.synthesizer import (
     AugmentationConfig,
     augment_seen,
     drop_weak_transmitters,
     inject_gaussian_noise,
+    reserved_rows,
 )
 from oracles import augment_replicas
 
@@ -134,6 +135,34 @@ class TestAugmentSeen:
         assert [out.locations[j] for j in out.loc_index] == src_locs + [
             loc for loc in src_locs for _ in range(5)
         ]
+
+    @pytest.mark.parametrize("reserve", [0, 1, 9])
+    def test_reserved_rows_change_no_output(self, tiny_dataset, reserve):
+        data = FingerprintDataset(
+            tiny_dataset.rss, tiny_dataset.loc_index, tiny_dataset.locations,
+            tiny_dataset.norm_params, collector_ids=list(range(len(tiny_dataset))),
+        )
+        split = LocationSplit(seen=data.locations[3:0:-1], unseen=data.locations[:1])
+        cfg = AugmentationConfig(noise_sigma=0.3, replicas_per_sample=3, seed=4)
+        plain = augment_seen(data, split, cfg)
+        out = augment_seen(data, split, cfg, reserve)
+        assert out.rss.tobytes() == plain.rss.tobytes()
+        assert np.array_equal(out.loc_index, plain.loc_index)
+        assert out.locations == plain.locations
+        assert list(out.collector_ids) == list(plain.collector_ids)
+        tail = reserved_rows(out)
+        assert tail.shape == (reserve, data.ap_count) and tail.flags.writeable
+        # rows written into the tail merge with the augmented rows without a copy
+        tail[...] = 0.5
+        more = FingerprintDataset(tail, np.zeros(reserve, dtype=int), data.locations[:1],
+                                  data.norm_params)
+        merged = merge_datasets(out, more)
+        assert np.shares_memory(merged.rss, out.rss)
+        assert merged.rss.tobytes() == plain.rss.tobytes() + tail.tobytes()
+
+    def test_negative_reserve_raises(self, tiny_dataset):
+        with pytest.raises(ConfigError):
+            augment_seen(tiny_dataset, _split_of(tiny_dataset, 1), AugmentationConfig(), -1)
 
     def test_missing_seen_coordinate_raises(self, tiny_dataset):
         split = LocationSplit(seen=(Coordinate(99.0, 99.0),), unseen=())
