@@ -272,13 +272,10 @@ class FingerprintDataset:
         """
         rows = np.asarray(rows, dtype=np.intp)
         used, index = _index_of(self.loc_index[rows].tolist())
-        if out is None:
-            rss = self.rss[rows]
-        else:  # the lookup above checked `rows`; "wrap" reads them as indexing does,
-            # straight into `out`, where the default mode gathers into a copy first
-            rss = np.take(self.rss, rows, axis=0, out=out, mode="wrap")
+        # the lookup above checked `rows`; "wrap" reads them as indexing does, and
+        # straight into `out`, where the default mode gathers into a copy first
         return FingerprintDataset(
-            rss,
+            np.take(self.rss, rows, axis=0, out=out, mode="wrap"),
             index,
             tuple(self.locations[j] for j in used),
             self.norm_params,
@@ -312,49 +309,15 @@ def make_dataset(samples, ap_count: int, params: NormalizationParams) -> Fingerp
     return FingerprintDataset(rss, index, tuple(locations), params, collectors)
 
 
-def _address(m: np.ndarray) -> int:
-    return m.__array_interface__["data"][0]
-
-
-def _tiled_rows(mats) -> np.ndarray | None:
-    """The rows of one buffer that the matrices `mats` fill back to back, as a
-    view of that buffer, or None if they do not.
-
-    That is the case when every matrix with rows is a C-contiguous run of
-    whole rows of the same C-contiguous 2-D buffer and each starts where the
-    one before ends. (numpy does not move an empty slice's data pointer.)
-    """
-    mats = [m for m in mats if len(m)]
-    if not mats:
-        return None
-    base = mats[0].base
-    if not (
-        isinstance(base, np.ndarray)
-        and base.ndim == 2
-        and base.flags.c_contiguous
-        and base.dtype == mats[0].dtype
-        and base.shape[1] == mats[0].shape[1]
-    ):
-        return None
-    row_bytes = base.strides[0]
-    lo, misaligned = divmod(_address(mats[0]) - _address(base), row_bytes)
-    if misaligned:
-        return None
-    end = _address(mats[0])
-    for m in mats:
-        if m.base is not base or not m.flags.c_contiguous or _address(m) != end:
-            return None
-        end += m.nbytes
-    return base[lo : lo + sum(len(m) for m in mats)]
-
-
-def merge_datasets(first: FingerprintDataset, *rest: FingerprintDataset) -> FingerprintDataset:
+def merge_datasets(
+    first: FingerprintDataset, *rest: FingerprintDataset, out: np.ndarray | None = None
+) -> FingerprintDataset:
     """Concatenate datasets sharing ap_count and normalization (order preserved).
 
-    When the parts' matrices fill one buffer back to back, as
-    `augment_seen(..., reserve=R)` and a generator writing into its reserved
-    rows leave them, the merged matrix is a view of that buffer: nothing is
-    copied. Any other parts are concatenated into a new matrix.
+    With `out`, a writable C-contiguous `(N, A)` float64 matrix for all N rows,
+    the rows are concatenated into it and it becomes the result's matrix. numpy
+    skips copying a part whose rows already sit at their place in `out`, as in
+    the pipeline's map buffer; any other part must not overlap `out`.
     """
     parts = (first, *rest)
     for ds in rest:
@@ -371,10 +334,8 @@ def merge_datasets(first: FingerprintDataset, *rest: FingerprintDataset) -> Fing
         used, local = _index_of(ds.loc_index.tolist())
         numbering = [ids.setdefault(ds.locations[j], len(ids)) for j in used]
         index.append(np.array(numbering, dtype=np.intp)[local])
-    mats = [ds.rss for ds in parts]
-    rss = _tiled_rows(mats)
     return FingerprintDataset(
-        np.concatenate(mats) if rss is None else rss,
+        np.concatenate([ds.rss for ds in parts], out=out),
         np.concatenate(index),
         tuple(ids),
         first.norm_params,

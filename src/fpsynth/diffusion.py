@@ -448,7 +448,7 @@ def _reverse_diffuse(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Reverse diffusion for all of `locs` at once; returns `(U, n, A)` fingerprints,
-    written into `out` (a float64 array of that shape) if it is given.
+    written into `out` (a C-contiguous float64 array of U * n * A values) if it is given.
 
     Location u draws its start noise and every step's noise from its own
     `default_rng(seeds[u])`, in the order a one-location run draws them. Each
@@ -495,7 +495,7 @@ def _reverse_diffuse(
                 rng.standard_normal((n, a), out=noise[u])
             noise *= math.sqrt(var)
             x += noise
-    final = np.empty((len(rngs), n, a)) if out is None else out
+    final = np.empty((len(rngs), n, a)) if out is None else out.reshape(len(rngs), n, a)
     final[...] = x  # the floor is tested at the map's width, not the network's
     below = final < detect_floor
     np.clip(final, detect_floor, 1.0, out=final)
@@ -536,7 +536,6 @@ def generate_unseen_map(
         raise SizeError("split has no unseen locations to generate")
     u, n = len(split.unseen), samples_per_unseen
     children = np.random.SeedSequence(seed).spawn(u)
-    out = None if out is None else out.reshape(u, n, net.arch.ap_count)
     final = _reverse_diffuse(
         net, split.unseen, schedule, n, children, norm_params.detect_floor, out
     )

@@ -162,6 +162,13 @@ def select_unseen_grid(points, n_unseen: int) -> LocationSplit:
     The bounding box is divided into ceil(sqrt(n_seen))^2 cells (row-major
     scan); each cell marks the point nearest its center as seen. Remaining
     seen slots are filled farthest-point-first from the already chosen set.
+
+    On an n x n lattice with fewer than n - 1 cells a side, no cell center is
+    nearest a border point, and the scan stops once `n_seen` points are marked,
+    which can be before the last cell rows. So on the 10 x 10 desk grid at
+    unseen fraction 0.5 (8 x 8 cells) the seen points are the 8 x 6 interior
+    block above the bottom border and two more: all 36 perimeter points and
+    most of the top three rows are unseen.
     """
     points = list(points)
     _check_distinct(points)

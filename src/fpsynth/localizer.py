@@ -38,17 +38,10 @@ class LocalizerHyperparams:
             raise ConfigError("learning_rate, epochs, batch_size must be positive")
 
 
-# Queries per prefilter GEMM: at most _QUERY_BLOCK, and at most an eighth of
-# the stored width A, so that a block's (block, N) approximate distance matrix
-# is at most an eighth of the (N, A) matrix the localizer holds. On the
-# 9,600 x 200 survey map that is 25 queries and 1.9 MB; from 520 APs on, 64.
+# Queries per prefilter GEMM. A block's approximate distance matrix is
+# _QUERY_BLOCK x N float64: 4.9 MB for the 9,600-row survey map.
 _QUERY_BLOCK = 64
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-
-
-def _query_block(width: int) -> int:
-    """Queries per prefilter block for stored rows of `width` values."""
-    return min(_QUERY_BLOCK, max(1, width // 8))
 
 
 def _query_matrix(queries, dim: int) -> np.ndarray:
@@ -92,9 +85,8 @@ class KnnLocalizer:
         """
         q = _query_matrix(queries, self.rss.shape[1])
         out = np.empty((q.shape[0], self.coords.shape[1]))
-        step = _query_block(self.rss.shape[1])
-        for lo in range(0, q.shape[0], step):
-            self._predict_block(q[lo : lo + step], out[lo : lo + step])
+        for lo in range(0, q.shape[0], _QUERY_BLOCK):
+            self._predict_block(q[lo : lo + _QUERY_BLOCK], out[lo : lo + _QUERY_BLOCK])
         return out
 
     def _predict_block(self, qb: np.ndarray, out: np.ndarray) -> None:

@@ -10,9 +10,9 @@ Each stage is one function here that draws its seed from the experiment seed.
 so a staged run equals the monolithic one; `run_experiment` canonicalizes a
 dataset through the file codec wherever the staged run writes a file.
 
-`run_experiment` allocates the fingerprint map once: the augment stage
-reserves the generated rows after the augmented ones, the generate stage
-writes the unseen map into them, and the merge wraps that one buffer.
+`run_experiment` allocates the fingerprint map once: the augment stage leaves
+room for the generated rows after its own in one buffer (`buf`), the generate
+stage writes them there, and the merge into `buf` finds both parts in place.
 
 Test protocol: for the synthetic source, an independent draw at ALL grid
 locations with a fresh seed; for file sources, a per-location holdout of
@@ -47,7 +47,7 @@ from .initializer import (
     select_unseen_random,
 )
 from .localizer import LocalizationReport, evaluate, fit_localizer
-from .synthesizer import augment_seen, reserved_rows
+from .synthesizer import augment_seen
 
 
 _STAGES = {
@@ -227,20 +227,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     with _stage("augment"):
         aug = canonicalize_dataset(augment(cfg, pool, split, reserve), in_place=True)
         del pool  # the augmented data holds its own copy of the seen samples
+        buf = aug.rss.base  # aug's rows, then `reserve` rows for the generated map
     generated: FingerprintDataset | None = None
     if generates and cfg.augmenter == "diffusion":
         with _stage("train-diffusion"):
             result = train_generator(cfg, aug, split)
         with _stage("generate"):
-            generated = generate(cfg, result.network, result.schedule, split, reserved_rows(aug))
+            generated = generate(cfg, result.network, result.schedule, split, buf[len(aug) :])
             generated = canonicalize_dataset(generated, in_place=True)
     elif generates:
         with _stage("generate"):
-            generated = _interpolated_map(aug, split, cfg, reserved_rows(aug))
+            generated = _interpolated_map(aug, split, cfg, buf[len(aug) :])
             generated = canonicalize_dataset(generated, in_place=True)
     # augmenter == "none" (or no unseen locations): the map is the seen data alone
     with _stage("evaluate"):
-        fingerprint_map = merge_datasets(aug, generated) if generated is not None else aug
+        fingerprint_map = aug if generated is None else merge_datasets(aug, generated, out=buf)
         report = localize(cfg, fingerprint_map, test_set)
     return ExperimentResult(
         report=report,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Fingerprint, FingerprintDataset
+from .dataset import Fingerprint, FingerprintDataset, _row_blocks
 from .errors import ConfigError, ConsistencyError
 from .initializer import LocationSplit
 
@@ -47,8 +47,12 @@ def _jitter(rss: np.ndarray, noise: np.ndarray, sigma: float, detect_floor: floa
 
 
 def _drop_weak(rss: np.ndarray, threshold: float) -> None:
-    """In place: zero the detected entries strictly below `threshold`."""
-    np.copyto(rss, 0.0, where=(rss > 0.0) & (rss < threshold))
+    """In place: zero the detected entries of the C-contiguous `rss` strictly below
+    `threshold`, over blocks of 65,536 values so that each mask holds one block."""
+    flat = rss.reshape(-1)
+    for part in _row_blocks(flat.size, 1):
+        v = flat[part]
+        np.copyto(v, 0.0, where=(v > 0.0) & (v < threshold))
 
 
 def inject_gaussian_noise(
@@ -85,9 +89,10 @@ def augment_seen(
     draw one (replicas, A) noise block from the source's own derived RNG
     stream, so output is independent of any parallel scheduling.
 
-    The output matrix is the head of a buffer with `reserve` more rows after
-    it, left unwritten: `reserved_rows` returns them, a generator fills them,
-    and `merge_datasets` then joins the two without a copy.
+    The output matrix is the first rows of `rss.base`, a `(len + reserve, A)`
+    buffer whose last `reserve` rows are left unwritten for the caller: the
+    pipeline writes the generated map into them and merges both parts into
+    that buffer with `merge_datasets(..., out=rss.base)`, which copies nothing.
     """
     seen_set = set(split.seen)
     data_locs = set(data.locations)
@@ -121,8 +126,3 @@ def augment_seen(
     return FingerprintDataset(
         rss, src.loc_index[rows], src.locations, src.norm_params, src.collector_ids[rows]
     )
-
-
-def reserved_rows(aug: FingerprintDataset) -> np.ndarray:
-    """The writable rows that `augment_seen(..., reserve=R)` left after `aug`'s matrix."""
-    return aug.rss.base[len(aug) :]

@@ -675,10 +675,10 @@ class TestColumnarOperations:
         assert merged.loc_index.tolist() == [0, 1, 0]
         assert merged.rss[:, 0].tolist() == [0.5, 0.6, 0.7]
 
-    def _adjacent_parts(self, params, rows=(7, 5, 4)):
+    def _adjacent_parts(self, params, rows=(7, 5, 4), width=3):
         """Datasets over consecutive row ranges of one buffer, and that buffer."""
         rng = np.random.default_rng(8)
-        buf = _valid_rows(rng, sum(rows), 3)
+        buf = _valid_rows(rng, sum(rows), width)
         locations = tuple(Coordinate(float(i), 1.0) for i in range(4))
         parts, lo = [], 0
         for n in rows:
@@ -688,18 +688,34 @@ class TestColumnarOperations:
         return parts, buf
 
     @pytest.mark.parametrize("rows", [(7, 5, 4), (7, 0, 5, 4, 0)])
-    def test_merge_of_adjacent_row_ranges_wraps_their_buffer(self, params, rows):
+    def test_merge_into_the_buffer_its_parts_fill_copies_nothing(self, params, rows):
+        # rows of 512 KB: validating the merged matrix takes one row per block
+        parts, buf = self._adjacent_parts(params, rows, width=1 << 16)
+        plain = merge_datasets(*parts)
+        tracemalloc.start()
+        try:
+            merged = merge_datasets(*parts, out=buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert merged.rss is buf and not buf.flags.writeable
+        assert peak < buf.strides[0]  # under one row: no part was copied
+        assert merged.rss.tobytes() == plain.rss.tobytes()
+        assert np.array_equal(merged.loc_index, plain.loc_index)
+        assert merged.locations == plain.locations
+        assert list(merged.collector_ids) == list(plain.collector_ids)
+
+    @pytest.mark.parametrize("rows", [(7, 5, 4), (7, 0, 5, 4, 0)])
+    def test_merge_into_out_copies_parts_held_elsewhere(self, params, rows):
         parts, buf = self._adjacent_parts(params, rows)
-        merged = merge_datasets(*parts)
-        assert np.shares_memory(merged.rss, buf)
-        copied = merge_datasets(*[FingerprintDataset(p.rss.copy(), p.loc_index, p.locations,
-                                                     params) for p in parts])
-        assert not np.shares_memory(copied.rss, buf)
-        assert merged.rss.tobytes() == copied.rss.tobytes() == buf.tobytes()
-        assert np.array_equal(merged.loc_index, copied.loc_index)
-        assert merged.locations == copied.locations
-        assert list(merged.collector_ids) == list(copied.collector_ids)
-        assert not merged.rss.flags.writeable
+        out = np.empty_like(buf)
+        merged = merge_datasets(*parts, out=out)
+        assert merged.rss is out and not out.flags.writeable
+        assert not np.shares_memory(merged.rss, buf)
+        assert merged.rss.tobytes() == np.concatenate([p.rss for p in parts]).tobytes()
+        plain = merge_datasets(*parts)
+        assert np.array_equal(merged.loc_index, plain.loc_index)
+        assert merged.locations == plain.locations
 
     @pytest.mark.parametrize("order", [(1, 0, 2), (0, 2), (2, 1)])
     def test_merge_of_parts_out_of_buffer_order_copies(self, params, order):

@@ -110,11 +110,9 @@ class TestKnnBatchBits:
         q = rng.random((5, 4))
         assert batch_xy(model, q) == oracle_xy(model, q)
 
-    @pytest.mark.parametrize("width, block", [(4, 1), (80, 10), (200, 25), (600, 64)])
-    def test_ragged_last_block(self, width, block, monkeypatch):
-        # a block holds at most width // 8 queries, at least 1 and at most 64, so its
-        # (block, N) approximate distances are at most an eighth of the stored matrix
-        assert localizer._query_block(width) == block
+    @pytest.mark.parametrize("width", [4, 80, 200, 600])
+    def test_ragged_last_block(self, width, monkeypatch):
+        block = localizer._QUERY_BLOCK
         rng = np.random.default_rng(4)
         model = KnnLocalizer(rng.random((200, width)), rng.random((200, 2)), 3)
         q = rng.random((2 * block + 7, width))
@@ -146,7 +144,7 @@ class TestKnnBatchBits:
     def test_predict_is_the_predict_batch_row(self):
         rng = np.random.default_rng(6)
         model = KnnLocalizer(rng.random((100, 5)), rng.random((100, 2)) * 20, 3)
-        q = np.concatenate([rng.random((2 * localizer._query_block(5) + 1, 5)), model.rss[:3]])
+        q = np.concatenate([rng.random((2 * localizer._QUERY_BLOCK + 1, 5)), model.rss[:3]])
         blended = model.predict_batch(q)
         assert blended.shape == (q.shape[0], 2) and blended.dtype == np.float64
         assert [(p.x, p.y) for p in map(model.predict, q)] == batch_xy(model, q)

@@ -11,7 +11,6 @@ from fpsynth.synthesizer import (
     augment_seen,
     drop_weak_transmitters,
     inject_gaussian_noise,
-    reserved_rows,
 )
 from oracles import augment_replicas
 
@@ -70,6 +69,14 @@ class TestDropout:
         once = drop_weak_transmitters(fp, threshold)
         twice = drop_weak_transmitters(once, threshold)
         assert np.array_equal(once.rss, twice.rss)
+
+    def test_blocks_equal_one_pass_and_keep_non_positive_entries(self):
+        # three and a bit value blocks; -0.0 and negative entries are not detected readings
+        rng = np.random.default_rng(9)
+        rss = rng.choice([0.0, -0.0, -0.3, 0.1, 0.15, 0.2, 0.25, 0.8], size=3 * (1 << 16) + 5)
+        expected = np.where((rss > 0.0) & (rss < 0.2), 0.0, rss)
+        out = drop_weak_transmitters(Fingerprint(rss, Coordinate(0, 0)), 0.2)
+        assert out.rss.tobytes() == expected.tobytes()
 
 
 def _split_of(dataset, n_unseen):
@@ -150,14 +157,15 @@ class TestAugmentSeen:
         assert np.array_equal(out.loc_index, plain.loc_index)
         assert out.locations == plain.locations
         assert list(out.collector_ids) == list(plain.collector_ids)
-        tail = reserved_rows(out)
+        buf = out.rss.base
+        tail = buf[len(out) :]
         assert tail.shape == (reserve, data.ap_count) and tail.flags.writeable
-        # rows written into the tail merge with the augmented rows without a copy
+        # rows written into the tail merge with the augmented rows inside the buffer
         tail[...] = 0.5
         more = FingerprintDataset(tail, np.zeros(reserve, dtype=int), data.locations[:1],
                                   data.norm_params)
-        merged = merge_datasets(out, more)
-        assert np.shares_memory(merged.rss, out.rss)
+        merged = merge_datasets(out, more, out=buf)
+        assert merged.rss is buf
         assert merged.rss.tobytes() == plain.rss.tobytes() + tail.tobytes()
 
     def test_negative_reserve_raises(self, tiny_dataset):
