@@ -317,7 +317,9 @@ def merge_datasets(
     With `out`, a writable C-contiguous `(N, A)` float64 matrix for all N rows,
     the rows are concatenated into it and it becomes the result's matrix. numpy
     skips copying a part whose rows already sit at their place in `out`, as in
-    the pipeline's map buffer; any other part must not overlap `out`.
+    the pipeline's map buffer. A part whose matrix shares memory with the rows
+    of `out` before or after its own would be overwritten before it is read,
+    so it raises ConsistencyError.
     """
     parts = (first, *rest)
     for ds in rest:
@@ -327,6 +329,15 @@ def merge_datasets(
             )
         if ds.norm_params != first.norm_params:
             raise ConsistencyError("cannot merge datasets with different normalization params")
+    if out is not None:
+        lo = 0
+        for i, ds in enumerate(parts):
+            hi = lo + len(ds)
+            if np.shares_memory(ds.rss, out[:lo]) or np.shares_memory(ds.rss, out[hi:]):
+                raise ConsistencyError(
+                    f"part {i} of the merge overlaps rows of `out` outside its own {lo}:{hi}"
+                )
+            lo = hi
     ids: dict[Coordinate, int] = {}
     index = []
     for ds in parts:

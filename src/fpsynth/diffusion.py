@@ -223,25 +223,25 @@ def _loss_terms(net, batch, kernel, schedule):
     return x, kernel.weight(d)
 
 
-def _weighted_sq_error(w: np.ndarray, r: np.ndarray, sq=None) -> float:
-    sq = np.multiply(r, r, out=sq)
-    return float(np.mean(w * np.sum(sq, axis=1)))
+def _weighted_sq_error(w: np.ndarray, r: np.ndarray) -> float:
+    return float(np.dot(w, np.einsum("ij,ij->i", r, r)) / r.shape[0])
 
 
 def _weighted_loss_and_grad(
-    net: DenoiserNetwork, x: np.ndarray, m0: np.ndarray, w: np.ndarray, ws=None, scratch=None
+    net: DenoiserNetwork, x: np.ndarray, m0: np.ndarray, w: np.ndarray, ws=None
 ):
     """mean_b(w_b * ||net(x_b) - m0_b||^2) and its gradient w.r.t. net.theta.
 
     The one loss that training minimizes (with the importance weights) and
     that `spatial_loss_and_grad` exposes (with the kernel weights). A loop
-    passes its workspace `ws` and a `scratch` array shaped like `m0` so that
-    nothing is allocated; the residual overwrites the network output.
+    passes its workspace `ws` so that no layer-sized array is allocated; the
+    residual, then the output gradient, overwrite the network output (the
+    last layer is linear, so the backward does not read it).
     """
     out, cache = net.forward_cached(x, ws)
     r = np.subtract(out, m0, out=out)
-    loss = _weighted_sq_error(w, r, scratch)
-    dout = np.multiply((2.0 / r.shape[0]) * w[:, None], r, out=scratch)
+    loss = _weighted_sq_error(w, r)
+    dout = np.multiply((2.0 / r.shape[0]) * w[:, None], r, out=r)
     return loss, net.backward(cache, dout)
 
 
@@ -297,6 +297,17 @@ class TrainResult:
     sigma_w: float
 
 
+# The sampler draws its step noise for several steps at once, at most this
+# many values (512 KB of float64) per block across all locations.
+_NOISE_BLOCK_VALUES = 65_536
+
+# Training draws and gathers run per block of whole minibatches, at least
+# one, with rows * (A + U) at most this many values: the block's float64
+# noise and condition-CDF rows. That is 7 steps of 64 rows at the desk's 20
+# APs and 50 unseen locations, 3 at 100 APs, and 1 at a file-scale 520 APs
+# and 1,000 unseen. A block's buffers grow with it and not with the data.
+_TRAIN_BLOCK_VALUES = 32_768
+
 # The denoiser's parameter dtype in training, and so in sampling and in the
 # checkpoint. The noise draws, the kernel masses and the loss value stay
 # float64, so the random streams do not depend on it.
@@ -339,11 +350,20 @@ def _condition_cdf(
 def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainConfig) -> TrainResult:
     """Fit the conditional denoiser on seen-location samples.
 
-    Per step: draw a minibatch of seen samples; per sample draw a uniform
+    Per step: take a minibatch of seen samples; per sample draw a uniform
     timestep, a noise vector, and one unseen condition with probability
     proportional to its vicinity weight; minimize the corrected weighted
     squared error. Deterministic given cfg.seed. A minibatch loss that is
     not finite raises RangeError naming the step.
+
+    Each epoch draws one permutation of the samples and cuts it into
+    minibatches. The draws and gathers run per block of consecutive
+    minibatches (see `_TRAIN_BLOCK_VALUES`): for the block's rows, in
+    permutation order, the
+    timesteps (`integers`), then the noise (`standard_normal`), then the
+    uniforms that pick the conditions (`random`), each in one call; then the
+    conditions, clean rows and kernel masses are gathered and the block's
+    denoiser inputs assembled, and each step slices its rows.
     """
     if len(data) == 0:
         raise SizeError("training data is empty")
@@ -388,27 +408,29 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
 
     cond_table = embed_condition_batch(unseen_xy, bounds, cfg.cond_freqs)
     time_table = embed_time_table(schedule.T, cfg.time_dim)
-    # One set of step buffers for the whole run; a smaller last batch uses
-    # their leading rows. The network's inputs are in its dtype; the noise
-    # draws are float64.
-    rows = min(cfg.batch_size, n)
-    ws = net.workspace(rows)
+    # One set of block buffers for the whole run; a smaller last block uses
+    # their leading rows, as a smaller last batch uses the workspace's. The
+    # network's inputs are in its dtype; the noise draws are float64.
+    batch = min(cfg.batch_size, n)
+    rows = min(n, batch * max(1, _TRAIN_BLOCK_VALUES // (batch * (a + u))))
+    ws = net.workspace(batch)
     x_buf = np.empty((rows, arch.input_dim), _TRAIN_DTYPE)
-    m0_buf, sq_buf = (np.empty((rows, a), _TRAIN_DTYPE) for _ in range(2))
+    m0_buf = np.empty((rows, a), _TRAIN_DTYPE)
     eps_buf = np.empty((rows, a))
     cdf_buf = np.empty((rows, u))
     below_buf = np.empty((rows, u), dtype=bool)
     idx_buf = np.empty(rows, dtype=np.int64)
     loc_buf = np.empty(rows, dtype=data.loc_index.dtype)
     draws_buf = np.empty(rows)
+    mass_buf = np.empty(rows)
     trace: list[tuple[int, float]] = []
     step = 0
     # a diverging run overflows; the finiteness check raises for it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             perm = rng.permutation(n)
-            for lo in range(0, n, cfg.batch_size):
-                j = perm[lo : lo + cfg.batch_size]
+            for block_lo in range(0, n, rows):
+                j = perm[block_lo : block_lo + rows]
                 b = j.shape[0]
                 t_arr = rng.integers(1, schedule.T + 1, size=b)
                 eps = rng.standard_normal(out=eps_buf[:b])
@@ -419,17 +441,20 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
                 below = np.less(cdf_j, draws[:, None], out=below_buf[:b])
                 i_idx = np.minimum(np.sum(below, axis=1, out=idx_buf[:b]), u - 1, out=idx_buf[:b])
                 m0_j = np.take(m0, j, axis=0, out=m0_buf[:b])
+                w_j = np.take(mass, loc_j, out=mass_buf[:b])
                 cond = cond_table[i_idx]
                 x = _assemble_input(x_buf[:b], m0_j, t_arr, eps, cond, time_table, schedule)
-                loss, grad = _weighted_loss_and_grad(net, x, m0_j, mass[loc_j], ws, sq_buf[:b])
-                step += 1
-                if not math.isfinite(loss):
-                    raise RangeError(
-                        f"training diverged: minibatch loss is {loss} "
-                        f"at step {step} (epoch {epoch + 1})"
-                    )
-                opt.step(net.theta, grad)
-                trace.append((step, loss))
+                for lo in range(0, b, cfg.batch_size):
+                    hi = lo + cfg.batch_size
+                    loss, grad = _weighted_loss_and_grad(net, x[lo:hi], m0_j[lo:hi], w_j[lo:hi], ws)
+                    step += 1
+                    if not math.isfinite(loss):
+                        raise RangeError(
+                            f"training diverged: minibatch loss is {loss} "
+                            f"at step {step} (epoch {epoch + 1})"
+                        )
+                    opt.step(net.theta, grad)
+                    trace.append((step, loss))
             opt.lr *= cfg.lr_decay
     return TrainResult(network=net, trace=trace, schedule=schedule, sigma_w=sigma_w)
 
@@ -451,7 +476,10 @@ def _reverse_diffuse(
     written into `out` (a C-contiguous float64 array of U * n * A values) if it is given.
 
     Location u draws its start noise and every step's noise from its own
-    `default_rng(seeds[u])`, in the order a one-location run draws them. Each
+    `default_rng(seeds[u])`, in the order a one-location run draws them. The
+    step noise comes in blocks of S steps, one `(S, n, A)` draw per location
+    with S * U * n * A at most `_NOISE_BLOCK_VALUES`: a generator fills an
+    array in order, so this is the stream of S `(n, A)` draws. Each
     step runs one denoiser call on a stacked `(U, n, input_dim)` input, which
     computes one `n`-row product per location (see
     `DenoiserNetwork.forward_cached`). Together these make location u's
@@ -468,12 +496,13 @@ def _reverse_diffuse(
     a, c = arch.ap_count, arch.ap_count + arch.cond_dim
     rngs = [np.random.default_rng(s) for s in seeds]
     inp = np.empty((len(rngs), n, arch.input_dim), net.theta.dtype)
-    noise = np.empty((len(rngs), n, a))
+    block = max(1, _NOISE_BLOCK_VALUES // (len(rngs) * n * a))
+    noise = np.empty((len(rngs), block, n, a))  # location u's block is noise[u]
     x = inp[:, :, :a]  # the current M_t lives in the input buffer
     for u, (loc, rng) in enumerate(zip(locs, rngs)):
-        rng.standard_normal((n, a), out=noise[u])
+        rng.standard_normal((n, a), out=noise[u, 0])
         inp[u, :, a:c] = embed_condition(loc, arch.bounds, arch.cond_freqs)
-    x[...] = noise
+    x[...] = noise[:, 0]
     time_table = embed_time_table(schedule.T, arch.time_dim)
     ws = net.workspace(inp.shape[:-1])
     for t in range(schedule.T, 0, -1):
@@ -490,11 +519,15 @@ def _reverse_diffuse(
         x *= ct
         x += x0  # posterior mean c0 * x0 + ct * x
         if t > 1:
+            k = (schedule.T - t) % block  # this step's place in its noise block
+            if k == 0:
+                steps = min(block, t - 1)
+                for u, rng in enumerate(rngs):
+                    rng.standard_normal((steps, n, a), out=noise[u, :steps])
             var = (1.0 - ab_prev) / (1.0 - ab_t) * beta
-            for u, rng in enumerate(rngs):
-                rng.standard_normal((n, a), out=noise[u])
-            noise *= math.sqrt(var)
-            x += noise
+            step_noise = noise[:, k]
+            step_noise *= math.sqrt(var)
+            x += step_noise
     final = np.empty((len(rngs), n, a)) if out is None else out.reshape(len(rngs), n, a)
     final[...] = x  # the floor is tested at the map's width, not the network's
     below = final < detect_floor

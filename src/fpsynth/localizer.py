@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Coordinate, FingerprintDataset, coords_array, distances
 from .errors import ConfigError, ParseError, RangeError, ShapeError, SizeError
-from .nets import AdamOptimizer, Mlp
+from .nets import AdamOptimizer, Mlp, _one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,11 @@ class LocalizerHyperparams:
 # Queries per prefilter GEMM. A block's approximate distance matrix is
 # _QUERY_BLOCK x N float64: 4.9 MB for the 9,600-row survey map.
 _QUERY_BLOCK = 64
+# A stored matrix under this size runs the prefilter GEMMs on one BLAS thread:
+# there a second thread saves well under a millisecond per call and then spins
+# idle. The desk map (2,400 x 20, 384 KB) is pinned; the survey map (9,600 x
+# 200, 15 MB) stays threaded.
+_PIN_BELOW_BYTES = 1 << 20
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
@@ -85,9 +90,17 @@ class KnnLocalizer:
         """
         q = _query_matrix(queries, self.rss.shape[1])
         out = np.empty((q.shape[0], self.coords.shape[1]))
+        if self.rss.nbytes < _PIN_BELOW_BYTES:
+            self._predict_blocks_pinned(q, out)
+        else:
+            self._predict_blocks(q, out)
+        return out
+
+    def _predict_blocks(self, q: np.ndarray, out: np.ndarray) -> None:
         for lo in range(0, q.shape[0], _QUERY_BLOCK):
             self._predict_block(q[lo : lo + _QUERY_BLOCK], out[lo : lo + _QUERY_BLOCK])
-        return out
+
+    _predict_blocks_pinned = _one_blas_thread(_predict_blocks)
 
     def _predict_block(self, qb: np.ndarray, out: np.ndarray) -> None:
         # Prefilter. Let D = |x - q|^2 (real), e = fl(sum(fl(x - q)^2)) the

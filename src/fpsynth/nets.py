@@ -10,14 +10,24 @@ serve both networks: the diffusion denoiser (`DenoiserNetwork`, with a skip
 from hidden layer 1 to hidden layer 3) and the feedforward localizer (`Mlp`,
 no skip).
 
+At tens of rows a step's cost is mostly the number of numpy passes, so the
+kernels are written for few of them. The hidden activation is SiLU with the
+sigmoid taken as `0.5 * tanh(0.5 * x) + 0.5` (four passes, no scratch, no
+overflow), and its derivative is formed from the saved activation `a` and
+sigmoid `s` as `s + a * (1 - s)`. `AdamOptimizer` keeps its moments scaled by
+`1 / (1 - beta)`, which makes a step ten passes (see its docstring).
+
 Every matrix product of `_FlatMlp` runs on one BLAS thread: `_forward` and
 `_backward` pin the OpenBLAS that numpy loaded to one thread and restore the
 previous count on the way out. A threaded GEMM may split and sum a product
 differently, so this keeps model bits independent of the core count; at these
-sizes (tens to hundreds of rows) a second thread also saves no time. Other
-products, such as the kNN prefilter, keep the library's threading. Where no
-OpenBLAS thread API is found (another BLAS, or no `/proc/self/maps` to find
-it in), the pin does nothing and the bits follow that library's threading.
+sizes (tens to hundreds of rows) a second thread also saves no time. Small kNN
+maps are pinned too: `KnnLocalizer` runs its prefilter GEMM on one thread
+when the stored matrix is under 1 MiB, where a second thread saves little and
+then spins idle. Other products, such as the prefilter over a larger map, keep
+the library's threading. Where no OpenBLAS thread API is found (another BLAS,
+or no `/proc/self/maps` to find it in), the pin does nothing and the bits
+follow that library's threading.
 
 Every call computes into a `Workspace`, the buffers of every layer for one
 leading input shape. A training or sampling loop makes one and passes it to
@@ -41,41 +51,36 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 
-def _sigmoid(x, out=None, e=None):
-    """The logistic function of `x`, written into `out` with `e` as scratch.
+def _sigmoid(x, out=None):
+    """The logistic function of `x`, written into `out`, as 0.5 * tanh(0.5 * x) + 0.5.
 
-    exp(-|x|) never overflows. Per entry this computes 1/(1+exp(-x)) for
-    x >= 0 and exp(x)/(1+exp(x)) otherwise: the numerator max(e, x >= 0) is 1
-    where x >= 0 (there e <= 1) and e elsewhere, and NaN where x is NaN.
+    Four passes and no scratch buffer; tanh saturates instead of overflowing,
+    so +inf gives 1, -inf gives 0 and NaN stays NaN. Near 0 from below the
+    result keeps absolute, not relative, precision: it is within a few units
+    of roundoff at 1 of 1/(1+exp(-x)).
     """
-    if out is None:
-        out = np.empty_like(x)
-    e = np.abs(x, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.greater_equal(x, 0.0, out=out)
-    np.maximum(e, out, out=out)
-    e += 1.0
-    out /= e
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 
 # The hidden activation, SiLU, works in place on workspace buffers: the forward
 # writes z * sigmoid(z) into `a` and the sigmoid, which the derivative needs,
-# into `s`; the backward multiplies `d` by the derivative. `tmp` is scratch.
+# into `s`; the backward multiplies `d` by the derivative, written from the
+# saved `a` and `s` as s + a * (1 - s). `tmp` is scratch.
 
 
-def _silu_forward(z, a, s, tmp):
-    _sigmoid(z, s, tmp)
+def _silu_forward(z, a, s):
+    _sigmoid(z, s)
     np.multiply(z, s, out=a)
 
 
-def _silu_backward(z, s, d, tmp):
-    # s * (1 + z * (1 - s))
+def _silu_backward(a, s, d, tmp):
     np.subtract(1.0, s, out=tmp)
-    tmp *= z
-    tmp += 1.0
-    tmp *= s
+    tmp *= a
+    tmp += s
     d *= tmp
 
 
@@ -234,10 +239,10 @@ class Workspace:
     network's dtype, reused.
 
     `z[l]` holds layer l's pre-activation (the last one is the network's
-    output), `a[l]` and `s[l]` hidden layer l's activation and the sigmoid its
-    derivative needs, and `tmp[l]` scratch of hidden layer l's width (views of
-    one buffer). The backward buffers are made on the first backward call:
-    `d[l]`, the gradient at hidden layer l's pre-activation, and `grad`, the
+    output), and `a[l]` and `s[l]` hidden layer l's activation and the sigmoid
+    its derivative needs. The backward buffers are made on the first backward
+    call: `d[l]`, the gradient at hidden layer l's pre-activation, `tmp[l]`
+    scratch of hidden layer l's width (views of one buffer), and `grad`, the
     flat parameter gradient, with one (weight, bias) view per layer.
 
     A workspace is its own backward cache: the arrays a call returns and the
@@ -252,21 +257,21 @@ class Workspace:
         self._layout = layout
         self._dtype = dtype
         widths = [shape[0] for _w, _b, shape in layout]
-        hidden = widths[:-1]
-        rows = math.prod(lead)
         self.x = None
         self.z = [np.empty(lead + (w,), dtype) for w in widths]
-        self.a = [np.empty(lead + (w,), dtype) for w in hidden]
-        self.s = [np.empty(lead + (w,), dtype) for w in hidden]
-        scratch = np.empty(rows * max(hidden, default=0), dtype)
-        self.tmp = [scratch[: rows * w].reshape(lead + (w,)) for w in hidden]
+        self.a = [np.empty(lead + (w,), dtype) for w in widths[:-1]]
+        self.s = [np.empty(lead + (w,), dtype) for w in widths[:-1]]
         self.d = None
+        self.tmp = None
         self.grad = None
         self._grads = None
 
     def _backward_buffers(self):
         if self.grad is None:
             self.d = [np.empty_like(a) for a in self.a]
+            rows = math.prod(self.lead)
+            scratch = np.empty(rows * max((a.shape[-1] for a in self.a), default=0), self._dtype)
+            self.tmp = [scratch[: a.size].reshape(a.shape) for a in self.a]
             self.grad = np.empty(self._layout[-1][1].stop, self._dtype)
             self._grads = [
                 (self.grad[w].reshape(shape), self.grad[b]) for w, b, shape in self._layout
@@ -352,7 +357,7 @@ class _FlatMlp:
                 z += ws.a[0]
             if li < len(ws.a):
                 a = ws.a[li]
-                _silu_forward(z, a, ws.s[li], ws.tmp[li])
+                _silu_forward(z, a, ws.s[li])
         return z, ws
 
     @_one_blas_thread
@@ -379,7 +384,7 @@ class _FlatMlp:
             np.matmul(d, self._views[li][0], out=da)
             if self._skip and li == 1:
                 da += d_bufs[2]  # the skip from hidden layer 1 into hidden layer 3
-            _silu_backward(ws.z[li - 1], ws.s[li - 1], da, ws.tmp[li - 1])
+            _silu_backward(ws.a[li - 1], ws.s[li - 1], da, ws.tmp[li - 1])
             d = da
         # every entry was written: the layout tiles theta exactly
         return ws.grad
@@ -463,14 +468,19 @@ class AdamOptimizer:
     """Adam on a flat parameter vector, updated in place, in `dtype`.
 
     The bias corrections fold into two scalars, the ordering Kingma & Ba give
-    in Section 2 of the Adam paper: with c1 = 1 - beta1^t and
+    in Section 2 of the Adam paper, and the moments are kept scaled,
+    `m = m_adam / (1 - beta1)` and `v = v_adam / (1 - beta2)`, so that each
+    accumulates the gradient with no multiply. With c1 = 1 - beta1^t and
     c2 = 1 - beta2^t, each step computes
 
-        theta -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))
+        m = beta1 * m + g
+        v = beta2 * v + g * g
+        theta -= (lr * sqrt(c2) / c1 * (1 - beta1) / sqrt(1 - beta2)) * m
+                 / (sqrt(v) + eps * sqrt(c2) / sqrt(1 - beta2))
 
     which equals the textbook `lr * mhat / (sqrt(vhat) + eps)` in exact
-    arithmetic but not in bits. The moments and theta are updated in place
-    through two scratch buffers; `v` accumulates `(1 - beta2) * g * g`.
+    arithmetic but not in bits: ten passes over the parameters, through two
+    scratch buffers.
     """
 
     def __init__(self, n_params: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -488,17 +498,16 @@ class AdamOptimizer:
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         root_c2 = math.sqrt(1.0 - self.beta2**self.t)
-        alpha = self.lr * root_c2 / (1.0 - self.beta1**self.t)
+        root_b2 = math.sqrt(1.0 - self.beta2)
+        alpha = self.lr * root_c2 / (1.0 - self.beta1**self.t) * (1.0 - self.beta1) / root_b2
         num, den = self._num, self._den
         self.m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=num)
-        self.m += num
+        self.m += grad
+        np.multiply(grad, grad, out=num)
         self.v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=num)
-        num *= grad
         self.v += num
         np.sqrt(self.v, out=den)
-        den += self.eps * root_c2
+        den += self.eps * root_c2 / root_b2
         np.multiply(self.m, alpha, out=num)
         num /= den
         theta -= num

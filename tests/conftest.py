@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import fpsynth.nets as nets
 from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
 
 
@@ -15,6 +16,21 @@ def pytest_runtest_makereport(item, call):
     outcome = yield
     rep = outcome.get_result()
     setattr(item, "rep_" + rep.when, rep)
+
+
+@pytest.fixture
+def blas_threads():
+    """The process's BLAS thread count getter, with the count set to 2 for the test."""
+    api = nets._openblas_threads()
+    if not api:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count API here")
+    get, set_ = api
+    before = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(before)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from fpsynth.diffusion import LossBatch
+from fpsynth.diffusion import LossBatch, embed_condition, embed_time_table
 
 
 def brute_knn_densities(points, k):
@@ -110,13 +110,12 @@ def scan_grid_split(points, n_unseen):
 
 
 def masked_sigmoid(x):
-    """Logistic function evaluated separately on the x >= 0 and x < 0 entries."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """The logistic function in its tanh form, 0.5 * tanh(0.5 * x) + 0.5, out of place.
+
+    The name is kept from the masked exp form it replaced; the library's
+    in-place kernel must give these bits.
+    """
+    return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
 def silu(z):
@@ -125,21 +124,25 @@ def silu(z):
     return z * s, s
 
 
-def silu_derivative(z, s):
-    return s * (1.0 + z * (1.0 - s))
+def silu_derivative(a, s):
+    """d silu(z) / dz from the activation a = z * s and the sigmoid s."""
+    return s + a * (1.0 - s)
 
 
 def adam_step(theta, m, v, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """One out-of-place Adam update at step t (1-based); returns (theta, m, v).
 
-    The bias corrections are folded into the step size and epsilon (Kingma &
-    Ba, Section 2): equal to `lr * mhat / (sqrt(vhat) + eps)` in exact
-    arithmetic.
+    `m` and `v` are the scaled moments, Adam's m / (1 - beta1) and
+    v / (1 - beta2). The bias corrections and the scales are folded into the
+    step size and epsilon (Kingma & Ba, Section 2): equal to
+    `lr * mhat / (sqrt(vhat) + eps)` in exact arithmetic.
     """
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    alpha = lr * math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
-    return theta - alpha * m / (np.sqrt(v) + eps * math.sqrt(1.0 - beta2**t)), m, v
+    m = beta1 * m + grad
+    v = beta2 * v + grad * grad
+    root_c2 = math.sqrt(1.0 - beta2**t)
+    root_b2 = math.sqrt(1.0 - beta2)
+    alpha = lr * root_c2 / (1.0 - beta1**t) * (1.0 - beta1) / root_b2
+    return theta - alpha * m / (np.sqrt(v) + eps * root_c2 / root_b2), m, v
 
 
 def skip_mlp_forward(views, x):
@@ -165,18 +168,52 @@ def skip_mlp_backward(views, cache, dout):
     dW4 = dout.T @ a3
     db4 = dout.sum(axis=0)
     da3 = dout @ w4
-    dz3 = da3 * silu_derivative(z3, s3)
+    dz3 = da3 * silu_derivative(a3, s3)
     dW3 = dz3.T @ a2
     db3 = dz3.sum(axis=0)
     da2 = dz3 @ w3
-    dz2 = da2 * silu_derivative(z2, s2)
+    dz2 = da2 * silu_derivative(a2, s2)
     dW2 = dz2.T @ a1
     db2 = dz2.sum(axis=0)
     da1 = dz2 @ w2 + dz3  # skip path
-    dz1 = da1 * silu_derivative(z1, s1)
+    dz1 = da1 * silu_derivative(a1, s1)
     dW1 = dz1.T @ x
     db1 = dz1.sum(axis=0)
     return [(dW1, db1), (dW2, db2), (dW3, db3), (dW4, db4)]
+
+
+def reverse_diffuse(net, locs, schedule, n, seeds, detect_floor):
+    """Ancestral sampling one location at a time, one `(n, A)` noise draw per
+    step from each location's own generator; returns the `(U, n, A)` float64
+    fingerprints.
+
+    M_t is kept in the network's dtype, as in the library's input buffer:
+    each float64 product of the posterior mean is rounded to it before the
+    sum, and each step's float64 noise is added and the sum rounded back.
+    """
+    arch = net.arch
+    a = arch.ap_count
+    times = embed_time_table(schedule.T, arch.time_dim)
+    finals = []
+    for loc, seed in zip(locs, seeds):
+        rng = np.random.default_rng(seed)
+        cond = embed_condition(loc, arch.bounds, arch.cond_freqs)
+        x = rng.standard_normal((n, a)).astype(net.theta.dtype)
+        for t in range(schedule.T, 0, -1):
+            inp = np.concatenate([x, np.tile(cond, (n, 1)), np.tile(times[t - 1], (n, 1))], axis=1)
+            x0 = np.clip(net.forward(inp.astype(net.theta.dtype)), 0.0, 1.0)
+            ab_t = schedule.alpha_bars[t - 1]
+            ab_prev = schedule.alpha_bars[t - 2] if t > 1 else 1.0
+            beta = schedule.betas[t - 1]
+            c0 = math.sqrt(ab_prev) * beta / (1.0 - ab_t)
+            ct = math.sqrt(schedule.alphas[t - 1]) * (1.0 - ab_prev) / (1.0 - ab_t)
+            x = (x0 * c0).astype(x.dtype) + (x * ct).astype(x.dtype)
+            if t > 1:
+                var = (1.0 - ab_prev) / (1.0 - ab_t) * beta
+                x = (x + rng.standard_normal((n, a)) * math.sqrt(var)).astype(x.dtype)
+        final = x.astype(np.float64)
+        finals.append(np.where(final < detect_floor, 0.0, np.clip(final, detect_floor, 1.0)))
+    return np.stack(finals)
 
 
 def knn_predict(stored, coords, k, query):

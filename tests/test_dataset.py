@@ -717,6 +717,18 @@ class TestColumnarOperations:
         assert np.array_equal(merged.loc_index, plain.loc_index)
         assert merged.locations == plain.locations
 
+    def test_merge_into_out_refuses_a_part_over_another_slot(self, params):
+        # np.concatenate([buf[4:], buf[:4]], out=buf) writes the first part
+        # over rows 0-1 before it reads them for the second
+        buf = _valid_rows(np.random.default_rng(9), 6, 2)
+        before = buf.tobytes()
+        loc = (Coordinate(0.0, 0.0),)
+        parts = [FingerprintDataset(buf[4:], [0] * 2, loc, params),
+                 FingerprintDataset(buf[:4], [0] * 4, loc, params)]
+        with pytest.raises(ConsistencyError, match=r"part 0 .* 0:2"):
+            merge_datasets(*parts, out=buf)
+        assert buf.tobytes() == before
+
     @pytest.mark.parametrize("order", [(1, 0, 2), (0, 2), (2, 1)])
     def test_merge_of_parts_out_of_buffer_order_copies(self, params, order):
         parts, buf = self._adjacent_parts(params)

@@ -1,10 +1,12 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fpsynth.diffusion as diffusion
+import oracles
 from fpsynth.dataset import (
     Coordinate,
     Fingerprint,
@@ -217,6 +219,34 @@ class TestTrain:
         assert np.max(np.abs(losses - wide_losses) / wide_losses) < tol
         theta_gap = np.abs(narrow.network.theta - wide.network.theta)
         assert np.max(theta_gap) < tol * np.max(np.abs(wide.network.theta))
+
+    def test_block_buffers_do_not_grow_with_the_rows(self):
+        # 100 APs at 10 seen and 4 unseen locations, 200 then 2,000 rows per
+        # location. The draws and gathers run on blocks of whole minibatches,
+        # so from 2,000 to 20,000 rows the traced peak grows by what holds
+        # one value per row (the epoch's permutation, the located check),
+        # which is less than one block's inputs, clean rows and noise
+        a = 100
+        seen = tuple(Coordinate(float(i), 0.0) for i in range(10))
+        split = LocationSplit(seen=seen, unseen=tuple(Coordinate(i + 0.5, 0.0) for i in range(4)))
+        cfg = quick_cfg(epochs=1, batch_size=64, sigma_w=1.0, hidden=(16, 8, 16))
+
+        def peak(per_location):
+            rss = np.random.default_rng(per_location).uniform(0.2, 1.0, (10 * per_location, a))
+            index = np.repeat(np.arange(10), per_location)
+            data = FingerprintDataset(rss, index, seen, NormalizationParams())
+            tracemalloc.start()
+            try:
+                train(data, split, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        input_dim = DenoiserArch(a, cfg.cond_freqs, cfg.time_dim, cfg.hidden).input_dim
+        steps = max(1, diffusion._TRAIN_BLOCK_VALUES // (64 * (a + 4)))
+        one_block = steps * 64 * (input_dim * 4 + a * 4 + a * 8)
+        small = peak(200)
+        assert peak(2000) - small < one_block
 
     def test_non_finite_loss_raises_naming_the_step(self):
         data, split = constant_setup(48)
@@ -448,3 +478,22 @@ class TestCheckpoint:
         text = path.read_text()
         assert text.splitlines()[0] == "step,loss"
         assert text.splitlines()[1] == "1,0.5"
+
+
+class TestReverseDiffuse:
+    def test_block_noise_equals_per_step_draws(self):
+        # float32, as trained; 12 locations x 8 samples x 20 APs draw noise
+        # for 34 steps per block, which does not divide the 399 noisy steps
+        arch = DenoiserArch(ap_count=20, cond_freqs=2, time_dim=8, hidden=(16, 8, 16),
+                            bounds=(0.0, 0.0, 11.0, 11.0))
+        net = DenoiserNetwork.create(arch, 41, np.float32)
+        net.theta += np.random.default_rng(42).normal(0, 0.2, arch.param_count).astype(np.float32)
+        schedule = build_schedule(400, 1e-4, 0.02)
+        locs = [Coordinate(float(i), 11.0 - i) for i in range(12)]
+        seeds = np.random.SeedSequence(43).spawn(len(locs))
+        block = diffusion._NOISE_BLOCK_VALUES // (len(locs) * 8 * arch.ap_count)
+        assert 1 < block < schedule.T - 1 and (schedule.T - 1) % block
+        got = diffusion._reverse_diffuse(net, locs, schedule, 8, seeds, 0.1)
+        want = oracles.reverse_diffuse(net, locs, schedule, 8, seeds, 0.1)
+        assert got.shape == want.shape == (12, 8, arch.ap_count)
+        assert got.tobytes() == want.tobytes()

@@ -150,6 +150,25 @@ class TestKnnBatchBits:
         assert [(p.x, p.y) for p in map(model.predict, q)] == batch_xy(model, q)
 
 
+class TestBlasPin:
+    # 2,400 x 20 float64 is the desk map's 384 KB; 7,000 x 20 is 1.1 MB
+    @pytest.mark.parametrize("rows, pinned", [(2_400, True), (7_000, False)])
+    def test_small_maps_run_pinned_large_maps_threaded(self, blas_threads, monkeypatch, rows, pinned):
+        rng = np.random.default_rng(rows)
+        model = KnnLocalizer(rng.random((rows, 20)), rng.random((rows, 2)) * 50, 5)
+        assert (model.rss.nbytes < localizer._PIN_BELOW_BYTES) == pinned
+        counts = []
+        run_block = model._predict_block
+        monkeypatch.setattr(
+            model, "_predict_block", lambda qb, out: (counts.append(blas_threads()), run_block(qb, out))
+        )
+        q = rng.random((2 * localizer._QUERY_BLOCK + 3, 20))
+        got = batch_xy(model, q)
+        assert counts == [1 if pinned else 2] * 3
+        assert blas_threads() == 2
+        assert got == oracle_xy(model, q)
+
+
 class TestQueryErrors:
     @pytest.fixture
     def model(self):

@@ -359,24 +359,21 @@ class TestSigmoid:
 
     def test_reused_buffers_equal_fresh_call(self):
         x = np.random.default_rng(2).standard_normal((64, 128)) * 30.0
-        out, scratch = np.full_like(x, np.nan), np.full_like(x, -7.0)
-        assert _sigmoid(x, out, scratch) is out
+        out = np.full_like(x, np.nan)
+        assert _sigmoid(x, out) is out
         assert bits_equal(out, _sigmoid(x))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: d.__name__)
+    def test_limits(self, dtype):
+        got = _sigmoid(np.array([np.inf, -np.inf, np.nan], dtype))
+        assert got.dtype == dtype
+        assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
 
-@pytest.fixture
-def blas_threads():
-    """The process's BLAS thread count getter, with the count set to 2 for the test."""
-    api = nets._openblas_threads()
-    if not api:
-        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count API here")
-    get, set_ = api
-    before = get()
-    set_(2)
-    try:
-        yield get
-    finally:
-        set_(before)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=lambda d: d.__name__)
+    def test_tanh_form_within_two_ulps_of_one_of_the_exp_form(self, dtype):
+        x = np.linspace(-20.0, 20.0, 400_001).astype(dtype)
+        exp_form = 1.0 / (1.0 + np.exp(-x))
+        assert np.max(np.abs(_sigmoid(x) - exp_form)) <= 2 * np.finfo(dtype).eps
 
 
 class TestBlasThreadPin:
