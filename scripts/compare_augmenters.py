@@ -34,7 +34,7 @@ def main():
         save_report(r.report, path)
         print(
             f"{arm:>12}: mean {r.report.mean_error_m:.3f} m, "
-            f"median {r.report.median_error_m:.3f} m ({r.wall_seconds:.1f} s) -> {path}"
+            f"median {r.report.median_error_m:.3f} m -> {path}"
         )
 
 

@@ -8,16 +8,12 @@ localization accuracy.
 
 from .dataset import (
     Coordinate,
-    Fingerprint,
     FingerprintDataset,
     NormalizationParams,
     SyntheticEnvironment,
-    denormalize_rss,
     generate_synthetic,
     load_dataset,
-    make_dataset,
     merge_datasets,
-    normalize_rss,
     save_dataset,
 )
 from .diffusion import (
@@ -46,11 +42,6 @@ from .initializer import (
 from .localizer import LocalizerHyperparams, evaluate, fit_localizer
 from .nets import DenoiserArch, DenoiserNetwork
 from .pipeline import ExperimentResult, collection_overhead, run_experiment, sweep_ratio
-from .synthesizer import (
-    AugmentationConfig,
-    augment_seen,
-    drop_weak_transmitters,
-    inject_gaussian_noise,
-)
+from .synthesizer import AugmentationConfig, augment_seen
 
 __version__ = "0.1.0"

@@ -166,8 +166,7 @@ def _cmd_pipeline(args, cfg) -> None:
     print(
         f"{cfg.augmenter} augmenter, {result.n_seen} seen / {result.n_unseen} unseen: "
         f"mean {result.report.mean_error_m:.3f} m, median {result.report.median_error_m:.3f} m, "
-        f"overhead {result.collection_overhead_min:.1f} min "
-        f"({result.wall_seconds:.1f} s) -> {args.output}"
+        f"overhead {result.collection_overhead_min:.1f} min -> {args.output}"
     )
 
 

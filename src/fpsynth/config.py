@@ -2,11 +2,13 @@
 
 Every key has a default; a config file only lists what it changes. Unknown
 keys are rejected by name. Values are plain scalars except comma-separated
-integer tuples (network widths) and the literal `auto` for sigma_w.
+integer tuples (network widths) and the literal `auto` for sigma_w; a float
+must be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -188,6 +190,8 @@ def build_experiment_config(flat: dict[str, str]) -> ExperimentConfig:
         parser, target = _SCHEMA[key]
         try:
             value = parser(raw)
+            if isinstance(value, float) and not math.isfinite(value):  # NaN passes `x <= 0`
+                raise ValueError("not a finite number")
         except ValueError as e:
             raise ConfigError(f"config key {key!r}: bad value {raw!r} ({e})") from e
         section, _, attr = target.rpartition(".")

@@ -1,4 +1,8 @@
-"""Fingerprint datasets: normalization, file I/O, and a synthetic radio oracle.
+"""Datasets of RSS fingerprints: normalization, file I/O, and a synthetic radio oracle.
+
+A set of location-tagged fingerprints is one `FingerprintDataset`, stored by
+column: an (N, A) RSS matrix and each row's index into the distinct
+locations.
 
 RSS values are stored normalized to [0, 1]: exactly 0.0 means "transmitter not
 detected", detected readings occupy [detect_floor, 1]. The gap (0, detect_floor)
@@ -78,36 +82,6 @@ class NormalizationParams:
             raise ConfigError(f"rss_min ({self.rss_min}) must be < rss_max ({self.rss_max})")
         if not 0.0 < self.detect_floor <= 0.5:
             raise ConfigError(f"detect_floor must be in (0, 0.5], got {self.detect_floor}")
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """One normalized RSS vector tagged with the position it was measured at."""
-
-    rss: np.ndarray
-    location: Coordinate
-    collector_id: int | None = None
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.rss, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "rss", arr)
-
-
-def normalize_rss(raw: float, params: NormalizationParams) -> float:
-    """Map a raw dBm-or-sentinel reading onto {0} ∪ [detect_floor, 1]."""
-    if raw != params.sentinel_raw and not params.rss_min <= raw <= params.rss_max:
-        raise RangeError(
-            f"raw RSS {raw} outside [{params.rss_min}, {params.rss_max}] and not the sentinel"
-        )
-    return float(_normalize_array(np.array([raw], dtype=np.float64), params)[0])
-
-
-def denormalize_rss(v: float, params: NormalizationParams) -> float:
-    """Inverse of normalize_rss; values in (0, detect_floor) clamp to the sentinel."""
-    if not 0.0 <= v <= 1.0:
-        raise RangeError(f"normalized value {v} outside [0, 1]")
-    return float(_denormalize_array(np.array([v], dtype=np.float64), params)[0])
 
 
 # The two codec kernels work elementwise in one output buffer. Each step is
@@ -290,23 +264,6 @@ class FingerprintDataset:
     def subset_at(self, locations) -> "FingerprintDataset":
         """Samples whose location is in `locations` (dataset order preserved)."""
         return self.take(np.flatnonzero(self.located_in(locations)))
-
-
-def make_dataset(samples, ap_count: int, params: NormalizationParams) -> FingerprintDataset:
-    """Build a dataset from Fingerprints, collecting distinct sample locations in
-    first-appearance order."""
-    samples = tuple(samples)
-    rss = np.zeros((len(samples), max(ap_count, 0)))
-    for i, s in enumerate(samples):
-        if s.rss.shape != (ap_count,):
-            make_dataset(samples[:i], ap_count, params)  # a fault in an earlier sample comes first
-            raise ConsistencyError(
-                f"sample {i} has {s.rss.shape[0]} RSS entries, expected {ap_count}"
-            )
-        rss[i] = s.rss
-    locations, index = _index_of(s.location for s in samples)
-    collectors = [s.collector_id for s in samples]
-    return FingerprintDataset(rss, index, tuple(locations), params, collectors)
 
 
 def merge_datasets(

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Coordinate, Fingerprint, FingerprintDataset, NormalizationParams, distances
+from .dataset import Coordinate, FingerprintDataset, NormalizationParams, distances
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -543,10 +543,9 @@ def sample(
     n: int,
     seed,
     detect_floor: float = 0.1,
-) -> list[Fingerprint]:
-    """Generate n fingerprints at `unseen` by reverse diffusion from pure noise."""
-    final = _reverse_diffuse(net, [unseen], schedule, n, [seed], detect_floor)[0]
-    return [Fingerprint(row, unseen) for row in final]
+) -> np.ndarray:
+    """The `(n, A)` fingerprints that reverse diffusion from pure noise draws at `unseen`."""
+    return _reverse_diffuse(net, [unseen], schedule, n, [seed], detect_floor)[0]
 
 
 def generate_unseen_map(
@@ -560,7 +559,7 @@ def generate_unseen_map(
 ) -> FingerprintDataset:
     """Sample every unseen location with per-location derived seeds.
 
-    Location u's fingerprints equal `sample(net, loc_u, schedule, n, child_u)`
+    The map's rows for location u equal `sample(net, loc_u, schedule, n, child_u)`
     with `child_u` the u-th of `SeedSequence(seed).spawn(U)`. With `out`, a
     writable C-contiguous `(U * samples_per_unseen, A)` float64 matrix, the
     map is written into it and it becomes the result's matrix.

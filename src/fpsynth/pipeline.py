@@ -21,8 +21,7 @@ locations with a fresh seed; for file sources, a per-location holdout of
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +75,6 @@ class ExperimentResult:
     n_unseen: int
     split: LocationSplit
     config: ExperimentConfig
-    wall_seconds: float = field(compare=False)
 
 
 def collection_overhead(n_seen: int, minutes_per_location: float) -> float:
@@ -214,8 +212,7 @@ def localize(cfg: ExperimentConfig, fingerprint_map, test_set) -> LocalizationRe
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the full pipeline once. Deterministic given cfg (wall time aside)."""
-    t0 = time.perf_counter()
+    """Run the full pipeline once. Deterministic given cfg."""
     with _stage("data"):
         pool, test_set = build_data(cfg)
         pool = _consumed_pool(cfg, pool)
@@ -250,7 +247,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         n_unseen=len(split.unseen),
         split=split,
         config=cfg,
-        wall_seconds=time.perf_counter() - t0,
     )
 
 

@@ -2,7 +2,9 @@
 
 Two effects are simulated: channel noise (Gaussian jitter on detected readings)
 and flaky weak transmitters (readings under a threshold zeroed out). Absent
-transmitters are never resurrected: a zero entry stays exactly zero.
+transmitters are never resurrected: a zero entry stays exactly zero. Both
+effects work in place on whole RSS matrices (`_jitter`, `_drop_weak`);
+`augment_seen` applies them to a dataset.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Fingerprint, FingerprintDataset, _row_blocks
+from .dataset import FingerprintDataset, _row_blocks
 from .errors import ConfigError, ConsistencyError
 from .initializer import LocationSplit
 
@@ -53,29 +55,6 @@ def _drop_weak(rss: np.ndarray, threshold: float) -> None:
     for part in _row_blocks(flat.size, 1):
         v = flat[part]
         np.copyto(v, 0.0, where=(v > 0.0) & (v < threshold))
-
-
-def inject_gaussian_noise(
-    fp: Fingerprint, sigma: float, rng: np.random.Generator, detect_floor: float = 0.1
-) -> Fingerprint:
-    """Add N(0, sigma^2) to each detected entry, clamped to [detect_floor, 1].
-
-    Zero entries (absent transmitters) are untouched; the location is kept.
-    """
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
-    rss = rng.standard_normal(fp.rss.shape)
-    _jitter(fp.rss, rss, sigma, detect_floor)
-    return Fingerprint(rss, fp.location, fp.collector_id)
-
-
-def drop_weak_transmitters(fp: Fingerprint, threshold: float) -> Fingerprint:
-    """Zero out detected entries strictly below `threshold`; idempotent."""
-    if not 0.0 <= threshold < 1.0:
-        raise ConfigError(f"threshold must be in [0, 1), got {threshold}")
-    rss = np.array(fp.rss)
-    _drop_weak(rss, threshold)
-    return Fingerprint(rss, fp.location, fp.collector_id)
 
 
 def augment_seen(

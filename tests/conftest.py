@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import fpsynth.nets as nets
-from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
+from fpsynth.dataset import Coordinate, FingerprintDataset, NormalizationParams
 
 
 @pytest.hookimpl(tryfirst=True, hookwrapper=True)
@@ -42,13 +42,9 @@ def params():
 def tiny_dataset(params):
     """Four locations on a unit square, two samples each, 3 APs."""
     rng = np.random.default_rng(123)
-    locs = [Coordinate(float(x), float(y)) for x in (0.0, 1.0) for y in (0.0, 1.0)]
-    samples = []
-    for loc in locs:
-        for _ in range(2):
-            rss = np.where(rng.random(3) < 0.2, 0.0, rng.uniform(0.1, 1.0, 3))
-            samples.append(Fingerprint(rss, loc))
-    return make_dataset(samples, 3, params)
+    locs = tuple(Coordinate(float(x), float(y)) for x in (0.0, 1.0) for y in (0.0, 1.0))
+    rss = [np.where(rng.random(3) < 0.2, 0.0, rng.uniform(0.1, 1.0, 3)) for _ in range(8)]
+    return FingerprintDataset(np.array(rss), np.repeat(np.arange(4), 2), locs, params)
 
 
 TINY_CONFIG = """

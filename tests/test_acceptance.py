@@ -16,11 +16,10 @@ from fpsynth.cli import main as cli_main
 from fpsynth.config import ExperimentConfig
 from fpsynth.dataset import (
     Coordinate,
-    Fingerprint,
+    FingerprintDataset,
     NormalizationParams,
-    denormalize_rss,
-    make_dataset,
-    normalize_rss,
+    _denormalize_array,
+    _normalize_array,
 )
 from fpsynth.diffusion import (
     DiffusionTrainConfig,
@@ -37,7 +36,7 @@ from fpsynth.diffusion import (
 from fpsynth.initializer import DensityParams, LocationSplit, select_unseen_density
 from fpsynth.nets import DenoiserArch, DenoiserNetwork
 from fpsynth.pipeline import run_experiment, sweep_ratio
-from fpsynth.synthesizer import drop_weak_transmitters, inject_gaussian_noise
+from fpsynth.synthesizer import AugmentationConfig, _drop_weak, _jitter, augment_seen
 from conftest import TINY_CONFIG
 from oracles import brute_density_split
 
@@ -176,8 +175,8 @@ def test_criterion_04_constant_data_learnability():
     start = time.perf_counter()
     seen = Coordinate(0.0, 0.0)
     unseen = Coordinate(1.0, 1.0)
-    data = make_dataset(
-        [Fingerprint(CONST16, seen) for _ in range(64)], 16, NormalizationParams()
+    data = FingerprintDataset(
+        np.tile(CONST16, (64, 1)), np.zeros(64, dtype=int), (seen,), NormalizationParams()
     )
     split = LocationSplit(seen=(seen,), unseen=(unseen,))
     cfg = DiffusionTrainConfig(
@@ -195,7 +194,7 @@ def test_criterion_04_constant_data_learnability():
     final_loss = float(np.mean([v for _, v in result.trace[-10:]]))
     assert final_loss < 1e-3
     draws = sample(result.network, unseen, result.schedule, 100, seed=3)
-    within = sum(1 for fp in draws if np.max(np.abs(fp.rss - CONST16)) <= 0.05)
+    within = sum(1 for row in draws if np.max(np.abs(row - CONST16)) <= 0.05)
     assert within >= 95
     assert time.perf_counter() - start < 120.0
 
@@ -208,9 +207,10 @@ def test_criterion_05_conditioning_sensitivity():
     cluster1 = [Coordinate(x, y) for x in (0.0, 2.0) for y in (0.0, 2.0)]
     cluster2 = [Coordinate(x, y) for x in (40.0, 42.0) for y in (40.0, 42.0)]
     u1, u2 = Coordinate(1.0, 1.0), Coordinate(41.0, 41.0)
-    samples = [Fingerprint(c1, loc) for loc in cluster1 for _ in range(8)]
-    samples += [Fingerprint(c2, loc) for loc in cluster2 for _ in range(8)]
-    data = make_dataset(samples, 12, NormalizationParams())
+    data = FingerprintDataset(
+        np.repeat([c1, c2], 32, axis=0), np.repeat(np.arange(8), 8), tuple(cluster1 + cluster2),
+        NormalizationParams(),
+    )
     split = LocationSplit(seen=tuple(cluster1 + cluster2), unseen=(u1, u2))
     cfg = DiffusionTrainConfig(
         epochs=1500,
@@ -227,9 +227,7 @@ def test_criterion_05_conditioning_sensitivity():
     for uloc, own, other in ((u1, c1, c2), (u2, c2, c1)):
         draws = sample(result.network, uloc, result.schedule, 100, seed=5)
         correct = sum(
-            1
-            for fp in draws
-            if np.linalg.norm(fp.rss - own) < np.linalg.norm(fp.rss - other)
+            1 for row in draws if np.linalg.norm(row - own) < np.linalg.norm(row - other)
         )
         assert correct >= 95
     assert time.perf_counter() - start < 180.0
@@ -318,8 +316,8 @@ def test_criterion_09_determinism_and_round_trips(tmp_path):
     assert np.array_equal(schedule2.betas, schedule.betas)
 
     params = NormalizationParams()
-    for v in np.concatenate([[0.0], np.linspace(0.1, 1.0, 1001)]):
-        assert abs(normalize_rss(denormalize_rss(float(v), params), params) - v) <= 1e-9
+    v = np.concatenate([[0.0], np.linspace(0.1, 1.0, 1001)])
+    assert np.all(np.abs(_normalize_array(_denormalize_array(v, params), params) - v) <= 1e-9)
 
 
 def test_criterion_10_augmentation_invariant_suite():
@@ -329,23 +327,36 @@ def test_criterion_10_augmentation_invariant_suite():
     for _ in range(1000):
         a = int(rng.integers(1, 24))
         rss = np.where(rng.random(a) < 0.3, 0.0, rng.uniform(floor, 1.0, a))
-        fp = Fingerprint(rss, Coordinate(float(rng.random()), float(rng.random())))
         sigma = float(rng.uniform(0.0, 0.2))
         threshold = float(rng.uniform(0.0, 0.9))
 
-        noisy = inject_gaussian_noise(fp, sigma, rng, floor)
-        dropped = drop_weak_transmitters(noisy, threshold)
+        noisy = rng.standard_normal(a)
+        _jitter(rss, noisy, sigma, floor)
+        dropped = noisy.copy()
+        _drop_weak(dropped, threshold)
 
         # zero-preservation: zero set only ever grows
-        src_zeros = fp.rss == 0.0
-        assert np.all(noisy.rss[src_zeros] == 0.0)
-        assert np.all(dropped.rss[src_zeros] == 0.0)
+        src_zeros = rss == 0.0
+        assert np.all(noisy[src_zeros] == 0.0)
+        assert np.all(dropped[src_zeros] == 0.0)
         # range validity on both outputs
         for out in (noisy, dropped):
-            assert np.all((out.rss == 0.0) | ((out.rss >= floor) & (out.rss <= 1.0)))
-        # label preservation
-        assert noisy.location == fp.location
-        assert dropped.location == fp.location
+            assert np.all((out == 0.0) | ((out >= floor) & (out <= 1.0)))
         # dropout idempotence
-        again = drop_weak_transmitters(dropped, threshold)
-        assert np.array_equal(again.rss, dropped.rss)
+        again = dropped.copy()
+        _drop_weak(again, threshold)
+        assert np.array_equal(again, dropped)
+
+    # label preservation, and the invariants above, over 1000 replicas of augment_seen
+    locations = tuple(Coordinate(float(x), float(y)) for x, y in rng.random((20, 2)))
+    rss = np.where(rng.random((200, 8)) < 0.3, 0.0, rng.uniform(floor, 1.0, (200, 8)))
+    data = FingerprintDataset(rss, rng.integers(0, 20, 200), locations, NormalizationParams())
+    split = LocationSplit(seen=locations, unseen=())
+    cfg = AugmentationConfig(noise_sigma=0.1, drop_threshold=0.3, replicas_per_sample=5, seed=9)
+    out = augment_seen(data, split, cfg)
+    source = np.repeat(np.arange(200), 5)
+    labels = [data.locations[j] for j in data.loc_index[source]]
+    assert [out.locations[j] for j in out.loc_index[200:]] == labels
+    replicas = out.rss[200:]
+    assert np.all(replicas[rss[source] == 0.0] == 0.0)
+    assert np.all((replicas == 0.0) | ((replicas >= 0.3) & (replicas <= 1.0)))

@@ -106,6 +106,23 @@ class TestFailureModes:
         assert code != 0
         assert "nope.key" in capsys.readouterr().err
 
+    # a range check written `x <= 0` passes NaN: these ran to a report before
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "synth.shadowing_sigma_db=nan",
+            "synth.path_loss_exponent=nan",
+            "overhead.minutes_per_location=nan",
+            "diffusion.sigma_w=inf",
+        ],
+    )
+    def test_non_finite_float_is_a_config_error(self, setting, tiny_config_file, tmp_path, capsys):
+        key = setting.split("=")[0]
+        out = tmp_path / "r.csv"
+        assert main(["pipeline", "-c", tiny_config_file, "-o", str(out), "--set", setting]) == 2
+        assert f"config key {key!r}: bad value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stage_tagged_failure(self, tiny_config_file, tmp_path, capsys):
         code = main(
             ["pipeline", "-c", tiny_config_file, "-o", str(tmp_path / "r.csv"),

@@ -13,6 +13,13 @@ from fpsynth.config import (
 from fpsynth.errors import ConfigError, ParseError
 
 
+def _parsed_or_none(parser, text):
+    try:
+        return parser(text)
+    except ValueError:
+        return None
+
+
 class TestParser:
     def test_basic_parse(self):
         flat = parse_flat_config("a.b = 3\n# comment\nc = hello  # trailing\n\n")
@@ -73,6 +80,17 @@ class TestSchema:
             build_experiment_config({"split.unseen_fraction": "1.0"})
         with pytest.raises(ConfigError):
             build_experiment_config({"localizer.variant": "oracle"})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_every_float_key_rejects_non_finite(self, value):
+        float_keys = [
+            key for key, (parser, _) in _SCHEMA.items()
+            if isinstance(_parsed_or_none(parser, "0.5"), float)
+        ]
+        assert len(float_keys) == 22  # diffusion.sigma_w among them
+        for key in float_keys:
+            with pytest.raises(ConfigError, match=rf"^config key '{key}': bad value '{value}'"):
+                build_experiment_config({key: value})
 
 
     def test_shipped_default_cfg_names_every_key(self):

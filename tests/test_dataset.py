@@ -11,70 +11,60 @@ from hypothesis import strategies as st
 
 from fpsynth.dataset import (
     Coordinate,
-    Fingerprint,
     FingerprintDataset,
     NormalizationParams,
     SyntheticEnvironment,
+    _denormalize_array,
+    _normalize_array,
     canonicalize_dataset,
-    denormalize_rss,
     generate_synthetic,
     load_dataset,
-    make_dataset,
     merge_datasets,
-    normalize_rss,
     save_dataset,
 )
 from fpsynth.errors import ConfigError, ConsistencyError, FpsynthError, ParseError, RangeError
 from oracles import load_lines, save_lines
 
 
+def _round_trip(v, p):
+    return _normalize_array(_denormalize_array(np.array(v, dtype=float), p), p)
+
+
 class TestNormalize:
     def test_sentinel_maps_to_zero(self, params):
-        assert normalize_rss(100.0, params) == 0.0
+        v = _normalize_array(np.array([100.0, -50.0, 100.0]), params)
+        assert v[0] == v[2] == 0.0 and v[1] > 0.0
 
     def test_upper_endpoint(self, params):
-        assert normalize_rss(0.0, params) == 1.0
+        assert _normalize_array(np.array([0.0]), params).tolist() == [1.0]
 
     def test_midpoint(self, params):
-        assert normalize_rss(-52.0, params) == pytest.approx(0.55, abs=1e-12)
+        assert _normalize_array(np.array([-52.0]), params)[0] == pytest.approx(0.55, abs=1e-12)
 
     def test_lower_endpoint_hits_floor(self, params):
-        assert normalize_rss(-104.0, params) == pytest.approx(0.1, abs=1e-12)
-
-    def test_out_of_range_raises(self, params):
-        with pytest.raises(RangeError):
-            normalize_rss(-120.0, params)
-        with pytest.raises(RangeError):
-            normalize_rss(5.0, params)
+        assert _normalize_array(np.array([-104.0]), params)[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_monotone_on_detected_range(self, params):
-        raws = np.linspace(-104.0, 0.0, 211)
-        vals = [normalize_rss(r, params) for r in raws]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
+        vals = _normalize_array(np.linspace(-104.0, 0.0, 211), params)
+        assert np.all(vals[:-1] < vals[1:])
 
 
 class TestDenormalize:
     def test_zero_maps_to_sentinel(self, params):
-        assert denormalize_rss(0.0, params) == 100.0
+        assert _denormalize_array(np.array([0.0]), params).tolist() == [100.0]
 
     def test_one_maps_to_max(self, params):
-        assert denormalize_rss(1.0, params) == 0.0
+        assert _denormalize_array(np.array([1.0]), params).tolist() == [0.0]
 
     def test_below_floor_clamps_to_sentinel(self, params):
-        assert denormalize_rss(0.05, params) == 100.0
-
-    def test_out_of_range_raises(self, params):
-        for v in (-0.1, 1.5):
-            with pytest.raises(RangeError):
-                denormalize_rss(v, params)
+        assert _denormalize_array(np.array([0.05]), params).tolist() == [100.0]
 
     @given(st.floats(min_value=0.1, max_value=1.0))
     def test_round_trip_detected(self, v):
-        p = NormalizationParams()
-        assert normalize_rss(denormalize_rss(v, p), p) == pytest.approx(v, abs=1e-9)
+        assert _round_trip([v], NormalizationParams())[0] == pytest.approx(v, abs=1e-9)
 
     def test_round_trip_zero(self, params):
-        assert normalize_rss(denormalize_rss(0.0, params), params) == 0.0
+        assert _round_trip([0.0], params).tolist() == [0.0]
 
     @given(
         st.floats(min_value=-200, max_value=-1),
@@ -83,8 +73,8 @@ class TestDenormalize:
     )
     def test_round_trip_generic_params(self, rss_min, span, floor):
         p = NormalizationParams(rss_min=rss_min, rss_max=rss_min + span, detect_floor=floor)
-        for v in (floor, (floor + 1.0) / 2.0, 1.0):
-            assert normalize_rss(denormalize_rss(v, p), p) == pytest.approx(v, abs=1e-9)
+        v = np.array([floor, (floor + 1.0) / 2.0, 1.0])
+        assert _round_trip(v, p) == pytest.approx(v, abs=1e-9)
 
 
 class TestParamsValidation:
@@ -125,14 +115,14 @@ class TestSynthetic:
     def test_reference_distance_gives_tx_power(self, params):
         env = self._env()
         ds = generate_synthetic(env, [Coordinate(1.0, 0.0)], 1, seed=0, params=params)
-        raw = denormalize_rss(float(ds.rss[0, 0]), params)
+        raw = _denormalize_array(ds.rss[0, :1], params)[0]
         assert raw == pytest.approx(-30.0, abs=1e-9)
 
     def test_log_distance_decade(self, params):
         # n=2, d=10*d0 -> 20 dB below tx power
         env = self._env()
         ds = generate_synthetic(env, [Coordinate(10.0, 0.0)], 1, seed=0, params=params)
-        raw = denormalize_rss(float(ds.rss[0, 0]), params)
+        raw = _denormalize_array(ds.rss[0, :1], params)[0]
         assert raw == pytest.approx(-50.0, abs=1e-9)
 
     def test_determinism(self, params):
@@ -173,8 +163,7 @@ class TestFileRoundTrip:
         assert np.array_equal(loaded.coords_matrix(), tiny_dataset.coords_matrix())
 
     def test_collector_column_round_trip(self, params, tmp_path):
-        fp = Fingerprint(np.array([0.5, 0.0]), Coordinate(1.0, 2.0), collector_id=3)
-        ds = make_dataset([fp], 2, params)
+        ds = FingerprintDataset([[0.5, 0.0]], [0], (Coordinate(1.0, 2.0),), params, [3])
         path = tmp_path / "c.csv"
         save_dataset(ds, path)
         loaded = load_dataset(path, params)
@@ -356,13 +345,9 @@ class TestLoader:
 
 
 class TestDatasetInvariants:
-    def test_rejects_wrong_length(self, params):
-        with pytest.raises(Exception):
-            make_dataset([Fingerprint(np.array([0.5]), Coordinate(0, 0))], 2, params)
-
     def test_rejects_values_in_gap(self, params):
         with pytest.raises(RangeError):
-            make_dataset([Fingerprint(np.array([0.05, 0.5]), Coordinate(0, 0))], 2, params)
+            FingerprintDataset([[0.05, 0.5]], [0], (Coordinate(0, 0),), params)
 
     def test_subset_at(self, tiny_dataset):
         keep = tiny_dataset.locations[:2]
@@ -585,18 +570,6 @@ class TestFirstBadRow:
     N = 300
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_wrong_width(self, params, seed):
-        rng = np.random.default_rng(seed)
-        bad = int(rng.integers(self.N))
-        samples = [
-            Fingerprint(row, Coordinate(float(i % 7), 0.0))
-            for i, row in enumerate(_valid_rows(rng, self.N, 4))
-        ]
-        samples[bad] = Fingerprint(np.full(5, 0.5), samples[bad].location)
-        with pytest.raises(ConsistencyError, match=rf"^sample {bad} has 5 RSS entries"):
-            make_dataset(samples, 4, params)
-
-    @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("value", [0.05, 1.5, -0.2, float("nan")])
     def test_value_outside_codomain(self, params, seed, value):
         rng = np.random.default_rng(seed)
@@ -642,34 +615,16 @@ class TestFirstBadRow:
         with pytest.raises(error, match=rf"^sample {first} "):
             FingerprintDataset(rss, index, (Coordinate(0.0, 0.0),), params)
 
-    @pytest.mark.parametrize("value_row, width_row", [(3, 5), (5, 3)])
-    def test_earliest_of_value_and_width_fault_is_named(self, params, value_row, width_row):
-        rng = np.random.default_rng(1)
-        rows = _valid_rows(rng, 40, 3)
-        rows[value_row, 0] = 0.05
-        samples = [Fingerprint(row, Coordinate(float(i % 4), 0.0)) for i, row in enumerate(rows)]
-        samples[width_row] = Fingerprint(np.full(2, 0.5), samples[width_row].location)
-        error = RangeError if value_row < width_row else ConsistencyError
-        with pytest.raises(error, match=rf"^sample {min(value_row, width_row)} "):
-            make_dataset(samples, 3, params)
-
-    def test_nonpositive_ap_count_before_width(self, params):
-        samples = [Fingerprint(np.full(3, 0.5), Coordinate(0.0, 0.0))]
+    def test_nonpositive_ap_count(self, params):
         with pytest.raises(ConfigError, match="ap_count must be positive"):
-            make_dataset(samples, 0, params)
+            FingerprintDataset(np.empty((1, 0)), [0], (Coordinate(0.0, 0.0),), params)
 
 
 class TestColumnarOperations:
     def test_merge_keeps_first_coordinate_seen(self, params):
-        a = make_dataset([Fingerprint(np.array([0.5]), Coordinate(-0.0, 1.0))], 1, params)
-        b = make_dataset(
-            [
-                Fingerprint(np.array([0.6]), Coordinate(2.0, 2.0)),
-                Fingerprint(np.array([0.7]), Coordinate(0.0, 1.0)),
-            ],
-            1,
-            params,
-        )
+        a = FingerprintDataset([[0.5]], [0], (Coordinate(-0.0, 1.0),), params)
+        b_locations = (Coordinate(2.0, 2.0), Coordinate(0.0, 1.0))
+        b = FingerprintDataset([[0.6], [0.7]], [0, 1], b_locations, params)
         merged = merge_datasets(a, b)
         assert [(repr(c.x), c.y) for c in merged.locations] == [("-0.0", 1.0), ("2.0", 2.0)]
         assert merged.loc_index.tolist() == [0, 1, 0]

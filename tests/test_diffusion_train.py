@@ -7,13 +7,7 @@ import pytest
 
 import fpsynth.diffusion as diffusion
 import oracles
-from fpsynth.dataset import (
-    Coordinate,
-    Fingerprint,
-    FingerprintDataset,
-    NormalizationParams,
-    make_dataset,
-)
+from fpsynth.dataset import Coordinate, FingerprintDataset, NormalizationParams
 from fpsynth.diffusion import (
     DiffusionTrainConfig,
     VicinityKernel,
@@ -35,11 +29,22 @@ CONST = np.array([0.0, 0.9, 0.5, 0.3, 0.7, 0.2, 0.0, 1.0])
 def constant_setup(n_samples=48):
     seen = Coordinate(0.0, 0.0)
     unseen = Coordinate(1.0, 1.0)
-    data = make_dataset(
-        [Fingerprint(CONST, seen) for _ in range(n_samples)], len(CONST), NormalizationParams()
+    data = FingerprintDataset(
+        np.tile(CONST, (n_samples, 1)), np.zeros(n_samples, dtype=int), (seen,),
+        NormalizationParams(),
     )
     split = LocationSplit(seen=(seen,), unseen=(unseen,))
     return data, split
+
+
+def _random_setup(rng, per_location):
+    """`per_location` uniform samples at each of six seen locations; two unseen between them."""
+    seen = tuple(Coordinate(float(x), float(y)) for x in range(3) for y in range(2))
+    data = FingerprintDataset(
+        rng.uniform(0.2, 1.0, (len(seen) * per_location, len(CONST))),
+        np.repeat(np.arange(len(seen)), per_location), seen, NormalizationParams(),
+    )
+    return data, LocationSplit(seen=seen, unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 1.5)))
 
 
 def quick_cfg(**kw):
@@ -64,9 +69,9 @@ class TestTrain:
         data, split = constant_setup()
         res = train(data, split, quick_cfg(epochs=1200, lr_decay=0.998))
         assert res.trace[-1][1] < 1e-2
-        fps = sample(res.network, split.unseen[0], res.schedule, 20, seed=1)
-        for fp in fps:
-            assert np.max(np.abs(fp.rss - CONST)) < 0.08
+        rss = sample(res.network, split.unseen[0], res.schedule, 20, seed=1)
+        assert rss.shape == (20, len(CONST))
+        assert np.max(np.abs(rss - CONST)) < 0.08
 
     def test_bitwise_deterministic_trace(self):
         data, split = constant_setup(16)
@@ -94,10 +99,11 @@ class TestTrain:
             train(data, bad_split, quick_cfg(epochs=1))
 
     def test_error_names_the_first_sample_off_the_split(self):
-        data, split = constant_setup(n_samples=4)
-        stray = [Fingerprint(CONST, Coordinate(3.0, 4.0)), Fingerprint(CONST, Coordinate(5.0, 6.0))]
-        seen = [Fingerprint(row, data.locations[0]) for row in data.rss]
-        mixed = make_dataset([*seen[:2], *stray, *seen[2:]], len(CONST), NormalizationParams())
+        _, split = constant_setup()
+        locations = (split.seen[0], Coordinate(3.0, 4.0), Coordinate(5.0, 6.0))
+        mixed = FingerprintDataset(
+            np.tile(CONST, (6, 1)), [0, 0, 1, 2, 0, 0], locations, NormalizationParams()
+        )
         with pytest.raises(ConsistencyError, match=r"sample at Coordinate\(x=3\.0, y=4\.0\)"):
             train(mixed, split, quick_cfg(epochs=1))
 
@@ -133,10 +139,9 @@ class TestTrain:
 
     def test_sigma_auto_resolves_from_seen_spacing(self):
         p = NormalizationParams()
-        seen = [Coordinate(float(i * 2), 0.0) for i in range(4)]
-        samples = [Fingerprint(CONST, c) for c in seen for _ in range(4)]
-        data = make_dataset(samples, len(CONST), p)
-        split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(1.0, 0.5),))
+        seen = tuple(Coordinate(float(i * 2), 0.0) for i in range(4))
+        data = FingerprintDataset(np.tile(CONST, (16, 1)), np.repeat(np.arange(4), 4), seen, p)
+        split = LocationSplit(seen=seen, unseen=(Coordinate(1.0, 0.5),))
         res = train(data, split, quick_cfg(epochs=1, sigma_w=None))
         assert res.sigma_w == pytest.approx(0.6 * 2.0)
 
@@ -145,10 +150,7 @@ class TestTrain:
         # every step's loss and gradient come from the function that the
         # gradient check (criterion 03) verifies, with the importance weights
         rng = np.random.default_rng(21)
-        seen = [Coordinate(float(x), float(y)) for x in range(3) for y in range(2)]
-        samples = [Fingerprint(rng.uniform(0.2, 1.0, len(CONST)), c) for c in seen for _ in range(6)]
-        data = make_dataset(samples, len(CONST), NormalizationParams())
-        split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 1.5)))
+        data, split = _random_setup(rng, 6)
         m0, locs, unseen_xy = data.rss, data.coords_matrix(), split.unseen_coords()
         dx = unseen_xy[:, 0][None, :] - locs[:, 0][:, None]
         dy = unseen_xy[:, 1][None, :] - locs[:, 1][:, None]
@@ -178,12 +180,7 @@ class TestTrain:
         # 42 samples in batches of 16: the last batch of 10 runs on the
         # leading rows of the step buffers
         rng = np.random.default_rng(31)
-        seen = [Coordinate(float(x), float(y)) for x in range(3) for y in range(2)]
-        samples = [
-            Fingerprint(rng.uniform(0.2, 1.0, len(CONST)), c) for c in seen for _ in range(7)
-        ]
-        data = make_dataset(samples, len(CONST), NormalizationParams())
-        split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 1.5)))
+        data, split = _random_setup(rng, 7)
         cfg = quick_cfg(epochs=3, sigma_w=1.0)
         reused = train(data, split, cfg)
         checked = diffusion._weighted_loss_and_grad
@@ -202,10 +199,7 @@ class TestTrain:
         # same, so the gaps are float32 rounding carried through 60 steps.
         # Bound: 32 float32 epsilons, relative (about 4 were measured).
         rng = np.random.default_rng(21)
-        seen = [Coordinate(float(x), float(y)) for x in range(3) for y in range(2)]
-        samples = [Fingerprint(rng.uniform(0.2, 1.0, len(CONST)), c) for c in seen for _ in range(6)]
-        data = make_dataset(samples, len(CONST), NormalizationParams())
-        split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 1.5)))
+        data, split = _random_setup(rng, 6)
         cfg = quick_cfg(epochs=20, sigma_w=1.0)
         narrow = train(data, split, cfg)
         monkeypatch.setattr(diffusion, "_TRAIN_DTYPE", np.float64)
@@ -308,19 +302,18 @@ class TestSample:
         net = DenoiserNetwork.constant_output(arch, CONST)
         expected = np.where(CONST < 0.1, 0.0, np.clip(CONST, 0.1, 1.0))
         for seed in (0, 1, 2):
-            fps = sample(net, Coordinate(1.0, 1.0), s, 4, seed=seed)
-            for fp in fps:
-                assert fp.rss == pytest.approx(expected, abs=1e-12)
+            rss = sample(net, Coordinate(1.0, 1.0), s, 4, seed=seed)
+            assert rss.shape == (4, 8)
+            for row in rss:
+                assert row == pytest.approx(expected, abs=1e-12)
 
     def test_outputs_satisfy_fingerprint_invariants(self):
         arch = DenoiserArch(ap_count=8, cond_freqs=2, time_dim=8, hidden=(16, 8, 16), bounds=(0, 0, 2, 2))
         s = build_schedule(40, 1e-3, 0.05)
         net = DenoiserNetwork.create(arch, seed=3)
-        fps = sample(net, Coordinate(0.5, 0.5), s, 32, seed=11)
-        for fp in fps:
-            v = fp.rss
-            assert np.all((v == 0.0) | ((v >= 0.1) & (v <= 1.0)))
-            assert fp.location == Coordinate(0.5, 0.5)
+        v = sample(net, Coordinate(0.5, 0.5), s, 32, seed=11)
+        assert v.shape == (32, 8) and v.dtype == np.float64
+        assert np.all((v == 0.0) | ((v >= 0.1) & (v <= 1.0)))
 
     def test_seed_determinism(self):
         arch = DenoiserArch(ap_count=8, cond_freqs=2, time_dim=8, hidden=(16, 8, 16), bounds=(0, 0, 2, 2))
@@ -328,17 +321,16 @@ class TestSample:
         net = DenoiserNetwork.create(arch, seed=3)
         a = sample(net, Coordinate(0.5, 0.5), s, 8, seed=21)
         b = sample(net, Coordinate(0.5, 0.5), s, 8, seed=21)
-        assert all(np.array_equal(x.rss, y.rss) for x, y in zip(a, b))
+        assert a.tobytes() == b.tobytes()
 
 
 class TestGenerateUnseenMap:
     def _trained(self):
         p = NormalizationParams()
-        seen = [Coordinate(float(i), 0.0) for i in range(3)]
-        unseen = [Coordinate(0.5, 0.0), Coordinate(1.5, 0.0), Coordinate(2.5, 0.0)]
-        samples = [Fingerprint(CONST, c) for c in seen for _ in range(4)]
-        data = make_dataset(samples, len(CONST), p)
-        split = LocationSplit(seen=tuple(seen), unseen=tuple(unseen))
+        seen = tuple(Coordinate(float(i), 0.0) for i in range(3))
+        unseen = (Coordinate(0.5, 0.0), Coordinate(1.5, 0.0), Coordinate(2.5, 0.0))
+        data = FingerprintDataset(np.tile(CONST, (12, 1)), np.repeat(np.arange(3), 4), seen, p)
+        split = LocationSplit(seen=seen, unseen=unseen)
         res = train(data, split, quick_cfg(epochs=5, sigma_w=1.0))
         return res, split, p
 
@@ -362,12 +354,13 @@ class TestGenerateUnseenMap:
         ds = generate_unseen_map(res.network, split, res.schedule, 6, seed=9, norm_params=p)
         children = np.random.SeedSequence(9).spawn(len(split.unseen))
         expected = [
-            fp
+            sample(res.network, loc, res.schedule, 6, child, p.detect_floor)
             for loc, child in zip(split.unseen, children)
-            for fp in sample(res.network, loc, res.schedule, 6, child, p.detect_floor)
         ]
-        assert [ds.locations[j] for j in ds.loc_index] == [fp.location for fp in expected]
-        assert ds.rss.tobytes() == np.stack([fp.rss for fp in expected]).tobytes()
+        assert [ds.locations[j] for j in ds.loc_index] == [
+            loc for loc in split.unseen for _ in range(6)
+        ]
+        assert ds.rss.tobytes() == np.concatenate(expected).tobytes()
 
 
 class TestCheckpoint:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fpsynth import localizer
-from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
+from fpsynth.dataset import Coordinate, FingerprintDataset, NormalizationParams
 from fpsynth.errors import ConfigError, ParseError, RangeError, ShapeError, SizeError
 from fpsynth.localizer import (
     KnnLocalizer,
@@ -15,45 +15,46 @@ from fpsynth.localizer import (
 from oracles import knn_predict
 
 
-def ds_of(entries, ap_count=2, params=NormalizationParams()):
-    return make_dataset(
-        [Fingerprint(np.array(rss), Coordinate(*loc)) for rss, loc in entries],
-        ap_count,
-        params,
+def ds_of(rss, locs, index=None):
+    """Row i of `rss` at the (x, y) pair `locs[index[i]]`; by default one row per location."""
+    index = np.arange(len(locs)) if index is None else index
+    return FingerprintDataset(
+        np.array(rss, dtype=float), index, tuple(Coordinate(*xy) for xy in locs),
+        NormalizationParams(),
     )
 
 
 class TestKnn:
     def test_self_match_returns_own_location(self):
-        train = ds_of([([0.2, 0.8], (0.0, 0.0)), ([0.9, 0.1], (5.0, 5.0))])
+        train = ds_of([[0.2, 0.8], [0.9, 0.1]], [(0.0, 0.0), (5.0, 5.0)])
         model = fit_localizer(train, "knn", LocalizerHyperparams(k=1))
         assert model.predict(np.array([0.9, 0.1])) == Coordinate(5.0, 5.0)
 
     def test_equidistant_symmetry(self):
-        train = ds_of([([0.2, 0.2], (0.0, 0.0)), ([0.8, 0.8], (2.0, 0.0))])
+        train = ds_of([[0.2, 0.2], [0.8, 0.8]], [(0.0, 0.0), (2.0, 0.0)])
         model = fit_localizer(train, "knn", LocalizerHyperparams(k=2))
         pred = model.predict(np.array([0.5, 0.5]))
         assert (pred.x, pred.y) == pytest.approx((1.0, 0.0))
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
-        entries = [(rng.uniform(0.1, 1, 2).tolist(), (float(i), 0.0)) for i in range(6)]
-        train = ds_of(entries)
+        train = ds_of(rng.uniform(0.1, 1, (6, 2)), [(float(i), 0.0) for i in range(6)])
         model = fit_localizer(train, "knn", LocalizerHyperparams(k=3))
         q = np.array([0.4, 0.6])
         assert model.predict(q) == model.predict(q)
 
     def test_k_too_large(self):
-        train = ds_of([([0.5, 0.5], (0.0, 0.0))])
+        train = ds_of([[0.5, 0.5]], [(0.0, 0.0)])
         with pytest.raises(ConfigError):
             fit_localizer(train, "knn", LocalizerHyperparams(k=2))
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(1)
-        entries = [(rng.uniform(0.1, 1, 2).tolist(), (float(i), float(i % 3))) for i in range(8)]
+        rss = rng.uniform(0.1, 1, (8, 2))
+        locs = [(float(i), float(i % 3)) for i in range(8)]
         shift = (13.0, -4.0)
-        train_a = ds_of(entries)
-        train_b = ds_of([(rss, (x + shift[0], y + shift[1])) for rss, (x, y) in entries])
+        train_a = ds_of(rss, locs)
+        train_b = ds_of(rss, [(x + shift[0], y + shift[1]) for x, y in locs])
         ma = fit_localizer(train_a, "knn", LocalizerHyperparams(k=3))
         mb = fit_localizer(train_b, "knn", LocalizerHyperparams(k=3))
         q = np.array([0.55, 0.45])
@@ -61,9 +62,9 @@ class TestKnn:
         assert (pb.x - pa.x, pb.y - pa.y) == pytest.approx(shift, abs=1e-9)
 
     def test_duplicates_do_not_change_k1(self):
-        entries = [([0.2, 0.8], (0.0, 0.0)), ([0.9, 0.1], (5.0, 5.0))]
-        train = ds_of(entries)
-        train_dup = ds_of(entries + entries)
+        rss, locs = [[0.2, 0.8], [0.9, 0.1]], [(0.0, 0.0), (5.0, 5.0)]
+        train = ds_of(rss, locs)
+        train_dup = ds_of(rss + rss, locs, [0, 1, 0, 1])
         q = np.array([0.3, 0.7])
         a = fit_localizer(train, "knn", LocalizerHyperparams(k=1)).predict(q)
         b = fit_localizer(train_dup, "knn", LocalizerHyperparams(k=1)).predict(q)
@@ -201,7 +202,7 @@ class TestQueryErrors:
 
 class TestFeedforward:
     def test_single_sample_fit(self):
-        train = ds_of([([0.4, 0.7], (3.0, 8.0))])
+        train = ds_of([[0.4, 0.7]], [(3.0, 8.0)])
         hp = LocalizerHyperparams(hidden=(16, 16), learning_rate=1e-2, epochs=400, batch_size=1)
         model = fit_localizer(train, "feedforward", hp, seed=0)
         pred = model.predict(np.array([0.4, 0.7]))
@@ -210,8 +211,7 @@ class TestFeedforward:
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(2)
-        entries = [(rng.uniform(0.1, 1, 2).tolist(), (float(i), 1.0)) for i in range(5)]
-        train = ds_of(entries)
+        train = ds_of(rng.uniform(0.1, 1, (5, 2)), [(float(i), 1.0) for i in range(5)])
         hp = LocalizerHyperparams(epochs=20)
         a = fit_localizer(train, "feedforward", hp, seed=5)
         b = fit_localizer(train, "feedforward", hp, seed=5)
@@ -219,15 +219,15 @@ class TestFeedforward:
 
     def test_diverged_fit_raises_naming_the_epoch(self):
         rng = np.random.default_rng(3)
-        entries = [(rng.uniform(0.1, 1, 2).tolist(), (float(i), 1.0)) for i in range(5)]
+        train = ds_of(rng.uniform(0.1, 1, (5, 2)), [(float(i), 1.0) for i in range(5)])
         # one step per epoch: the first moves theta by about 1e300, still
         # finite; the second overflows
         hp = LocalizerHyperparams(epochs=3, learning_rate=1e300)
         with pytest.raises(RangeError, match="diverged in epoch 2"):
-            fit_localizer(ds_of(entries), "feedforward", hp, seed=0)
+            fit_localizer(train, "feedforward", hp, seed=0)
 
     def test_unknown_variant(self):
-        train = ds_of([([0.5, 0.5], (0.0, 0.0))])
+        train = ds_of([[0.5, 0.5]], [(0.0, 0.0)])
         with pytest.raises(ConfigError):
             fit_localizer(train, "transformer")
 
@@ -247,7 +247,7 @@ def located(ds):
 
 class TestEvaluate:
     def test_perfect_model_zero_error(self):
-        test = ds_of([([0.2, 0.8], (0.0, 0.0)), ([0.9, 0.1], (5.0, 5.0))])
+        test = ds_of([[0.2, 0.8], [0.9, 0.1]], [(0.0, 0.0), (5.0, 5.0)])
         mapping = {tuple(np.round(r, 6)): xy for r, xy in zip(test.rss, test.coords_matrix())}
         report = evaluate(PerfectModel(mapping), test)
         assert report.mean_error_m == 0.0
@@ -255,7 +255,7 @@ class TestEvaluate:
 
     def test_two_error_arithmetic(self):
         # errors 1 m and 3 m -> mean 2, median 2, CDF [(1, .5), (3, 1.)]
-        test = ds_of([([0.2, 0.8], (1.0, 0.0)), ([0.9, 0.1], (3.0, 0.0))])
+        test = ds_of([[0.2, 0.8], [0.9, 0.1]], [(1.0, 0.0), (3.0, 0.0)])
 
         class Origin:
             def predict_batch(self, queries):
@@ -299,7 +299,7 @@ class TestEvaluate:
 
     def test_empty_test_set_rejected(self, tiny_dataset, params):
         model = fit_localizer(tiny_dataset, "knn", LocalizerHyperparams(k=1))
-        empty = make_dataset([], 3, params)
+        empty = FingerprintDataset(np.empty((0, 3)), [], (), params)
         with pytest.raises(SizeError):
             evaluate(model, empty)
 

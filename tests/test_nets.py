@@ -8,7 +8,7 @@ import pytest
 from oracles import adam_step, masked_sigmoid, skip_mlp_backward, skip_mlp_forward
 
 import fpsynth.nets as nets
-from fpsynth.dataset import Coordinate, Fingerprint, NormalizationParams, make_dataset
+from fpsynth.dataset import Coordinate, FingerprintDataset, NormalizationParams
 from fpsynth.diffusion import DiffusionTrainConfig, _reverse_diffuse, build_schedule, train
 from fpsynth.errors import ConfigError, ShapeError
 from fpsynth.initializer import LocationSplit
@@ -420,8 +420,8 @@ class TestBlasThreadPin:
     def test_without_a_thread_api_training_runs_unchanged(self, monkeypatch):
         rng = np.random.default_rng(6)
         seen = [Coordinate(float(x), float(y)) for x in range(3) for y in range(3)]
-        samples = [Fingerprint(rng.uniform(0.2, 1.0, 5), c) for c in seen for _ in range(4)]
-        data = make_dataset(samples, 5, NormalizationParams())
+        data = FingerprintDataset(rng.uniform(0.2, 1.0, (36, 5)), np.repeat(np.arange(9), 4),
+                                  tuple(seen), NormalizationParams())
         split = LocationSplit(seen=tuple(seen), unseen=(Coordinate(0.5, 0.5), Coordinate(1.5, 2.5)))
         cfg = DiffusionTrainConfig(T=10, epochs=3, batch_size=8, hidden=(16, 8, 16),
                                    cond_freqs=2, time_dim=4, seed=2)

@@ -147,7 +147,7 @@ class TestRunExperiment:
         cfg = tiny_cfg()
         a = run_experiment(cfg)
         b = run_experiment(cfg)
-        assert a == b  # wall_seconds excluded from comparison
+        assert a == b
 
     def test_overhead_invariant(self):
         cfg = tiny_cfg()
