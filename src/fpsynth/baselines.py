@@ -24,11 +24,19 @@ def interpolate_locations(seen_data: FingerprintDataset, targets, k: int = 3) ->
     locs = seen_data.locations
     if len(locs) < k:
         raise SizeError(f"need at least k={k} distinct seen locations, got {len(locs)}")
-    rows = seen_data.loc_index
+    counts = np.bincount(seen_data.loc_index, minlength=len(locs))
+    by_loc = np.argsort(seen_data.loc_index, kind="stable")
+    starts = np.cumsum(counts) - counts
     sums = np.zeros((len(locs), seen_data.ap_count))
-    # unbuffered, in sample order: each sum accumulates as a per-sample loop would
-    np.add.at(sums, rows, seen_data.rss)
-    counts = np.bincount(rows, minlength=len(locs)).astype(np.float64)
+    # Pass r adds each location's r-th sample, if it has one: every sum
+    # accumulates in sample order, as np.add.at would, in max(counts) passes.
+    for r in range(counts.max()):
+        have = np.flatnonzero(counts > r)
+        rows = seen_data.rss[by_loc[starts[have] + r]]
+        if len(have) == len(locs):  # no scatter while every location has a sample left
+            sums += rows
+        else:
+            sums[have] += rows
     means = sums / counts[:, None]
 
     order = sorted(range(len(locs)), key=lambda i: (locs[i].x, locs[i].y))

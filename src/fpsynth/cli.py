@@ -5,12 +5,19 @@ Every subcommand reads one flat-text config file (all keys optional) plus
 of `pipeline` on its input files, writes machine-readable files, and prints a
 short human summary. Exit code 0 on success; failures print a stage-tagged
 message on stderr and exit nonzero.
+
+Importing this module sets OPENBLAS_NUM_THREADS=1, unless it is set, before
+numpy loads: fpsynth pins every BLAS product to one thread (see `nets`), so a
+worker OpenBLAS started would only spin (about 0.1 s of CPU per process).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import resolve_config
 from .dataset import load_dataset, merge_datasets, save_dataset

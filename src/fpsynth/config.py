@@ -40,7 +40,7 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.grid_nx < 2 or self.grid_ny < 2:
             raise ConfigError("grid_nx and grid_ny must be >= 2")
-        if self.width_m <= 0 or self.height_m <= 0:
+        if not (self.width_m > 0 and self.height_m > 0):
             raise ConfigError("width_m and height_m must be > 0")
         if self.samples_per_location < 1 or self.test_samples_per_location < 1:
             raise ConfigError("samples per location must be >= 1")
@@ -89,7 +89,7 @@ class ExperimentConfig:
             raise ConfigError("augmenter.interpolator_k must be >= 1")
         if self.localizer_variant not in ("knn", "feedforward"):
             raise ConfigError(f"unknown localizer.variant {self.localizer_variant!r}")
-        if self.minutes_per_location <= 0:
+        if not self.minutes_per_location > 0:
             raise ConfigError("overhead.minutes_per_location must be > 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -190,7 +190,7 @@ def build_experiment_config(flat: dict[str, str]) -> ExperimentConfig:
         parser, target = _SCHEMA[key]
         try:
             value = parser(raw)
-            if isinstance(value, float) and not math.isfinite(value):  # NaN passes `x <= 0`
+            if isinstance(value, float) and not math.isfinite(value):  # some keys have no range check
                 raise ValueError("not a finite number")
         except ValueError as e:
             raise ConfigError(f"config key {key!r}: bad value {raw!r} ({e})") from e

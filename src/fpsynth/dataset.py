@@ -362,11 +362,11 @@ class SyntheticEnvironment:
         object.__setattr__(self, "ap_positions", tuple(self.ap_positions))
         if len(self.ap_positions) < 1:
             raise ConfigError("environment needs at least one AP")
-        if self.path_loss_exponent <= 0:
+        if not self.path_loss_exponent > 0:
             raise ConfigError(f"path_loss_exponent must be > 0, got {self.path_loss_exponent}")
-        if self.shadowing_sigma_db < 0:
+        if not self.shadowing_sigma_db >= 0:
             raise ConfigError(f"shadowing_sigma_db must be >= 0, got {self.shadowing_sigma_db}")
-        if self.reference_distance_m <= 0:
+        if not self.reference_distance_m > 0:
             raise ConfigError(f"reference_distance_m must be > 0, got {self.reference_distance_m}")
 
 

@@ -109,7 +109,7 @@ class VicinityKernel:
     form: str = "gaussian"
 
     def __post_init__(self):
-        if self.sigma_w <= 0:
+        if not self.sigma_w > 0:
             raise ConfigError(f"sigma_w must be > 0, got {self.sigma_w}")
         if self.form not in ("gaussian", "hard"):
             raise ConfigError(f"kernel form must be 'gaussian' or 'hard', got {self.form!r}")
@@ -279,13 +279,13 @@ class DiffusionTrainConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
-        if self.sigma_w is not None and self.sigma_w <= 0:
+        if self.sigma_w is not None and not self.sigma_w > 0:
             raise ConfigError(f"sigma_w must be > 0, got {self.sigma_w}")
 
 

@@ -34,18 +34,16 @@ class LocalizerHyperparams:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
+        if not self.learning_rate > 0 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("learning_rate, epochs, batch_size must be positive")
 
 
 # Queries per prefilter GEMM. A block's approximate distance matrix is
-# _QUERY_BLOCK x N float64: 4.9 MB for the 9,600-row survey map.
+# _QUERY_BLOCK x N float64: 4.9 MB for the 9,600-row survey map. Every block
+# runs on one BLAS thread, at every map size: on 2 CPUs a second thread saved
+# about 50 ms of the survey map's 150 ms evaluation, and its idle OpenBLAS
+# worker then spun for about 0.18 s of CPU more.
 _QUERY_BLOCK = 64
-# A stored matrix under this size runs the prefilter GEMMs on one BLAS thread:
-# there a second thread saves well under a millisecond per call and then spins
-# idle. The desk map (2,400 x 20, 384 KB) is pinned; the survey map (9,600 x
-# 200, 15 MB) stays threaded.
-_PIN_BELOW_BYTES = 1 << 20
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
@@ -82,6 +80,7 @@ class KnnLocalizer:
             raise ShapeError(f"query must have shape ({self.rss.shape[1]},), got {rss.shape}")
         return Coordinate(*self.predict_batch(rss[None, :])[0].tolist())
 
+    @_one_blas_thread
     def predict_batch(self, queries) -> np.ndarray:
         """(Q, V) IDW blends of the values of each query's k nearest stored rows.
 
@@ -90,17 +89,9 @@ class KnnLocalizer:
         """
         q = _query_matrix(queries, self.rss.shape[1])
         out = np.empty((q.shape[0], self.coords.shape[1]))
-        if self.rss.nbytes < _PIN_BELOW_BYTES:
-            self._predict_blocks_pinned(q, out)
-        else:
-            self._predict_blocks(q, out)
-        return out
-
-    def _predict_blocks(self, q: np.ndarray, out: np.ndarray) -> None:
         for lo in range(0, q.shape[0], _QUERY_BLOCK):
             self._predict_block(q[lo : lo + _QUERY_BLOCK], out[lo : lo + _QUERY_BLOCK])
-
-    _predict_blocks_pinned = _one_blas_thread(_predict_blocks)
+        return out
 
     def _predict_block(self, qb: np.ndarray, out: np.ndarray) -> None:
         # Prefilter. Let D = |x - q|^2 (real), e = fl(sum(fl(x - q)^2)) the

@@ -17,17 +17,18 @@ overflow), and its derivative is formed from the saved activation `a` and
 sigmoid `s` as `s + a * (1 - s)`. `AdamOptimizer` keeps its moments scaled by
 `1 / (1 - beta)`, which makes a step ten passes (see its docstring).
 
-Every matrix product of `_FlatMlp` runs on one BLAS thread: `_forward` and
-`_backward` pin the OpenBLAS that numpy loaded to one thread and restore the
-previous count on the way out. A threaded GEMM may split and sum a product
-differently, so this keeps model bits independent of the core count; at these
-sizes (tens to hundreds of rows) a second thread also saves no time. Small kNN
-maps are pinned too: `KnnLocalizer` runs its prefilter GEMM on one thread
-when the stored matrix is under 1 MiB, where a second thread saves little and
-then spins idle. Other products, such as the prefilter over a larger map, keep
-the library's threading. Where no OpenBLAS thread API is found (another BLAS,
-or no `/proc/self/maps` to find it in), the pin does nothing and the bits
-follow that library's threading.
+Every BLAS product fpsynth runs is on one thread, its only threading rule:
+`_FlatMlp._forward` and `_backward`, and `KnnLocalizer.predict_batch`, pin the
+OpenBLAS that numpy loaded to one thread and restore the previous count on the
+way out. A threaded GEMM may split and sum a product differently, so this
+keeps model bits independent of the core count; at the network's sizes a
+second thread also saves no time. The kNN prefilter's result does not depend
+on threading, and a second thread did save about 50 ms of the survey map's
+150 ms kNN evaluation on 2 CPUs, but its idle worker then spun for about
+0.18 s of CPU more. The CLI starts numpy's OpenBLAS on one thread (see `cli`).
+Where no OpenBLAS thread API is found (another BLAS, or no `/proc/self/maps`
+to find it in), the pin does nothing and the bits follow that library's
+threading.
 
 Every call computes into a `Workspace`, the buffers of every layer for one
 leading input shape. A training or sampling loop makes one and passes it to

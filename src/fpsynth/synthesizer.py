@@ -29,7 +29,7 @@ class AugmentationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.drop_threshold < 1.0:
             raise ConfigError(f"drop_threshold must be in [0, 1), got {self.drop_threshold}")

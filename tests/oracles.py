@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
+from fpsynth.dataset import coords_array
 from fpsynth.diffusion import LossBatch, embed_condition, embed_time_table
+from fpsynth.localizer import KnnLocalizer
 
 
 def brute_knn_densities(points, k):
@@ -248,6 +250,21 @@ def spatial_interpolate(seen_data, target, k):
         w = 1.0 / d[nearest]
         rows = np.array([means[order[int(i)]] for i in nearest])
         blended = (w[:, None] * rows).sum(axis=0) / w.sum()
+    floor = seen_data.norm_params.detect_floor
+    return np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))
+
+
+def interpolate_add_at(seen_data, targets, k):
+    """`interpolate_locations` with the location sums taken by `np.add.at`,
+    which adds unbuffered, in sample order."""
+    locs = seen_data.locations
+    sums = np.zeros((len(locs), seen_data.ap_count))
+    np.add.at(sums, seen_data.loc_index, seen_data.rss)
+    counts = np.bincount(seen_data.loc_index, minlength=len(locs)).astype(np.float64)
+    means = sums / counts[:, None]
+    order = sorted(range(len(locs)), key=lambda i: (locs[i].x, locs[i].y))
+    xy = seen_data.location_coords()[order]
+    blended = KnnLocalizer(xy, means[order], k).predict_batch(coords_array(targets))
     floor = seen_data.norm_params.detect_floor
     return np.where(blended < floor, 0.0, np.clip(blended, floor, 1.0))
 

@@ -4,7 +4,7 @@ import pytest
 from fpsynth.baselines import interpolate_locations
 from fpsynth.dataset import Coordinate, FingerprintDataset, NormalizationParams
 from fpsynth.errors import SizeError
-from oracles import spatial_interpolate
+from oracles import interpolate_add_at, spatial_interpolate
 
 
 def seen_ds(rss, locs, index=None):
@@ -71,6 +71,20 @@ class TestInterpolateLocations:
             assert np.array_equal(row, spatial_interpolate(ds, target, 3))
             # a target's row does not depend on the other targets in the call
             assert np.array_equal(row, interpolate_locations(ds, [target], 3)[0])
+
+    def test_location_sums_equal_np_add_at(self):
+        # interleaved locations with 1 to 9 samples each; many summands per
+        # location, so a sum in another order would show in the last bits
+        rng = np.random.default_rng(11)
+        counts = [9, 1, 4, 7, 2, 9, 5]
+        index = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        locs = [(float(i % 3), float(i // 3)) for i in range(len(counts))]
+        ds = seen_ds(rng.uniform(0.1, 1.0, (len(index), 40)), locs, index)
+        # targets at the seen locations return their means
+        targets = [Coordinate(*xy) for xy in locs] + [Coordinate(*(rng.random(2) * 2)) for _ in range(9)]
+        for k in (1, 3):
+            got = interpolate_locations(ds, targets, k)
+            assert got.tobytes() == interpolate_add_at(ds, targets, k).tobytes()
 
     @pytest.mark.parametrize("k", [1, 3, 4, 8])
     def test_lattice_ties_and_blocks_equal_the_oracle(self, k):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fpsynth import nets
 from fpsynth.cli import main
 from fpsynth.localizer import load_report
 
@@ -24,9 +25,12 @@ MAIN = ("-c", "import sys; from fpsynth.cli import main; sys.exit(main(sys.argv[
 
 
 def run_process(argv, entry=MAIN, **env):
-    """`fpsynth argv` in a fresh interpreter that imports this checkout's src/."""
+    """`fpsynth argv` in a fresh interpreter that imports this checkout's src/.
+
+    A keyword sets that environment variable; None unsets it.
+    """
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, **env)
+    env = {k: v for k, v in dict(os.environ, **env).items() if v is not None}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *entry, *argv], env=env, capture_output=True, text=True)
 
@@ -381,6 +385,33 @@ class TestComposition:
                            entry=("-m", "fpsynth.cli"))
         assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("x,y,role\n")
+
+
+def python_prints(code, **env) -> str:
+    proc = run_process([], entry=("-c", code), **env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_package_import_loads_no_numpy():
+    assert python_prints("import sys, fpsynth\nprint('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.skipif(
+    not nets._openblas_threads() or usable_cpus() < 2,
+    reason="needs numpy's OpenBLAS thread API and two CPUs, under which OpenBLAS starts one thread",
+)
+class TestCliThreading:
+    # a fresh interpreter, so numpy loads after whatever the import under test did
+    THREADS_AFTER_CLI_IMPORT = (
+        "import fpsynth.cli\nfrom fpsynth import nets\nprint(nets._openblas_threads()[0]())"
+    )
+
+    def test_cli_starts_openblas_with_one_thread(self):
+        assert python_prints(self.THREADS_AFTER_CLI_IMPORT, OPENBLAS_NUM_THREADS=None) == "1"
+
+    def test_a_set_thread_count_wins(self):
+        assert python_prints(self.THREADS_AFTER_CLI_IMPORT, OPENBLAS_NUM_THREADS="2") == "2"
 
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))

@@ -1,16 +1,23 @@
 import re
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from fpsynth.config import (
     _SCHEMA,
+    ExperimentConfig,
+    SyntheticSpec,
     apply_overrides,
     build_experiment_config,
     parse_flat_config,
     resolve_config,
 )
+from fpsynth.dataset import Coordinate, NormalizationParams, SyntheticEnvironment
+from fpsynth.diffusion import DiffusionTrainConfig, VicinityKernel
 from fpsynth.errors import ConfigError, ParseError
+from fpsynth.localizer import LocalizerHyperparams
+from fpsynth.synthesizer import AugmentationConfig
 
 
 def _parsed_or_none(parser, text):
@@ -117,3 +124,38 @@ class TestOverrides:
         assert cfg.seed == 77
         assert cfg.synth.ap_count == 4
         assert cfg.synth.grid_nx == 5  # from file
+
+
+_ENVIRONMENT = partial(SyntheticEnvironment, (Coordinate(0.0, 0.0),))
+# every float field of the Python API whose check rejects negative values
+_SIGNED_FLOAT_FIELDS = [
+    (AugmentationConfig, "noise_sigma"),
+    (AugmentationConfig, "drop_threshold"),
+    (LocalizerHyperparams, "learning_rate"),
+    (DiffusionTrainConfig, "learning_rate"),
+    (DiffusionTrainConfig, "lr_decay"),
+    (DiffusionTrainConfig, "sigma_w"),
+    (VicinityKernel, "sigma_w"),
+    (_ENVIRONMENT, "path_loss_exponent"),
+    (_ENVIRONMENT, "shadowing_sigma_db"),
+    (_ENVIRONMENT, "reference_distance_m"),
+    (NormalizationParams, "detect_floor"),
+    (SyntheticSpec, "width_m"),
+    (SyntheticSpec, "height_m"),
+    (ExperimentConfig, "file_test_fraction"),
+    (ExperimentConfig, "unseen_fraction"),
+    (ExperimentConfig, "minutes_per_location"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    _SIGNED_FLOAT_FIELDS,
+    ids=[f"{getattr(m, 'func', m).__name__}.{n}" for m, n in _SIGNED_FLOAT_FIELDS],
+)
+@pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_python_api_rejects_nan_as_it_rejects_a_negative_value(make, name, value):
+    # the config-file path rejects non-finite values itself; a direct
+    # construction relies on each field's own check
+    with pytest.raises(ConfigError):
+        make(**{name: value})

@@ -153,11 +153,10 @@ class TestKnnBatchBits:
 
 class TestBlasPin:
     # 2,400 x 20 float64 is the desk map's 384 KB; 7,000 x 20 is 1.1 MB
-    @pytest.mark.parametrize("rows, pinned", [(2_400, True), (7_000, False)])
-    def test_small_maps_run_pinned_large_maps_threaded(self, blas_threads, monkeypatch, rows, pinned):
+    @pytest.mark.parametrize("rows", [2_400, 7_000])
+    def test_every_block_runs_on_one_thread(self, blas_threads, monkeypatch, rows):
         rng = np.random.default_rng(rows)
         model = KnnLocalizer(rng.random((rows, 20)), rng.random((rows, 2)) * 50, 5)
-        assert (model.rss.nbytes < localizer._PIN_BELOW_BYTES) == pinned
         counts = []
         run_block = model._predict_block
         monkeypatch.setattr(
@@ -165,7 +164,7 @@ class TestBlasPin:
         )
         q = rng.random((2 * localizer._QUERY_BLOCK + 3, 20))
         got = batch_xy(model, q)
-        assert counts == [1 if pinned else 2] * 3
+        assert counts == [1] * 3
         assert blas_threads() == 2
         assert got == oracle_xy(model, q)
 
