@@ -12,8 +12,10 @@ error. Both variants answer a (Q, A) query matrix with the (Q, 2) array that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -45,6 +47,10 @@ class LocalizerHyperparams:
 # worker then spun for about 0.18 s of CPU more.
 _QUERY_BLOCK = 64
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# The feedforward localizer's parameter dtype in its fit, and so in its
+# predictions. float32 fits the staged-cli map (2,400 x 100) in about 60% of
+# float64's time (2 vCPUs, one BLAS thread).
+_FIT_DTYPE = np.float32
 
 
 def _query_matrix(queries, dim: int) -> np.ndarray:
@@ -137,8 +143,10 @@ class KnnLocalizer:
 class FeedforwardLocalizer:
     """MLP regressor RSS -> (x, y); variant tag 'feedforward'.
 
-    Every query runs in one reused 1-row workspace, so one model must not
-    predict from two threads at once.
+    The network computes in its parameters' dtype, float32 as fitted: a query
+    is cast to it, and the prediction comes back as float64. Every query runs
+    in one reused 1-row workspace, so one model must not predict from two
+    threads at once.
     """
 
     variant = "feedforward"
@@ -180,17 +188,23 @@ def fit_localizer(
 
 
 def _fit_feedforward(train, hp: LocalizerHyperparams, seed) -> FeedforwardLocalizer:
-    x = train.rss
-    y = train.coords_matrix()
+    """Fit the `Mlp` by minibatch Adam, in `_FIT_DTYPE`.
+
+    The map's rows and coordinates are cast to that dtype once; the network,
+    the optimizer, the workspace and the batch buffers are made in it.
+    """
+    x = train.rss.astype(_FIT_DTYPE)
+    y = train.coords_matrix().astype(_FIT_DTYPE)
     n, a = x.shape
     rng = np.random.default_rng(seed)
-    mlp = Mlp.create((a, *hp.hidden, 2), rng)
-    opt = AdamOptimizer(mlp.theta.shape[0], hp.learning_rate)
-    # one workspace and input buffer for the whole fit; a smaller last batch
-    # uses their leading rows
+    mlp = Mlp.create((a, *hp.hidden, 2), rng, _FIT_DTYPE)
+    opt = AdamOptimizer(mlp.theta.shape[0], hp.learning_rate, dtype=_FIT_DTYPE)
+    # one workspace and pair of batch buffers for the whole fit; a smaller
+    # last batch uses their leading rows
     rows = min(hp.batch_size, n)
     ws = mlp.workspace(rows)
-    x_buf = np.empty((rows, a))
+    x_buf = np.empty((rows, a), _FIT_DTYPE)
+    y_buf = np.empty((rows, 2), _FIT_DTYPE)
     # a diverging fit overflows; the finiteness check raises for it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(hp.epochs):
@@ -200,7 +214,7 @@ def _fit_feedforward(train, hp: LocalizerHyperparams, seed) -> FeedforwardLocali
                 b = j.shape[0]
                 xb = np.take(x, j, axis=0, out=x_buf[:b])
                 out, cache = mlp.forward_cached(xb, ws)
-                r = np.subtract(out, y[j], out=out)
+                r = np.subtract(out, np.take(y, j, axis=0, out=y_buf[:b]), out=out)
                 dout = np.multiply(2.0 / b, r, out=r)
                 opt.step(mlp.theta, mlp.backward(cache, dout))
             if not np.isfinite(mlp.theta).all():
@@ -236,12 +250,16 @@ def evaluate(model: LocalizationModel, test: FingerprintDataset) -> Localization
     )
 
 
+_REPORT_HEADER = "mean_error_m,median_error_m"
+_CDF_HEADER = "error_m,cumulative_fraction"
+
+
 def save_report(report: LocalizationReport, path) -> None:
     """Metrics file: summary header+row, then the CDF rows (plot-ready)."""
     lines = [
-        "mean_error_m,median_error_m",
+        _REPORT_HEADER,
         f"{report.mean_error_m!r},{report.median_error_m!r}",
-        "error_m,cumulative_fraction",
+        _CDF_HEADER,
     ]
     for e, f in report.error_cdf:
         lines.append(f"{e!r},{f!r}")
@@ -249,23 +267,56 @@ def save_report(report: LocalizationReport, path) -> None:
 
 
 def load_report(path) -> LocalizationReport:
-    """Read a report written by `save_report`; a malformed row raises ParseError naming its line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) < 3 or lines[0] != "mean_error_m,median_error_m":
-        raise ParseError(f"{path}: not a localization report")
+    """Read a report written by `save_report`.
+
+    What `save_report` cannot have written raises a ParseError naming its
+    line: a wrong header, a row that is not two finite non-negative numbers,
+    a cumulative fraction outside (0, 1], CDF errors or fractions that do not
+    strictly increase, a last fraction other than 1.0, or no CDF row at all.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8") from None
+    # read_text has turned "\r\n" and "\r" into "\n"; the file ends with one
+    lines = text.removesuffix("\n").split("\n") if text else []
+
+    def fail(lineno: int, why: str) -> NoReturn:
+        raise ParseError(f"{path}: line {lineno}: {why}")
+
+    def header(lineno: int, want: str) -> None:
+        got = lines[lineno - 1] if lineno <= len(lines) else None
+        if got != want:
+            fail(lineno, f"expected the header {want!r}, got {got!r}")
 
     def pair(lineno: int) -> tuple[float, float]:
+        if lineno > len(lines):
+            fail(lineno, "expected two numbers, got the end of the file")
         line = lines[lineno - 1]
         try:
             a, b = (float(v) for v in line.split(","))
-        except ValueError as e:
-            raise ParseError(f"{path}: line {lineno}: expected two numbers, got {line!r}") from e
+        except ValueError:
+            fail(lineno, f"expected two numbers, got {line!r}")
+        if not (math.isfinite(a) and math.isfinite(b) and a >= 0.0 and b >= 0.0):
+            fail(lineno, f"expected two finite non-negative numbers, got {line!r}")
         return a, b
 
+    header(1, _REPORT_HEADER)
     mean, median = pair(2)
+    header(3, _CDF_HEADER)
+    cdf = []
+    for lineno in range(4, max(len(lines), 4) + 1):  # line 4 even when missing
+        e, f = pair(lineno)
+        if not 0.0 < f <= 1.0:
+            fail(lineno, f"cumulative fraction {f!r} is outside (0, 1]")
+        if cdf and not (e > cdf[-1][0] and f > cdf[-1][1]):
+            fail(lineno, "the CDF row does not increase on the row before")
+        cdf.append((e, f))
+    if cdf[-1][1] != 1.0:
+        fail(len(lines), f"the CDF ends at {cdf[-1][1]!r}, not 1.0")
     return LocalizationReport(
         mean_error_m=mean,
         median_error_m=median,
-        error_cdf=tuple(pair(i) for i in range(4, len(lines) + 1) if lines[i - 1].strip()),
+        error_cdf=tuple(cdf),
         per_sample_errors=(),
     )

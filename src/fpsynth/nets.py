@@ -3,9 +3,9 @@
 Each network computes on a single flat parameter vector `theta`, in the dtype
 of `theta`: float32 or float64. Workspaces and the optimizer's buffers take
 that dtype too, so one code path runs at either width. The diffusion trainer
-builds its denoiser in float32; the gradient check against central finite
-differences runs the same code at float64, the default of `create`, as does
-the localizer. One forward and one backward (`_FlatMlp`)
+builds its denoiser and the localizer fit builds its `Mlp` in float32; the
+gradient check against central finite differences runs the same code at
+float64, the default of `create`. One forward and one backward (`_FlatMlp`)
 serve both networks: the diffusion denoiser (`DenoiserNetwork`, with a skip
 from hidden layer 1 to hidden layer 3) and the feedforward localizer (`Mlp`,
 no skip).
@@ -451,9 +451,13 @@ class Mlp(_FlatMlp):
         super().__init__(_dims_shapes(self.dims), False, theta)
 
     @classmethod
-    def create(cls, dims, seed) -> "Mlp":
+    def create(cls, dims, seed, dtype=np.float64) -> "Mlp":
+        """Xavier-uniform weights, zero biases, deterministic given seed.
+
+        Drawn in float64 and rounded to `dtype`, as `DenoiserNetwork.create`.
+        """
         dims = tuple(int(d) for d in dims)
-        return cls(dims, _xavier_theta(_dims_shapes(dims), seed))
+        return cls(dims, _xavier_theta(_dims_shapes(dims), seed).astype(dtype, copy=False))
 
     def forward_cached(self, x: np.ndarray, ws: Workspace | None = None):
         """Output and backward cache for a `(..., batch, dims[0])` input,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fpsynth import localizer
 from fpsynth.dataset import Coordinate, FingerprintDataset, NormalizationParams
@@ -13,6 +15,77 @@ from fpsynth.localizer import (
     save_report,
 )
 from oracles import knn_predict
+
+# per-sample errors of a report: finite, non-negative, with repeats
+report_errors = st.lists(
+    st.sampled_from([0.0, 0.25, 1.5, 3.0]) | st.floats(0.0, 1e6, allow_subnormal=False),
+    min_size=1,
+    max_size=30,
+)
+# one line of text, any characters but line breaks
+line_text = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=20)
+non_finite = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
+
+
+def report_of(errors) -> localizer.LocalizationReport:
+    """The report `evaluate` makes from these per-sample errors."""
+    arr = np.array(errors, dtype=np.float64)
+    values, counts = np.unique(arr, return_counts=True)
+    fractions = np.cumsum(counts) / arr.shape[0]
+    return localizer.LocalizationReport(
+        mean_error_m=float(arr.mean()),
+        median_error_m=float(np.median(arr)),
+        error_cdf=tuple((float(v), float(f)) for v, f in zip(values, fractions)),
+        per_sample_errors=tuple(arr.tolist()),
+    )
+
+
+def _two_numbers(line: str) -> bool:
+    try:
+        _, _ = map(float, line.split(","))  # a third field fails the unpacking
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def corrupted(draw, lines, lineno):
+    """A replacement for line `lineno` of a saved report that no report can hold there."""
+    line = lines[lineno - 1]
+    if lineno in (1, 3):  # a header: any other text
+        text = draw(line_text)
+        assume(text != line)
+        return text
+    e, f = line.split(",")
+    kinds = ["text", "non-finite", "extra field", "negative"]
+    if lineno >= 4:  # a CDF row
+        kinds.append("fraction out of range")
+    if lineno > 4:
+        kinds.append("not increasing")
+    if lineno == len(lines):
+        kinds.append("last fraction below 1")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "text":
+        text = draw(line_text)
+        assume(not _two_numbers(text))
+        return text
+    if kind == "non-finite":
+        bad = draw(non_finite)
+        return draw(st.sampled_from([f"{bad},{f}", f"{e},{bad}"]))
+    if kind == "extra field":
+        return f"{line},{draw(st.floats(0, 1))!r}"
+    if kind == "negative":
+        bad = repr(-draw(st.floats(1e-300, 1e6)))
+        return draw(st.sampled_from([f"{bad},{f}", f"{e},{bad}"]))
+    if kind == "fraction out of range":
+        return f"{e},{draw(st.floats(1.0, 1e300, exclude_min=True) | st.just(0.0))!r}"
+    if kind == "not increasing":
+        prev_e, prev_f = (float(v) for v in lines[lineno - 2].split(","))
+        if draw(st.booleans()):
+            return f"{draw(st.floats(0.0, prev_e))!r},{f}"
+        return f"{e},{draw(st.floats(0.0, prev_f, exclude_min=True))!r}"
+    # the last row: any fraction that is not 1.0
+    return f"{e},{draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))!r}"
 
 
 def ds_of(rss, locs, index=None):
@@ -216,12 +289,33 @@ class TestFeedforward:
         b = fit_localizer(train, "feedforward", hp, seed=5)
         assert np.array_equal(a.mlp.theta, b.mlp.theta)
 
+    def test_float32_fit_tracks_float64(self, monkeypatch):
+        # the same fit at both parameter widths: the random streams are the
+        # same, so the gaps are float32 rounding carried through 50 steps.
+        # Bound: 32 float32 epsilons, relative (3 to 7 were measured).
+        rng = np.random.default_rng(30)
+        train = ds_of(rng.uniform(0.1, 1, (16, 4)), rng.uniform(0, 10, (16, 2)))
+        hp = LocalizerHyperparams(hidden=(16, 16), epochs=25, batch_size=8)
+        narrow = fit_localizer(train, "feedforward", hp, seed=4)
+        monkeypatch.setattr(localizer, "_FIT_DTYPE", np.float64)
+        wide = fit_localizer(train, "feedforward", hp, seed=4)
+        assert narrow.mlp.theta.dtype == np.float32
+        assert wide.mlp.theta.dtype == np.float64
+        tol = 32 * np.finfo(np.float32).eps
+        theta_gap = np.abs(narrow.mlp.theta - wide.mlp.theta)
+        assert np.max(theta_gap) < tol * np.max(np.abs(wide.mlp.theta))
+        pred = narrow.predict_batch(train.rss)
+        assert pred.dtype == np.float64
+        wide_pred = wide.predict_batch(train.rss)
+        assert np.max(np.abs(pred - wide_pred)) < tol * np.max(np.abs(wide_pred))
+
     def test_diverged_fit_raises_naming_the_epoch(self):
         rng = np.random.default_rng(3)
         train = ds_of(rng.uniform(0.1, 1, (5, 2)), [(float(i), 1.0) for i in range(5)])
-        # one step per epoch: the first moves theta by about 1e300, still
-        # finite; the second overflows
-        hp = LocalizerHyperparams(epochs=3, learning_rate=1e300)
+        # one step per epoch in the float32 fit: the first moves theta by
+        # about 1e30, still below float32's 3.4e38; in the second the
+        # forward's products (about 1e60) overflow
+        hp = LocalizerHyperparams(epochs=3, learning_rate=1e30)
         with pytest.raises(RangeError, match="diverged in epoch 2"):
             fit_localizer(train, "feedforward", hp, seed=0)
 
@@ -320,10 +414,51 @@ class TestReportFile:
             (["3.0", "error_m,cumulative_fraction"], 2),  # a summary row with one field
             (["3.0,2.0", "error_m,cumulative_fraction", "1.0,0.5", "2.0,x"], 5),
             (["3.0,2.0", "error_m,cumulative_fraction", "1.0,0.5,0.7"], 4),
+            (["3.0,2.0", "bogus header", "1.0,1.0"], 3),
+            (["3.0,2.0", "error_m,cumulative_fraction", "nan,inf"], 4),
+            (["3.0,2.0", "error_m,cumulative_fraction", "1.0,0.5", "0.5,1.0"], 5),  # decreasing
+            (["3.0,2.0", "error_m,cumulative_fraction", "1.0,0.5", "2.0,0.9"], 5),  # ends below 1
+            (["3.0,2.0", "error_m,cumulative_fraction"], 4),  # no CDF rows
+            (["3.0,2.0", "error_m,cumulative_fraction", "", "1.0,1.0"], 4),
+            (["3.0,2.0", "error_m,cumulative_fraction", "1.0,1.5"], 4),
+            (["-3.0,2.0", "error_m,cumulative_fraction", "1.0,1.0"], 2),
+            ([], 2),
         ],
     )
     def test_malformed_row_names_line(self, tmp_path, rows, bad_line):
         path = tmp_path / "report.csv"
         path.write_text("\n".join(["mean_error_m,median_error_m", *rows]) + "\n")
         with pytest.raises(ParseError, match=f"line {bad_line}:"):
+            load_report(path)
+
+    def test_bad_first_line_and_bytes(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match="line 1:"):
+            load_report(path)
+        path.write_bytes(b"mean_error_m,median_error_m\n\xff,1.0\n")
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            load_report(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(report_errors)
+    def test_saved_report_loads_back(self, tmp_path_factory, errors):
+        report = report_of(errors)
+        path = tmp_path_factory.mktemp("report") / "report.csv"
+        save_report(report, path)
+        loaded = load_report(path)
+        assert loaded.mean_error_m == report.mean_error_m
+        assert loaded.median_error_m == report.median_error_m
+        assert loaded.error_cdf == report.error_cdf
+
+    @settings(max_examples=300, deadline=None)
+    @given(report_errors, st.data())
+    def test_one_corrupted_line_raises_naming_it(self, tmp_path_factory, errors, data):
+        path = tmp_path_factory.mktemp("report") / "report.csv"
+        save_report(report_of(errors), path)
+        lines = path.read_text().splitlines()
+        lineno = data.draw(st.integers(1, len(lines)), label="lineno")
+        lines[lineno - 1] = data.draw(corrupted(lines, lineno), label="line")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line {lineno}:"):
             load_report(path)

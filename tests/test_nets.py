@@ -151,7 +151,8 @@ def make_net(kind):
         dtype = np.float32 if kind == "denoiser-float32" else np.float64
         net = DenoiserNetwork.create(arch, 21, dtype)
     else:
-        net = Mlp.create((30, 64, 48, 2), 21)
+        dtype = np.float32 if kind == "mlp-float32" else np.float64
+        net = Mlp.create((30, 64, 48, 2), 21, dtype)
     net.theta += np.random.default_rng(22).normal(0, 0.05, net.theta.shape[0]).astype(net.theta.dtype)
     return net
 
@@ -161,7 +162,7 @@ def in_out_dims(net):
     return shapes[0][2][1], shapes[-1][2][0]
 
 
-@pytest.mark.parametrize("kind", ["denoiser", "denoiser-float32", "mlp"])
+@pytest.mark.parametrize("kind", ["denoiser", "denoiser-float32", "mlp", "mlp-float32"])
 class TestWorkspace:
     """Calls through a reused workspace give the bits of calls with fresh buffers."""
 
@@ -312,6 +313,16 @@ class TestMlp:
             fd[i] = (up - dn) / (2 * h)
         rel = np.max(np.abs(grad - fd)) / (np.max(np.abs(fd)) + 1e-12)
         assert rel < 1e-6
+
+    def test_dtype_follows_create(self):
+        f32 = Mlp.create((4, 6, 2), 0, np.float32)
+        f64 = Mlp.create((4, 6, 2), 0)
+        assert f32.theta.dtype == np.float32 and f64.theta.dtype == np.float64
+        # one random stream: the float32 weights are the float64 ones rounded
+        assert np.array_equal(f32.theta, f64.theta.astype(np.float32))
+        out, cache = f32.forward_cached(np.ones((3, 4)))
+        assert out.dtype == np.float32
+        assert f32.backward(cache, np.ones(out.shape)).dtype == np.float32
 
     def test_shape_validation(self):
         mlp = Mlp.create((4, 3, 2), 0)
