@@ -46,9 +46,10 @@ Last, once the datasets above are dropped, the interpolator arm end to end:
 
     PYTHONPATH=src python3 scripts/filescale.py --out filescale.json
 
-Its peak resident memory is about 393 MB (392.6 MB over two runs with numpy
-2.4 on 2 vCPUs); the `maxrss_mb` of each operation shows where it is reached.
-The whole script takes about 70 s there.
+Its peak resident memory is about 444 MB (444.4 MB over two runs with numpy
+2.4 on 2 vCPUs), reached in `evaluate`, where the kNN localizer holds a 62 MB
+float32 copy of the 30,000-row map; the `maxrss_mb` of each operation shows
+where it is reached. The whole script takes about 70 s there.
 """
 
 import argparse

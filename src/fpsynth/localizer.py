@@ -41,12 +41,20 @@ class LocalizerHyperparams:
 
 
 # Queries per prefilter GEMM. A block's approximate distance matrix is
-# _QUERY_BLOCK x N float64: 4.9 MB for the 9,600-row survey map. Every block
-# runs on one BLAS thread, at every map size: on 2 CPUs a second thread saved
-# about 50 ms of the survey map's 150 ms evaluation, and its idle OpenBLAS
-# worker then spun for about 0.18 s of CPU more.
+# _QUERY_BLOCK x N float32: 2.5 MB for the 9,600-row survey map. Every block
+# runs on one BLAS thread, at every map size: on 2 vCPUs the survey map's
+# evaluation took 224-242 ms with two OpenBLAS threads, against 70-89 ms on one.
 _QUERY_BLOCK = 64
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# Stored values per row block while the prefilter copy is built: the block's
+# float64 temporary is 256 KB, whatever the map's size.
+_BUILD_BLOCK_VALUES = 1 << 15
+_UNIT_ROUNDOFF = np.finfo(np.float32).eps / 2
+# The prefilter bound holds for rows up to 2**18 wide (width times float32's
+# unit roundoff at most 1/64) and centred squared norms up to 2**100, which
+# keep every float32 value of the GEMM far from overflow; outside that range
+# the localizer raises RangeError.
+_MAX_WIDTH = 1 << 18
+_MAX_SQ_NORM = 2.0**100
 # The feedforward localizer's parameter dtype in its fit, and so in its
 # predictions. float32 fits the staged-cli map (2,400 x 100) in about 60% of
 # float64's time (2 vCPUs, one BLAS thread).
@@ -69,6 +77,11 @@ class KnnLocalizer:
     `rss` holds the (N, D) stored rows and `coords` an (N, V) value row for
     each; `predict_batch` averages the values of a query's k nearest rows. For
     the localizer they are the training fingerprints and their coordinates.
+
+    The prefilter reads a float32 copy of the rows, half the size of `rss`:
+    centred on their column mean and transposed to (D, N), built a row block
+    at a time. Rows wider than 2**18 columns, or a stored row or query farther
+    than 2**50 from that mean, raise a RangeError.
     """
 
     variant = "knn"
@@ -77,8 +90,23 @@ class KnnLocalizer:
         self.rss = rss
         self.coords = coords
         self.k = k
-        self._sq_norms = np.einsum("ij,ij->i", rss, rss)  # no (N, A) temporary
-        self._max_sq_norm = float(self._sq_norms.max(initial=0.0))
+        n, dim = rss.shape
+        if dim > _MAX_WIDTH:
+            raise RangeError(f"stored rows have {dim} columns; the prefilter takes {_MAX_WIDTH}")
+        self._ct = np.empty((dim, n), np.float32)
+        norms = np.empty(n)  # of the centred float64 rows
+        rows = max(1, _BUILD_BLOCK_VALUES // dim)
+        block = np.empty((min(rows, n), dim))
+        with np.errstate(over="ignore", invalid="ignore"):  # the norm check raises for these
+            self._mean = rss.mean(axis=0)
+            for lo in range(0, n, rows):
+                b = np.subtract(rss[lo : lo + rows], self._mean, out=block[: min(rows, n - lo)])
+                norms[lo : lo + rows] = np.einsum("ij,ij->i", b, b)
+                np.copyto(self._ct[:, lo : lo + rows], b.T, casting="same_kind")
+        self._max_norm = float(norms.max(initial=0.0))
+        if not self._max_norm <= _MAX_SQ_NORM:
+            raise RangeError("a stored row lies too far from the others for the kNN prefilter")
+        self._norms = norms.astype(np.float32)
 
     def predict(self, rss: np.ndarray) -> Coordinate:
         rss = np.asarray(rss, dtype=np.float64)
@@ -100,44 +128,68 @@ class KnnLocalizer:
         return out
 
     def _predict_block(self, qb: np.ndarray, out: np.ndarray) -> None:
-        # Prefilter. Let D = |x - q|^2 (real), e = fl(sum(fl(x - q)^2)) the
-        # exact formula's value, s = |x|^2 - 2 q.x + |q|^2 from the GEMM, u the
-        # unit roundoff and M = |x|^2 + |q|^2, so D <= 2M and |q.x| <= M/2.
-        # Error bounds for sums and dot products that hold in any summation
-        # order (and with FMA), as in any classical BLAS product, give, to
-        # first order, |e - D| <= (A + 2) u D <= 2(A + 2) u M and
-        # |s - D| <= A u M (norms) + A u M (2 q.x) + 4 u M (two additions),
-        # so |s - e| <= 4(A + 2) u M. delta doubles that, with the largest
-        # stored norm in M, to absorb second-order terms.
-        # Let t be a query's k-th smallest s. Its k rows with s <= t have
-        # e <= t + delta. sqrt merges e values within a factor 1 + 5u, so every
-        # row of the exact stable top k (ties included) has
-        # e <= (t + delta)(1 + 5u), hence s <= t + 2 delta + 5u(t + delta),
-        # which is below t + 3 delta since t <= 2M + delta and delta >= 24 u M.
-        # Whatever bits BLAS returns, the candidates are a superset of the
-        # exact top k, so the result does not depend on BLAS or the block size.
-        qq = np.sum(qb * qb, axis=1)
-        approx = qb @ self.rss.T
-        approx *= -2.0
-        approx += self._sq_norms
-        approx += qq[:, None]
+        # Prefilter, in float32. Let m be the stored column mean, a = x - m and
+        # b = q - m in real arithmetic, A = |a|^2 <= A_max, B = |b|^2, M = A + B,
+        # c = fl32(fl(x - m)) and d = fl32(fl(q - m)) the float32 copies, D the
+        # width and u, u64 the float32 and float64 unit roundoffs. The query is
+        # cast as fl32(2 fl(m - q)), which is -2d up to underflow, so a row's
+        # value is t = fl(fl(-2d.c) + fl32(fl|fl(x - m)|^2)), and t + |d|^2
+        # ranks the rows as t does. Error bounds for sums and dot products
+        # that hold in any summation order (and with FMA), as in any classical
+        # BLAS product, give, to first order:
+        # - the casts move |c - d|^2 off |a - b|^2 by at most
+        #   2 |a - b| (u + u64)(|a| + |b|) <= 4 (u + u64) M;
+        # - the GEMM errs by at most D u 2|c||d| <= D u M;
+        # - the stored norm, summed in float64 and cast to float32, is within
+        #   3 u A of |c|^2, and the addition errs by u (2|c||d| + A) <= 2 u M;
+        # - e = fl(sum(fl(x - q)^2)), the exact formula's value, lies within
+        #   (D + 2) u64 2M of |a - b|^2, below u M.
+        # So |t + |d|^2 - e| <= (D + 10) u (A_max + B). Underflow (a float32
+        # value that flushes or rounds into the subnormals errs by at most
+        # 2^-126) adds at most (D + 5) 2^-124 (1 + M), and nothing overflows,
+        # since D <= 2^18 and A_max, B <= 2^100 (else RangeError). delta
+        # doubles (D + 11) u (A_max + B + 2^-96), with A_max and B summed in
+        # float64, to cover all of that and the second-order terms.
+        # Let T be a query's k-th smallest t + |d|^2. Its k rows with
+        # t + |d|^2 <= T have e <= T + delta. sqrt merges e values within a
+        # factor 1 + 5 u64, so every row of the exact stable top k (ties
+        # included) has e <= (T + delta)(1 + 5 u64), hence t + |d|^2 <=
+        # T + 2 delta + 5 u64 (T + delta), which is below T + 3 delta since
+        # T <= 2(A_max + B) + delta and delta >= 22 u (A_max + B). Subtracting
+        # |d|^2 gives the cut on t; rounding it to float32 loses no float32
+        # value below it. Whatever bits BLAS returns, the candidates are a
+        # superset of the exact top k, so the result does not depend on BLAS
+        # or the block size.
+        with np.errstate(over="ignore"):  # the norm check raises for these
+            qd = np.subtract(self._mean, qb)
+            qq = np.einsum("ij,ij->i", qd, qd)
+            qd *= 2.0
+            qd = qd.astype(np.float32)
+        if not qq.max() <= _MAX_SQ_NORM:
+            raise RangeError("a query lies too far from the stored rows for the kNN prefilter")
+        approx = qd @ self._ct
+        approx += self._norms
         # each row's k-th smallest, a row at a time: no (block, N) copy
         kth = np.array([np.partition(row, self.k - 1)[self.k - 1] for row in approx])
-        delta = (8 * (qb.shape[1] + 2) * _UNIT_ROUNDOFF) * (self._max_sq_norm + qq)
-        cut = kth + 3.0 * delta
+        delta = (2 * (qb.shape[1] + 11) * _UNIT_ROUNDOFF) * (self._max_norm + qq + 2.0**-96)
+        cut = (kth + 3.0 * delta).astype(np.float32)
         for query, row, c, dst in zip(qb, approx, cut, out):
             # ascending indices, so the stable argsort breaks ties as a full scan does
-            cand = np.flatnonzero(row <= c)
-            diff = self.rss[cand] - query
-            d = np.sqrt(np.sum(diff * diff, axis=1))
-            order = np.argsort(d, kind="stable")[: self.k]
-            dk = d[order]
-            nearest = cand[order]
-            if dk[0] == 0.0:
-                dst[:] = self.coords[nearest[0]]
-            else:
-                w = 1.0 / dk
-                dst[:] = (w[:, None] * self.coords[nearest]).sum(axis=0) / w.sum()
+            self._rerank(query, np.flatnonzero(row <= c), dst)
+
+    def _rerank(self, query: np.ndarray, cand: np.ndarray, dst: np.ndarray) -> None:
+        """Write into `dst` the IDW blend of the k rows among `cand`, ascending
+        row indices, nearest to `query` by exact float64 distance."""
+        diff = self.rss[cand] - query
+        d = np.sqrt(np.sum(diff * diff, axis=1))
+        order = np.argsort(d, kind="stable")[: self.k]
+        dk = d[order]
+        nearest = cand[order]
+        if dk[0] == 0.0:
+            dst[:] = self.coords[nearest[0]]
+        else:
+            w = 1.0 / dk
+            dst[:] = (w[:, None] * self.coords[nearest]).sum(axis=0) / w.sum()
 
 
 class FeedforwardLocalizer:

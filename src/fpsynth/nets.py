@@ -23,9 +23,10 @@ OpenBLAS that numpy loaded to one thread and restore the previous count on the
 way out. A threaded GEMM may split and sum a product differently, so this
 keeps model bits independent of the core count; at the network's sizes a
 second thread also saves no time. The kNN prefilter's result does not depend
-on threading, and a second thread did save about 50 ms of the survey map's
-150 ms kNN evaluation on 2 CPUs, but its idle worker then spun for about
-0.18 s of CPU more. The CLI starts numpy's OpenBLAS on one thread (see `cli`).
+on threading, and on 2 vCPUs its float32 GEMM is slower with a second thread:
+the survey map's kNN evaluation took 224-242 ms with OpenBLAS's two threads
+and 0.34-0.36 s of CPU, against 70-89 ms on one. The CLI starts numpy's
+OpenBLAS on one thread (see `cli`).
 Where no OpenBLAS thread API is found (another BLAS, or no `/proc/self/maps`
 to find it in), the pin does nothing and the bits follow that library's
 threading.

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fpsynth import localizer
+from fpsynth.baselines import interpolate_locations
 from fpsynth.dataset import Coordinate, FingerprintDataset, NormalizationParams
 from fpsynth.errors import ConfigError, ParseError, RangeError, ShapeError, SizeError
 from fpsynth.localizer import (
@@ -14,7 +15,7 @@ from fpsynth.localizer import (
     load_report,
     save_report,
 )
-from oracles import knn_predict
+from oracles import knn_predict, spatial_interpolate
 
 # per-sample errors of a report: finite, non-negative, with repeats
 report_errors = st.lists(
@@ -144,6 +145,10 @@ class TestKnn:
         assert a == b
 
 
+# UJIIndoorLoc's projected coordinates lie near (-7,500 m, 4,864,900 m)
+UJI_OFFSET = np.array([-7_500.0, 4_864_900.0])
+
+
 def batch_xy(model, queries):
     return [tuple(row) for row in model.predict_batch(queries).tolist()]
 
@@ -215,6 +220,77 @@ class TestKnnBatchBits:
         model = KnnLocalizer(stored, np.array([[0.0, 0.0], [9.0, 9.0]]), 1)
         assert batch_xy(model, q) == oracle_xy(model, q) == [(0.0, 0.0)]
 
+    def test_offset_rows_rerank_few_candidates(self, monkeypatch):
+        # 1,000 stored locations and 300 targets at UJIIndoorLoc's offset. An
+        # uncentred float32 prefilter sees |x|^2 ~ 2.4e13, so its bound would
+        # keep every row; centred, a query keeps about k rows.
+        rng = np.random.default_rng(7)
+        stored = rng.random((1_000, 2)) * [390.0, 270.0] + UJI_OFFSET
+        model = KnnLocalizer(stored, rng.random((1_000, 2)) * 10, 3)
+        q = rng.random((300, 2)) * [390.0, 270.0] + UJI_OFFSET
+        counts = []
+        rerank = model._rerank
+        monkeypatch.setattr(
+            model, "_rerank", lambda x, cand, dst: (counts.append(len(cand)), rerank(x, cand, dst))
+        )
+        assert batch_xy(model, q) == oracle_xy(model, q)
+        assert len(counts) == len(q)
+        assert min(counts) >= 3 and max(counts) <= 6
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_neighbours_finer_than_float32_far_from_the_mean(self, k):
+        # Half the rows sit at the origin, so the cluster's centred values are
+        # about 0.25 and their float32 spacing (3e-8) exceeds the cluster's
+        # 1e-8 spread: the float32 values misrank it and only the bound's
+        # margin keeps the exact nearest rows among the candidates.
+        rng = np.random.default_rng(13)
+        base = rng.random((1, 6))
+        stored = np.concatenate([np.zeros((100, 6)), base + rng.normal(0.0, 1e-8, (100, 6))])
+        model = KnnLocalizer(stored, rng.random((200, 2)) * 20, k)
+        q = base + rng.normal(0.0, 1e-8, (80, 6))
+        assert batch_xy(model, q) == oracle_xy(model, q)
+
+    def test_rows_equal_in_float32(self):
+        rng = np.random.default_rng(8)
+        base = rng.uniform(0.5, 1.0, (100, 8)).astype(np.float32).astype(np.float64)
+        twin = base + 1e-9  # under half a float32 ulp in [0.5, 1)
+        assert np.array_equal(twin.astype(np.float32), base.astype(np.float32))
+        stored = np.concatenate([twin[:50], base, twin[50:]])
+        model = KnnLocalizer(stored, rng.random((200, 2)) * 20, 4)
+        q = np.concatenate([rng.uniform(0.5, 1.0, (40, 8)), base[:10] + 4e-10, twin[:10] - 4e-10])
+        assert batch_xy(model, q) == oracle_xy(model, q)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_query_one_float32_ulp_from_a_stored_row(self, k):
+        rng = np.random.default_rng(9)
+        stored = rng.random((150, 12))
+        model = KnnLocalizer(stored, rng.random((150, 2)) * 20, k)
+        rows = stored[rng.integers(0, 150, 70)]
+        ulp = np.spacing(rows.astype(np.float32)).astype(np.float64)
+        q = np.concatenate([rows + ulp, rows - ulp])
+        assert batch_xy(model, q) == oracle_xy(model, q)
+
+    def test_survey_width(self):
+        # UJIIndoorLoc's 520 APs, about half of the readings "not detected"
+        rng = np.random.default_rng(10)
+        stored = np.where(rng.random((600, 520)) < 0.5, 0.0, rng.uniform(0.1, 1.0, (600, 520)))
+        model = KnnLocalizer(stored, rng.random((600, 2)) * 50, 5)
+        near = np.clip(stored[rng.integers(0, 600, 100)] + rng.normal(0.0, 0.02, (100, 520)), 0, 1)
+        q = np.concatenate([near, rng.random((30, 520))])
+        assert batch_xy(model, q) == oracle_xy(model, q)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_interpolation_at_offset_coordinates(self, k):
+        rng = np.random.default_rng(12)
+        lattice = [(x * 2.0, y * 2.0) for x in range(30) for y in range(20)]
+        locs = [tuple(np.add(lattice[i], UJI_OFFSET).tolist()) for i in rng.permutation(600)]
+        ds = ds_of(rng.uniform(0.1, 1.0, (600, 6)), locs)
+        targets = [Coordinate(*xy) for xy in (rng.random((150, 2)) * [60.0, 40.0] + UJI_OFFSET)]
+        targets += [Coordinate(x + 1.0, y + 1.0) for x, y in locs[:50]]  # four-way ties
+        got = interpolate_locations(ds, targets, k)
+        for row, target in zip(got, targets):
+            assert np.array_equal(row, spatial_interpolate(ds, target, k))
+
     def test_predict_is_the_predict_batch_row(self):
         rng = np.random.default_rng(6)
         model = KnnLocalizer(rng.random((100, 5)), rng.random((100, 2)) * 20, 3)
@@ -262,6 +338,21 @@ class TestQueryErrors:
             model.predict_batch(q)
         with pytest.raises(RangeError):
             model.predict(q[1])
+
+    def test_query_beyond_the_prefilter_range(self, model):
+        # 2^50 from the stored rows' mean bounds the prefilter's float32 range
+        far = np.full((2, 3), 2.0**50)
+        assert batch_xy(model, far / 4) == oracle_xy(model, far / 4)
+        with pytest.raises(RangeError, match="too far"):
+            model.predict_batch(far)
+
+    def test_stored_rows_beyond_the_prefilter_range(self):
+        with pytest.raises(RangeError, match="too far"):
+            KnnLocalizer(np.array([[0.0], [2.0**52]]), np.zeros((2, 2)), 1)
+        with pytest.raises(RangeError, match="too far"):
+            KnnLocalizer(np.array([[1e308], [1e308]]), np.zeros((2, 2)), 1)  # the mean overflows
+        with pytest.raises(RangeError, match="columns"):
+            KnnLocalizer(np.zeros((1, localizer._MAX_WIDTH + 1)), np.zeros((1, 2)), 1)
 
     def test_feedforward_batch_checked(self, tiny_dataset):
         hp = LocalizerHyperparams(hidden=(4,), epochs=1)
