@@ -19,7 +19,7 @@ _NAMES = {
     " spatial_loss_and_grad train",
     "errors": "FpsynthError",
     "initializer": "DensityParams LocationSplit neighbor_density select_unseen_density"
-    " select_unseen_grid select_unseen_random",
+    " select_unseen_random",
     "localizer": "LocalizerHyperparams evaluate fit_localizer",
     "nets": "DenoiserArch DenoiserNetwork",
     "pipeline": "ExperimentResult collection_overhead run_experiment sweep_ratio",

@@ -212,8 +212,7 @@ def main(argv=None) -> int:
     except StageError as e:
         print(f"error {e}", file=sys.stderr)
         return 2
-    except (FpsynthError, OSError, UnicodeDecodeError) as e:
-        # OSError and UnicodeDecodeError: a missing, unwritable or non-UTF-8 file
+    except (FpsynthError, OSError) as e:  # OSError: a missing or unwritable file
         print(f"error [{args.command}] {e}", file=sys.stderr)
         return 2
     return 0

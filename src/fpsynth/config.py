@@ -53,7 +53,7 @@ class ExperimentConfig:
     file_test_fraction: float = 0.25
     norm: NormalizationParams = field(default_factory=NormalizationParams)
     synth: SyntheticSpec = field(default_factory=SyntheticSpec)
-    split_strategy: str = "density"  # density | random | grid
+    split_strategy: str = "density"  # density | random
     unseen_fraction: float = 0.5
     density: DensityParams = field(default_factory=DensityParams)
     augment: AugmentationConfig = field(default_factory=AugmentationConfig)
@@ -75,7 +75,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"data.file.test_fraction must be in (0, 1), got {self.file_test_fraction}"
             )
-        if self.split_strategy not in ("density", "random", "grid"):
+        if self.split_strategy not in ("density", "random"):
             raise ConfigError(f"unknown split.strategy {self.split_strategy!r}")
         if not 0.0 <= self.unseen_fraction < 1.0:
             raise ConfigError(
@@ -108,7 +108,6 @@ _RENAMED = {
     "split.strategy": "split_strategy",
     "split.unseen_fraction": "unseen_fraction",
     "split.k_neighbors": "density.k_neighbors",
-    "split.batch_per_iteration": "density.batch_per_iteration",
     "augmenter.kind": "augmenter",
     "augmenter.samples_per_unseen": "samples_per_unseen",
     "augmenter.interpolator_k": "interpolator_k",
@@ -176,7 +175,11 @@ def parse_flat_config(text: str, origin: str = "<config>") -> dict[str, str]:
 
 
 def load_config_file(path) -> dict[str, str]:
-    return parse_flat_config(Path(path).read_text(encoding="utf-8"), origin=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8") from None
+    return parse_flat_config(text, origin=str(path))
 
 
 def build_experiment_config(flat: dict[str, str]) -> ExperimentConfig:

@@ -100,25 +100,19 @@ def forward_diffuse(m0: np.ndarray, t: int, eps: np.ndarray, schedule: NoiseSche
 
 @dataclass(frozen=True)
 class VicinityKernel:
-    """Distance-decaying weight coupling an unseen condition to a seen sample.
-
-    gaussian: w(d) = exp(-d^2 / (2 sigma_w^2)); hard: w(d) = 1 if d <= sigma_w else 0.
+    """Distance-decaying weight coupling an unseen condition to a seen sample:
+    w(d) = exp(-d^2 / (2 sigma_w^2)).
     """
 
     sigma_w: float
-    form: str = "gaussian"
 
     def __post_init__(self):
         if not self.sigma_w > 0:
             raise ConfigError(f"sigma_w must be > 0, got {self.sigma_w}")
-        if self.form not in ("gaussian", "hard"):
-            raise ConfigError(f"kernel form must be 'gaussian' or 'hard', got {self.form!r}")
 
     def weight(self, d):
         d = np.asarray(d, dtype=np.float64)
-        if self.form == "gaussian":
-            return np.exp(-(d * d) / (2.0 * self.sigma_w * self.sigma_w))
-        return np.where(d <= self.sigma_w, 1.0, 0.0)
+        return np.exp(-(d * d) / (2.0 * self.sigma_w * self.sigma_w))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +265,6 @@ class DiffusionTrainConfig:
     batch_size: int = 64
     epochs: int = 80
     sigma_w: float | None = None  # None = AUTO_SIGMA_FACTOR * median seen NN distance
-    kernel: str = "gaussian"
     seed: int = 0
     hidden: tuple[int, int, int] = (128, 64, 128)
     cond_freqs: int = 4
@@ -384,14 +377,14 @@ def train(data: FingerprintDataset, split: LocationSplit, cfg: DiffusionTrainCon
         sigma_w = cfg.sigma_w
     else:
         sigma_w = AUTO_SIGMA_FACTOR * float(np.median(neighbor_density(split.seen, 1)))
-    kernel = VicinityKernel(sigma_w, cfg.kernel)
+    kernel = VicinityKernel(sigma_w)
 
     # rows indexed by location; a location no sample uses cannot supervise
     mass, cdf = _condition_cdf(data.location_coords(), unseen_xy, kernel)
     if not np.any(mass[data.loc_index] > 0.0):
         raise CoverageError(
-            "no unseen location lies within kernel support of any seen sample; "
-            "the split cannot supervise generation"
+            "every seen sample's kernel mass over the unseen locations underflows "
+            "to 0; the split cannot supervise generation"
         )
 
     bounds = _training_bounds(split)

@@ -30,7 +30,7 @@ class ConsistencyError(FpsynthError):
 
 
 class CoverageError(FpsynthError):
-    """No unseen location lies within kernel support of any seen sample."""
+    """Every seen sample's kernel mass over the unseen locations is 0."""
 
 
 class StageError(FpsynthError):

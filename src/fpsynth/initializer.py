@@ -2,7 +2,7 @@
 
 The density-guided strategy repeatedly measures each remaining location's
 neighbor density (mean distance to its k nearest peers, smaller = denser),
-moves the densest location(s) to the unseen set, and recomputes. Locations in
+moves the densest location to the unseen set, and recomputes. Locations in
 crowded areas are dropped first because their neighbors can supervise
 generation there; sparse areas keep their survey points.
 
@@ -17,8 +17,7 @@ change which values fill the k smallest. Every other row keeps its density
 bit for bit, so only the rows within `kth` of a removed location are
 recomputed, with the same partition, sort and `fsum` helper as a full pass.
 
-Two reference strategies are included: uniform random selection and a
-grid-center heuristic.
+Uniform random selection is the reference strategy it is compared against.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Coordinate, coords_array, distances
-from .errors import ConsistencyError, ParseError, SizeError
+from .errors import ConfigError, ConsistencyError, ParseError, SizeError
 
 
 @dataclass(frozen=True)
@@ -62,13 +61,10 @@ class LocationSplit:
 @dataclass(frozen=True)
 class DensityParams:
     k_neighbors: int = 3
-    batch_per_iteration: int = 1
 
     def __post_init__(self):
         if self.k_neighbors < 1:
-            raise SizeError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
-        if self.batch_per_iteration < 1:
-            raise SizeError(f"batch_per_iteration must be >= 1, got {self.batch_per_iteration}")
+            raise ConfigError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
 
 
 def _check_distinct(points) -> None:
@@ -102,11 +98,11 @@ def neighbor_density(points, k: int) -> list[float]:
 def select_unseen_density(points, n_unseen: int, params: DensityParams = DensityParams()) -> LocationSplit:
     """Greedy densest-first selection of unseen locations.
 
-    Each iteration moves the `batch_per_iteration` densest (smallest mean
-    distance) remaining locations into the unseen set; ties break toward the
-    lexicographically smallest coordinate. Densities are then brought up to
-    date over the remaining locations by recomputing only the rows that had a
-    moved location among their k nearest (see the module docstring).
+    Each iteration moves the densest (smallest mean distance) remaining
+    location into the unseen set; ties break toward the lexicographically
+    smallest coordinate. Densities are then brought up to date over the
+    remaining locations by recomputing only the rows that had the moved
+    location among their k nearest (see the module docstring).
     """
     points = list(points)
     _check_distinct(points)
@@ -126,13 +122,12 @@ def select_unseen_density(points, n_unseen: int, params: DensityParams = Density
     xy_rank[sorted(range(n), key=lambda i: (points[i].x, points[i].y))] = np.arange(n)
     remaining = np.arange(n)
     unseen_idx: list[int] = []
-    while len(unseen_idx) < n_unseen:
-        take = min(params.batch_per_iteration, n_unseen - len(unseen_idx))
-        order = np.lexsort((xy_rank[remaining], dens[remaining]))
-        moved = remaining[order[:take]]
-        unseen_idx.extend(moved.tolist())
-        remaining = np.delete(remaining, order[:take])
-        stale = remaining[(dist[np.ix_(remaining, moved)] <= kth[remaining, None]).any(axis=1)]
+    for _ in range(n_unseen):
+        pos = int(np.lexsort((xy_rank[remaining], dens[remaining]))[0])
+        moved = int(remaining[pos])
+        unseen_idx.append(moved)
+        remaining = np.delete(remaining, pos)
+        stale = remaining[dist[remaining, moved] <= kth[remaining]]
         dens[stale], kth[stale] = _knn_stats(dist[np.ix_(stale, remaining)], k)
     return LocationSplit(
         seen=tuple(points[i] for i in remaining.tolist()),
@@ -156,59 +151,6 @@ def select_unseen_random(points, n_unseen: int, seed) -> LocationSplit:
     )
 
 
-def select_unseen_grid(points, n_unseen: int) -> LocationSplit:
-    """Grid-center selection of seen locations.
-
-    The bounding box is divided into ceil(sqrt(n_seen))^2 cells (row-major
-    scan); each cell marks the point nearest its center as seen. Remaining
-    seen slots are filled farthest-point-first from the already chosen set.
-
-    On an n x n lattice with fewer than n - 1 cells a side, no cell center is
-    nearest a border point, and the scan stops once `n_seen` points are marked,
-    which can be before the last cell rows. So on the 10 x 10 desk grid at
-    unseen fraction 0.5 (8 x 8 cells) the seen points are the 8 x 6 interior
-    block above the bottom border and two more: all 36 perimeter points and
-    most of the top three rows are unseen.
-    """
-    points = list(points)
-    _check_distinct(points)
-    n = len(points)
-    if not 0 <= n_unseen <= n - 1:
-        raise SizeError(f"n_unseen={n_unseen} must be in [0, {n - 1}]")
-    n_seen = n - n_unseen
-    xy = coords_array(points)
-    x, y = xy[:, 0], xy[:, 1]
-    xmin, ymin = xy.min(axis=0)
-    xmax, ymax = xy.max(axis=0)
-    g = math.isqrt(n_seen)
-    if g * g < n_seen:
-        g += 1
-    seen_idx: list[int] = []
-    mind2 = np.full(n, np.inf)  # squared distance to the nearest seen point; -inf once seen
-
-    def take(i: int) -> None:
-        seen_idx.append(i)
-        dx, dy = x[i] - x, y[i] - y
-        np.minimum(mind2, dx * dx + dy * dy, out=mind2)
-        mind2[i] = -np.inf
-
-    for iy in range(g):
-        for ix in range(g):
-            if len(seen_idx) >= n_seen:
-                break
-            cx = xmin + (ix + 0.5) * (xmax - xmin) / g
-            cy = ymin + (iy + 0.5) * (ymax - ymin) / g
-            best = int(np.lexsort((y, x, (x - cx) ** 2 + (y - cy) ** 2))[0])
-            if mind2[best] != -np.inf:
-                take(best)
-    while len(seen_idx) < n_seen:
-        take(int(np.lexsort((y, x, -mind2))[0]))
-    return LocationSplit(
-        seen=tuple(points[i] for i in seen_idx),
-        unseen=tuple(points[i] for i in np.flatnonzero(mind2 != -np.inf).tolist()),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Split file: x,y,role rows for pipeline hand-off
 
@@ -223,7 +165,12 @@ def save_split(split: LocationSplit, path) -> None:
 
 
 def load_split(path) -> LocationSplit:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8") from None
+    # read_text has turned "\r\n" and "\r" into "\n"; a line breaks there only
+    lines = text.split("\n")
     if not lines or lines[0].strip() != "x,y,role":
         raise ParseError(f"{path}: expected header 'x,y,role'")
     seen: list[Coordinate] = []

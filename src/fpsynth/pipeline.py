@@ -42,7 +42,6 @@ from .errors import ConfigError, FpsynthError, SizeError, StageError
 from .initializer import (
     LocationSplit,
     select_unseen_density,
-    select_unseen_grid,
     select_unseen_random,
 )
 from .localizer import LocalizationReport, evaluate, fit_localizer
@@ -151,9 +150,7 @@ def compute_split(cfg: ExperimentConfig, locations) -> LocationSplit:
                 f"density selection needs at least k_neighbors+1 = {cfg.density.k_neighbors + 1}"
             )
         return select_unseen_density(locations, n_unseen, cfg.density)
-    if cfg.split_strategy == "random":
-        return select_unseen_random(locations, n_unseen, stage_seed(cfg.seed, "split"))
-    return select_unseen_grid(locations, n_unseen)
+    return select_unseen_random(locations, n_unseen, stage_seed(cfg.seed, "split"))
 
 
 def _interpolated_map(aug, split, cfg, out=None) -> FingerprintDataset:

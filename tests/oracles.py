@@ -29,24 +29,20 @@ def brute_knn_densities(points, k):
     return out
 
 
-def brute_density_split(points, n_unseen, k, batch=1):
+def brute_density_split(points, n_unseen, k):
     """Greedy densest-first selection; returns (seen, unseen) as tuple lists."""
     remaining = list(points)
     unseen = []
     while len(unseen) < n_unseen:
-        take = min(batch, n_unseen - len(unseen))
         dens = brute_knn_densities(remaining, k)
-        ranked = sorted(
+        chosen = min(
             range(len(remaining)), key=lambda i: (dens[i], remaining[i][0], remaining[i][1])
         )
-        chosen = [remaining[i] for i in ranked[:take]]
-        unseen.extend(chosen)
-        chosen_set = set(chosen)
-        remaining = [p for p in remaining if p not in chosen_set]
+        unseen.append(remaining.pop(chosen))
     return remaining, unseen
 
 
-def rerank_density_split(points, n_unseen, k, batch=1):
+def rerank_density_split(points, n_unseen, k):
     """The full re-rank form of the density split: every iteration recomputes
     every remaining location's density from the remaining distance submatrix.
 
@@ -59,56 +55,15 @@ def rerank_density_split(points, n_unseen, k, batch=1):
     remaining = list(range(len(points)))
     unseen_idx = []
     while len(unseen_idx) < n_unseen:
-        take = min(batch, n_unseen - len(unseen_idx))
         sub = dist[np.ix_(remaining, remaining)]
         smallest = np.sort(np.partition(sub, k, axis=1)[:, : k + 1], axis=1)
         dens = [math.fsum(row[1:]) / k for row in smallest]
-        order = sorted(
+        moved = min(
             range(len(remaining)),
             key=lambda r: (dens[r], points[remaining[r]].x, points[remaining[r]].y),
         )
-        moved = [remaining[r] for r in order[:take]]
-        unseen_idx.extend(moved)
-        moved_set = set(moved)
-        remaining = [i for i in remaining if i not in moved_set]
+        unseen_idx.append(remaining.pop(moved))
     return [points[i] for i in remaining], [points[i] for i in unseen_idx]
-
-
-def scan_grid_split(points, n_unseen):
-    """The per-pick scan form of the grid-center split: each cell's nearest
-    point and each farthest-point fill pick is a `min` over every candidate,
-    with squared distances recomputed against the whole chosen set.
-
-    points: list of Coordinate; returns (seen, unseen) as Coordinate lists.
-    """
-    n = len(points)
-    n_seen = n - n_unseen
-    xy = np.array([[p.x, p.y] for p in points], dtype=np.float64)
-    xmin, ymin = xy.min(axis=0)
-    xmax, ymax = xy.max(axis=0)
-    g = math.isqrt(n_seen)
-    if g * g < n_seen:
-        g += 1
-    seen_idx = []
-    for iy in range(g):
-        for ix in range(g):
-            if len(seen_idx) >= n_seen:
-                break
-            cx = xmin + (ix + 0.5) * (xmax - xmin) / g
-            cy = ymin + (iy + 0.5) * (ymax - ymin) / g
-            d2 = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2
-            best = min(range(n), key=lambda i: (d2[i], points[i].x, points[i].y))
-            if best not in seen_idx:
-                seen_idx.append(best)
-    while len(seen_idx) < n_seen:
-        chosen_xy = xy[seen_idx]
-        mind2 = {}
-        for i in (i for i in range(n) if i not in seen_idx):
-            dx = chosen_xy[:, 0] - xy[i, 0]
-            dy = chosen_xy[:, 1] - xy[i, 1]
-            mind2[i] = float(np.min(dx * dx + dy * dy))
-        seen_idx.append(min(mind2, key=lambda i: (-mind2[i], points[i].x, points[i].y)))
-    return [points[i] for i in seen_idx], [points[i] for i in range(n) if i not in seen_idx]
 
 
 def masked_sigmoid(x):

@@ -89,15 +89,12 @@ def test_criterion_01_selection_oracle_equivalence():
             xy = rng.random((n, 2)) * 10.0
             points = [Coordinate(float(x), float(y)) for x, y in xy]
         k = int(rng.integers(1, 4))
-        batch = int(rng.integers(1, 3))
         max_unseen = len(points) - (k + 1)
         if max_unseen < 0:
             continue
         for n_unseen in range(0, max_unseen + 1):
-            split = select_unseen_density(points, n_unseen, DensityParams(k, batch))
-            seen_o, unseen_o = brute_density_split(
-                [(p.x, p.y) for p in points], n_unseen, k, batch
-            )
+            split = select_unseen_density(points, n_unseen, DensityParams(k))
+            seen_o, unseen_o = brute_density_split([(p.x, p.y) for p in points], n_unseen, k)
             assert [(c.x, c.y) for c in split.unseen] == unseen_o
             assert [(c.x, c.y) for c in split.seen] == seen_o
             checked += 1

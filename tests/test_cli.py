@@ -127,6 +127,23 @@ class TestFailureModes:
         assert f"config key {key!r}: bad value" in capsys.readouterr().err
         assert not out.exists()
 
+    # retired settings: the grid split, split.batch_per_iteration (always 1)
+    # and the hard vicinity kernel
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("split.strategy=grid", "unknown split.strategy 'grid'"),
+            ("split.batch_per_iteration=1", "unknown config key 'split.batch_per_iteration'"),
+            ("diffusion.kernel=gaussian", "unknown config key 'diffusion.kernel'"),
+        ],
+        ids=["grid-split", "batch-per-iteration", "kernel"],
+    )
+    def test_retired_setting_is_a_config_error(self, setting, message, tmp_path, capsys):
+        out = tmp_path / "split.csv"
+        assert main(["split", "--set", setting, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error [split] {message}\n"
+        assert not out.exists()
+
     def test_stage_tagged_failure(self, tiny_config_file, tmp_path, capsys):
         code = main(
             ["pipeline", "-c", tiny_config_file, "-o", str(tmp_path / "r.csv"),
@@ -210,29 +227,33 @@ class TestFailureModes:
         assert "missing.file" in err
 
     @pytest.mark.parametrize(
-        "which, raw, lineno",
+        "which, raw, where",
         [
             ("dataset", b"seed = 1\n\xff\xfe\n", None),
-            ("config", b"seed = 1\n\xff\xfe\n", None),
-            ("dataset", b"AP001,AP\xe9,X,Y\n-50,100,0,0\n", 1),
-            ("dataset", b"AP001,X,Y\n-50,0,0\n-50,1\xe9,0\n", 3),
+            ("config", b"seed = 1\n\xff\xfe\n", ""),
+            ("split", b"x,y,role\n0,0,se\xffen\n", ""),
+            ("dataset", b"AP001,AP\xe9,X,Y\n-50,100,0,0\n", "line 1: "),
+            ("dataset", b"AP001,X,Y\n-50,0,0\n-50,1\xe9,0\n", "line 3: "),
         ],
-        ids=["dataset", "config", "dataset-header", "dataset-body"],
+        ids=["dataset", "config", "split", "dataset-header", "dataset-body"],
     )
     def test_non_utf8_input_is_an_error_not_a_traceback(
-        self, which, raw, lineno, tiny_config_file, tmp_path, capsys
+        self, which, raw, where, tiny_config_file, tmp_path, capsys
     ):
         bad = tmp_path / "bad.file"
         bad.write_bytes(raw)
         c = str(bad) if which == "config" else tiny_config_file
-        argv = ["split", "-c", c, "-o", str(tmp_path / "out")]
+        command = "augment" if which == "split" else "split"
+        argv = [command, "-c", c, "-o", str(tmp_path / "out")]
         if which == "dataset":
             argv += ["--data", str(bad)]
+        if which == "split":
+            argv += ["--split", str(bad)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error [split]")
-        if lineno is not None:
-            assert err == f"error [split] {bad}: line {lineno}: not valid UTF-8\n"
+        assert err.startswith(f"error [{command}]")
+        if where is not None:
+            assert err == f"error [{command}] {bad}: {where}not valid UTF-8\n"
 
     def test_output_in_missing_directory_is_an_error_not_a_traceback(
         self, tiny_config_file, tmp_path, capsys
@@ -414,7 +435,8 @@ class TestCliThreading:
         assert python_prints(self.THREADS_AFTER_CLI_IMPORT, OPENBLAS_NUM_THREADS="2") == "2"
 
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
 
 
 class TestScripts:
@@ -424,3 +446,36 @@ class TestScripts:
         proc = run_process(["--help"], entry=(str(script),))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage:")
+
+    def test_compare_augmenters_writes_each_arms_pipeline_report(self, tiny_config_file, tmp_path):
+        argv = ["-c", tiny_config_file, "--seed", "5", "--outdir", str(tmp_path / "reports")]
+        proc = run_process(argv, entry=(str(SCRIPT_DIR / "compare_augmenters.py"),))
+        assert proc.returncode == 0, proc.stderr
+        for arm in ("diffusion", "interpolator", "none"):
+            want = tmp_path / f"{arm}.csv"
+            run_ok(["pipeline", "-c", tiny_config_file, "--set", f"augmenter.kind={arm}",
+                    "-o", str(want)])
+            assert (tmp_path / "reports" / f"report_{arm}.csv").read_bytes() == want.read_bytes()
+
+    def test_overhead_tradeoff_writes_the_sweeps_rows(self, tiny_config_file, tmp_path):
+        out = tmp_path / "tradeoff.csv"
+        argv = ["-c", tiny_config_file, "--fractions", "0,0.4", "--seeds", "2", "-o", str(out)]
+        proc = run_process(argv, entry=(str(SCRIPT_DIR / "overhead_tradeoff.py"),))
+        assert proc.returncode == 0, proc.stderr
+        sweeps = []  # per seed: one row per fraction
+        for seed in (0, 1):
+            path = tmp_path / f"sweep_{seed}.csv"
+            run_ok(["sweep", "-c", tiny_config_file, "--seed", str(seed),
+                    "--fractions", "0,0.4", "-o", str(path)])
+            sweeps.append([row.split(",") for row in path.read_text().splitlines()[1:]])
+        header, *rows = out.read_text().splitlines()
+        assert header == (
+            "unseen_fraction,n_seen,collection_overhead_min,mean_error_m_median,"
+            "mean_error_m_per_seed"
+        )
+        assert len(rows) == 2
+        for i, row in enumerate(rows):
+            fraction, n_seen, _, overhead, _, _ = sweeps[0][i]
+            errors = [float(sweep[i][4]) for sweep in sweeps]
+            per_seed = ";".join(f"{e:.4f}" for e in errors)
+            assert row == f"{fraction},{n_seen},{overhead},{float(np.median(errors))!r},{per_seed}"

@@ -65,7 +65,7 @@ class TestSchema:
     def test_nested_assembly(self):
         cfg = build_experiment_config(
             {
-                "split.strategy": "grid",
+                "split.strategy": "random",
                 "split.k_neighbors": "2",
                 "diffusion.hidden": "32,16,32",
                 "diffusion.sigma_w": "auto",
@@ -73,7 +73,7 @@ class TestSchema:
                 "augmenter.kind": "interpolator",
             }
         )
-        assert cfg.split_strategy == "grid"
+        assert cfg.split_strategy == "random"
         assert cfg.density.k_neighbors == 2
         assert cfg.diffusion.hidden == (32, 16, 32)
         assert cfg.diffusion.sigma_w is None
@@ -105,7 +105,7 @@ class TestSchema:
         # each once, the optional data.file.* keys as commented-out lines
         text = (Path(__file__).parent.parent / "configs" / "default.cfg").read_text()
         keys = re.findall(r"^#?\s*([a-z][\w.]*)\s*=", text, flags=re.MULTILINE)
-        assert len(keys) == len(set(keys))
+        assert len(keys) == len(set(keys)) == 47
         assert set(keys) == set(_SCHEMA)
 
 

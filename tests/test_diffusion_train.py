@@ -112,14 +112,17 @@ class TestTrain:
         with pytest.raises(SizeError):
             train(data, LocationSplit(seen=split.seen, unseen=()), quick_cfg(epochs=1))
 
-    def test_coverage_error_hard_kernel(self):
+    def test_coverage_error_when_every_mass_underflows(self):
+        # at sigma_w = 0.1 a location more than 3.9 m away has weight 0.0
         data, split = constant_setup()
-        far = LocationSplit(seen=split.seen, unseen=(Coordinate(500.0, 500.0),))
+        far = LocationSplit(seen=split.seen, unseen=(Coordinate(3.0, 3.0),))
         with pytest.raises(CoverageError):
-            train(data, far, quick_cfg(epochs=1, kernel="hard", sigma_w=1.0))
+            train(data, far, quick_cfg(epochs=1, sigma_w=0.1))
+        near = LocationSplit(seen=split.seen, unseen=(Coordinate(2.5, 2.5),))
+        train(data, near, quick_cfg(epochs=1, sigma_w=0.1))
 
     def test_coverage_counts_only_locations_with_samples(self):
-        # (5, 5) is the only location within reach of the unseen one, and no
+        # (5, 5) is the only location within 3.9 m of the unseen one, and no
         # sample is there
         seen = (Coordinate(0.0, 0.0), Coordinate(5.0, 5.0))
         data = FingerprintDataset(
@@ -127,7 +130,7 @@ class TestTrain:
         )
         split = LocationSplit(seen=seen, unseen=(Coordinate(5.5, 5.0),))
         with pytest.raises(CoverageError):
-            train(data, split, quick_cfg(epochs=1, kernel="hard", sigma_w=1.0))
+            train(data, split, quick_cfg(epochs=1, sigma_w=0.1))
 
     def test_auto_sigma_needs_two_seen(self):
         # one seen location has no nearest neighbour; an explicit sigma_w
@@ -249,8 +252,8 @@ class TestTrain:
 
 
 class TestConditionCdf:
-    @pytest.mark.parametrize("form", ["gaussian", "hard"])
-    def test_rows_equal_the_dense_per_sample_formula(self, form):
+    @pytest.mark.parametrize("sigma_w", [1.5, 0.1])
+    def test_rows_equal_the_dense_per_sample_formula(self, sigma_w):
         # 203 samples at 40 locations, some of them unused: sample j's row of
         # the dense (N, U) computation is the table's row loc_index[j]
         rng = np.random.default_rng(5)
@@ -263,13 +266,13 @@ class TestConditionCdf:
         )
         locs = data.coords_matrix()
         unseen_xy = rng.random((37, 2)) * 20.0
-        kernel = VicinityKernel(1.5, form)
+        kernel = VicinityKernel(sigma_w)
         dx = unseen_xy[:, 0][None, :] - locs[:, 0][:, None]
         dy = unseen_xy[:, 1][None, :] - locs[:, 1][:, None]
         wmat = kernel.weight(np.sqrt(dx * dx + dy * dy))
         mass = wmat.sum(axis=1)
         cdf = np.cumsum(wmat / np.where(mass > 0.0, mass, 1.0)[:, None], axis=1)
-        if form == "hard":
+        if sigma_w == 0.1:  # a location more than 3.9 m from every unseen one has mass 0.0
             assert (mass == 0.0).any() and (mass > 0.0).any()
         got_mass, got_cdf = diffusion._condition_cdf(data.location_coords(), unseen_xy, kernel)
         assert got_mass.shape == (40,) and got_cdf.shape == (40, 37)

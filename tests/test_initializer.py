@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 
 import numpy as np
@@ -5,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpsynth.cli import main
 from fpsynth.dataset import Coordinate, distances
-from fpsynth.errors import ConsistencyError, ParseError, SizeError
+from fpsynth.errors import ConfigError, ConsistencyError, FpsynthError, ParseError, SizeError
 from fpsynth.initializer import (
     DensityParams,
     LocationSplit,
@@ -14,15 +17,9 @@ from fpsynth.initializer import (
     neighbor_density,
     save_split,
     select_unseen_density,
-    select_unseen_grid,
     select_unseen_random,
 )
-from oracles import (
-    brute_density_split,
-    brute_knn_densities,
-    rerank_density_split,
-    scan_grid_split,
-)
+from oracles import brute_density_split, brute_knn_densities, rerank_density_split
 
 
 def line_points(n):
@@ -35,6 +32,31 @@ coord_sets = st.lists(
     max_size=12,
     unique=True,
 ).map(lambda pts: [Coordinate(x * 0.5, y * 0.5) for x, y in pts])
+
+
+_SPLIT_NUMBERS = [b"0", b"-0.0", b"1.5", b" 2 ", b"3", b"7.25", b"8"]
+_SPLIT_ROLES = [b"seen", b"unseen", b" seen", b"unseen\x0b"]
+# Pieces spliced into a split file, among them U+000B and U+2028: line breaks
+# for `str.splitlines` but not in a split file.
+_SPLIT_PIECES = [
+    b"1e999", b"nan", b"x", b",", b" ", b"\n", b"\r", b"\x0b", "\u2028".encode(), b"\x00",
+    b"\xff", b"seen", b"visible",
+]
+
+
+@st.composite
+def split_bytes(draw):
+    """Any bytes, or a split file's rows with up to two pieces spliced in."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    number = st.sampled_from(_SPLIT_NUMBERS)
+    row = st.tuples(number, number, st.sampled_from(_SPLIT_ROLES)).map(b",".join)
+    end = st.sampled_from([b"\n", b"\r\n", b"\r"])
+    text = b"x,y,role\n" + b"".join(draw(st.lists(st.tuples(row, end).map(b"".join), max_size=6)))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_SPLIT_PIECES)) + text[at:]
+    return text
 
 
 @st.composite
@@ -75,7 +97,7 @@ def test_integer_coordinates_equal_their_float_twins():
     floats = [Coordinate(float(x), float(y)) for x, y in cells]
     assert neighbor_density(ints[:3], k=1) == [1.0, 1.0, 2.0]
     assert neighbor_density(ints, k=2) == neighbor_density(floats, k=2)
-    params = DensityParams(k_neighbors=2, batch_per_iteration=1)
+    params = DensityParams(k_neighbors=2)
     assert select_unseen_density(ints, 4, params) == select_unseen_density(floats, 4, params)
 
 
@@ -145,6 +167,11 @@ class TestDensitySelection:
         with pytest.raises(SizeError):
             select_unseen_density(line_points(6), 3, DensityParams(k_neighbors=3))
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_neighbors_below_one_is_a_config_error(self, k):
+        with pytest.raises(ConfigError, match=f"k_neighbors must be >= 1, got {k}"):
+            DensityParams(k_neighbors=k)
+
     def test_partition_property(self):
         pts = line_points(10)
         split = select_unseen_density(pts, 5, DensityParams(k_neighbors=2))
@@ -152,39 +179,64 @@ class TestDensitySelection:
         assert not set(split.seen) & set(split.unseen)
 
     @settings(max_examples=60, deadline=None)
-    @given(coord_sets, st.integers(1, 3), st.integers(1, 3), st.data())
-    def test_matches_brute_force(self, pts, k, batch, data):
+    @given(coord_sets, st.integers(1, 3), st.data())
+    def test_matches_brute_force(self, pts, k, data):
         max_unseen = len(pts) - (k + 1)
         if max_unseen < 0:
             return
         n_unseen = data.draw(st.integers(0, max_unseen))
-        split = select_unseen_density(pts, n_unseen, DensityParams(k, batch))
-        seen_o, unseen_o = brute_density_split(
-            [(p.x, p.y) for p in pts], n_unseen, k, batch
-        )
+        split = select_unseen_density(pts, n_unseen, DensityParams(k))
+        seen_o, unseen_o = brute_density_split([(p.x, p.y) for p in pts], n_unseen, k)
         assert [(c.x, c.y) for c in split.unseen] == unseen_o
         assert [(c.x, c.y) for c in split.seen] == seen_o
 
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_survey_grid_equals_full_rerank(self, batch):
+    def test_survey_grid_equals_full_rerank(self):
         # the survey benchmark's locations: a 20 x 20 grid at 5 m, 200 unseen
         pts = [Coordinate(x * 5.0, y * 5.0) for x in range(20) for y in range(20)]
-        split = select_unseen_density(pts, 200, DensityParams(3, batch))
-        seen_o, unseen_o = rerank_density_split(pts, 200, 3, batch)
+        split = select_unseen_density(pts, 200, DensityParams(3))
+        seen_o, unseen_o = rerank_density_split(pts, 200, 3)
         assert list(split.unseen) == unseen_o
         assert list(split.seen) == seen_o
 
     @settings(max_examples=40, deadline=None)
-    @given(lattice_sets(), st.integers(1, 4), st.integers(1, 3), st.data())
-    def test_lattice_matches_brute_force(self, pts, k, batch, data):
+    @given(lattice_sets(), st.integers(1, 4), st.data())
+    def test_lattice_matches_brute_force(self, pts, k, data):
         max_unseen = len(pts) - (k + 1)
         if max_unseen < 0:
             return
         n_unseen = data.draw(st.integers(max_unseen // 2, max_unseen))
-        split = select_unseen_density(pts, n_unseen, DensityParams(k, batch))
-        seen_o, unseen_o = brute_density_split([(p.x, p.y) for p in pts], n_unseen, k, batch)
+        split = select_unseen_density(pts, n_unseen, DensityParams(k))
+        seen_o, unseen_o = brute_density_split([(p.x, p.y) for p in pts], n_unseen, k)
         assert [(c.x, c.y) for c in split.unseen] == unseen_o
         assert [(c.x, c.y) for c in split.seen] == seen_o
+
+    @pytest.mark.parametrize("kind", ["lattice", "uniform", "shuffled-lattice", "half-lattice"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_brute_oracle_at_every_n_unseen(self, kind, seed):
+        # integer lattices tie on densities, which the (x, y) order must break
+        # whatever the input order; the greedy order makes every split a
+        # prefix of the oracle's longest one
+        rng = np.random.default_rng(seed)
+        k = seed + 1
+        if kind == "uniform":
+            xy = rng.random((int(rng.integers(8, 40)), 2)) * 20.0
+        else:
+            w, h = rng.integers(3, 8, size=2)
+            xy = np.array(list(itertools.product(range(w), range(h))), dtype=float)
+            if kind == "half-lattice":
+                xy = xy[rng.random(len(xy)) < 0.5]
+            if kind != "lattice":
+                xy = xy[rng.permutation(len(xy))]
+        pts = [Coordinate(x, y) for x, y in xy.tolist()]
+        assert len(pts) > k + 1
+        _, order = brute_density_split([(p.x, p.y) for p in pts], len(pts) - (k + 1), k)
+        for n_unseen in range(len(order) + 1):
+            split = select_unseen_density(pts, n_unseen, DensityParams(k))
+            unseen = set(order[:n_unseen])
+            assert [(c.x, c.y) for c in split.unseen] == order[:n_unseen], n_unseen
+            assert [(c.x, c.y) for c in split.seen] == [
+                (c.x, c.y) for c in pts if (c.x, c.y) not in unseen
+            ], n_unseen
 
     def test_removal_locality(self):
         # removing a point changes densities only where it was a k-neighbor
@@ -226,52 +278,6 @@ class TestRandomSelection:
             assert n / 10_000 == pytest.approx(0.1, abs=0.02)
 
 
-class TestGridSelection:
-    def test_all_seen(self):
-        pts = [Coordinate(float(x), float(y)) for x, y in [(0, 0), (0, 1), (1, 0), (1, 1)]]
-        split = select_unseen_grid(pts, 0)
-        assert set(split.seen) == set(pts)
-
-    def test_3x3_hand_trace(self):
-        # n_seen=4 -> 2x2 cells over [0,2]^2; nearest to each center with
-        # lexicographic ties -> (0,0), (1,0), (0,1), (1,1)
-        pts = [Coordinate(float(x), float(y)) for x, y in itertools.product(range(3), range(3))]
-        split = select_unseen_grid(pts, 5)
-        expected = {Coordinate(0.0, 0.0), Coordinate(1.0, 0.0), Coordinate(0.0, 1.0), Coordinate(1.0, 1.0)}
-        assert set(split.seen) == expected
-
-    def test_deterministic(self):
-        pts = [Coordinate(x * 1.1, (x * 3 % 7) * 0.9) for x in range(11)]
-        assert select_unseen_grid(pts, 6) == select_unseen_grid(pts, 6)
-
-    def test_partition(self):
-        pts = [Coordinate(x * 1.1, (x * 3 % 7) * 0.9) for x in range(11)]
-        split = select_unseen_grid(pts, 6)
-        assert set(split.seen) | set(split.unseen) == set(pts)
-        assert len(split.seen) == 5
-
-    @pytest.mark.parametrize("kind", ["lattice", "uniform", "shuffled-lattice", "half-lattice"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_equals_the_scan_oracle_at_every_n_unseen(self, kind, seed):
-        # integer lattices tie on cell distances and farthest-point distances,
-        # which the (x, y) order must break exactly as the scan does
-        rng = np.random.default_rng(seed)
-        if kind == "uniform":
-            xy = rng.random((int(rng.integers(2, 40)), 2)) * 20.0
-        else:
-            w, h = rng.integers(2, 8, size=2)
-            xy = np.array(list(itertools.product(range(w), range(h))), dtype=float)
-            if kind == "half-lattice":
-                xy = xy[rng.random(len(xy)) < 0.5]
-            if kind != "lattice":
-                xy = xy[rng.permutation(len(xy))]
-        pts = [Coordinate(x, y) for x, y in xy.tolist()]
-        for n_unseen in range(len(pts)):
-            split = select_unseen_grid(pts, n_unseen)
-            seen, unseen = scan_grid_split(pts, n_unseen)
-            assert (list(split.seen), list(split.unseen)) == (seen, unseen), n_unseen
-
-
 class TestSplitType:
     def test_requires_seen(self):
         with pytest.raises(SizeError):
@@ -303,3 +309,40 @@ class TestSplitType:
         path.write_text(f"x,y,role\n0,0,seen\n{bad},3.0,unseen\n")
         with pytest.raises(ParseError, match=r"bad\.csv: line 3: non-finite coordinate"):
             load_split(path)
+
+    def test_load_non_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x,y,role\n0,0,se\xffen\n")
+        with pytest.raises(ParseError, match=r"bad\.csv: not valid UTF-8$"):
+            load_split(path)
+
+    def test_lines_break_only_at_newlines(self, tmp_path):
+        # U+2028 and U+000B end a line for str.splitlines but not in a split
+        # file: they are whitespace inside lines 2 and 3, and line 4 is bad
+        path = tmp_path / "bad.csv"
+        path.write_text("x,y,role\n0,0,seen\u2028\n1,\x0b1,unseen\n2,2,visible\n")
+        with pytest.raises(ParseError, match=r"bad\.csv: line 4: unknown role 'visible'"):
+            load_split(path)
+        path.write_text("x,y,role\n0,0,seen\u2028\n1,\x0b1,unseen\n")
+        assert load_split(path) == LocationSplit(
+            seen=(Coordinate(0.0, 0.0),), unseen=(Coordinate(1.0, 1.0),)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(split_bytes())
+    def test_any_bytes_load_or_raise_a_typed_error(self, tmp_path_factory, raw):
+        # a split that loads saves and loads back; a file that does not gives
+        # the same error, stage-tagged and with exit code 2, from the CLI
+        tmp = tmp_path_factory.mktemp("split")
+        path = tmp / "split.csv"
+        path.write_bytes(raw)
+        try:
+            split = load_split(path)
+        except FpsynthError as e:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["augment", "--split", str(path), "-o", str(tmp / "aug.csv")])
+            assert (code, err.getvalue()) == (2, f"error [augment] {e}\n")
+            return
+        save_split(split, tmp / "again.csv")
+        assert load_split(tmp / "again.csv") == split
